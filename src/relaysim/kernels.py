@@ -1,39 +1,32 @@
 """Hot per-field reductions over batches of relay fields.
 
-Two interchangeable backends: numba-compiled loops (default) and pure-numpy
-segmented reductions. Set ``RELAYSIM_NO_NUMBA=1`` to force the numpy path;
-``kernel_backend()`` reports the active one. Backends produce bit-identical
-outputs (asserted by the tests); ``benchmarks/benchmark_kernels.py`` compares
-their throughput.
+One numpy segmented reduction, ``_reduce``, behind two front-ends that only
+compute each point's squared distances to the source, the destination and
+the mid-point:
 
-Entry points:
-
-``field_stats(xs, ys, offsets, ...)``
+``field_stats(xs, ys, offsets, half_distance, ...)``
     general form for explicit coordinates.
 
-``disc_batch_stats(u_radius, u_angle, offsets, window_radius, ...)``
-    fused fast path for homogeneous-disc batches. It consumes the raw radial
-    and angular uniforms, applies the inverse-cdf polar transform in-loop and
-    compares squared distances via dist^2 = r^2 + d^2 +- 2 d r cos(angle),
-    so each point costs one cosine and one square root.
+``disc_batch_stats(u_radius, u_angle, offsets, window_radius, half_distance, ...)``
+    homogeneous-disc batches straight from the sampler's radial and angular
+    uniforms, with dist^2 = r^2 + d^2 +- 2 d r cos(angle). This arithmetic
+    fixes the bytes of ``run_trials`` output; going through xy would round
+    differently, and would cost two more full-size coordinate arrays and a
+    sine per point on the largest batches.
 
-Input layout: all fields concatenated into flat arrays, trial t owning the
-slice ``offsets[t]:offsets[t+1]``. Argmin ties break toward the lowest
+Input layout: all fields concatenated into flat 1-D arrays, trial t owning
+the slice ``offsets[t]:offsets[t+1]``. Argmin ties break toward the lowest
 in-field index. Empty trials yield inf metrics, index -1 and zero feedback.
 """
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-__all__ = ["FieldStats", "field_stats", "field_stats_numpy", "field_stats_numba",
-           "disc_batch_stats", "disc_batch_stats_numpy", "disc_batch_stats_numba",
-           "kernel_backend", "HAS_NUMBA"]
+from .errors import ParameterError
 
-_FIELDS = ("gamma_opt", "idx_opt", "gamma_mid", "idx_mid", "psi_mid", "psi_second",
-           "gamma_c2d", "gamma_csrc", "n_feedback", "gamma_diff")
+__all__ = ["FieldStats", "field_stats", "disc_batch_stats", "kernel_backend"]
 
 
 class FieldStats(dict):
@@ -42,8 +35,29 @@ class FieldStats(dict):
     __getattr__ = dict.__getitem__
 
 
-def _alloc(n_trials: int):
-    return dict(
+def kernel_backend() -> str:
+    """Name of the kernel implementation, for run reports."""
+    return "numpy"
+
+
+def _checked(a, b, offsets):
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    b = np.ascontiguousarray(b, dtype=np.float64)
+    offsets = np.asarray(offsets, dtype=np.int64)
+    if a.ndim != 1 or a.shape != b.shape:
+        raise ParameterError(f"coordinates must be 1-D arrays of equal shape, "
+                             f"got {a.shape} and {b.shape}")
+    if offsets.ndim != 1 or offsets.size == 0 or offsets[0] != 0 or offsets[-1] != a.size:
+        raise ParameterError(f"offsets must run from 0 to {a.size}")
+    if (np.diff(offsets) < 0).any():
+        raise ParameterError("offsets must be non-decreasing")
+    return a, b, offsets
+
+
+def _reduce(ds_sq, dd_sq, norm_sq, offsets, threshold, scale_source, scale_destination):
+    """Segmented minima and argmins over the squared per-point distances."""
+    n_trials = offsets.size - 1
+    out = FieldStats(
         gamma_opt=np.full(n_trials, np.inf),
         idx_opt=np.full(n_trials, -1, dtype=np.int64),
         gamma_mid=np.full(n_trials, np.inf),
@@ -55,18 +69,17 @@ def _alloc(n_trials: int):
         n_feedback=np.zeros(n_trials, dtype=np.int64),
         gamma_diff=np.full(n_trials, np.inf),
     )
+    if ds_sq.size == 0:
+        return out
+    sq = np.maximum(ds_sq, dd_sq)
+    diff_sq = np.maximum(scale_source * scale_source * ds_sq,
+                         scale_destination * scale_destination * dd_sq)
+    thr = float(threshold)
+    thr_sq = thr * thr if thr < np.inf else np.inf
 
-
-def _segment_tools(offsets):
     counts = np.diff(offsets)
     valid = counts > 0
     starts = offsets[:-1][valid]
-    return counts, valid, starts
-
-
-def _reduce_squared(sq, norm_sq, dd_sq, ds_sq, diff_sq, offsets, threshold_sq, out):
-    """Shared numpy tail: segmented argmins over squared metrics."""
-    counts, valid, starts = _segment_tools(offsets)
     idx_all = np.arange(sq.size, dtype=np.int64)
     valid_counts = counts[valid]
 
@@ -94,248 +107,30 @@ def _reduce_squared(sq, norm_sq, dd_sq, ds_sq, diff_sq, offsets, threshold_sq, o
 
     out["gamma_c2d"][valid] = np.sqrt(sq[seg_argmin(dd_sq, seg_min(dd_sq))])
     out["gamma_csrc"][valid] = np.sqrt(sq[seg_argmin(ds_sq, seg_min(ds_sq))])
-    out["n_feedback"][valid] = np.add.reduceat((sq <= threshold_sq).astype(np.int64), starts)
+    out["n_feedback"][valid] = np.add.reduceat((sq <= thr_sq).astype(np.int64), starts)
     out["gamma_diff"][valid] = np.sqrt(seg_min(diff_sq))
-    return FieldStats(out)
-
-
-def field_stats_numpy(xs, ys, offsets, half_distance, threshold=np.inf,
-                      scale_source=1.0, scale_destination=1.0) -> FieldStats:
-    xs = np.ascontiguousarray(xs, dtype=np.float64)
-    ys = np.ascontiguousarray(ys, dtype=np.float64)
-    offsets = np.asarray(offsets, dtype=np.int64)
-    out = _alloc(offsets.size - 1)
-    if xs.size == 0 or not (np.diff(offsets) > 0).any():
-        return FieldStats(out)
-    d = float(half_distance)
-    y2 = ys * ys
-    ds_sq = (xs + d) ** 2 + y2
-    dd_sq = (xs - d) ** 2 + y2
-    sq = np.maximum(ds_sq, dd_sq)
-    norm_sq = xs * xs + y2
-    diff_sq = np.maximum(scale_source * scale_source * ds_sq,
-                         scale_destination * scale_destination * dd_sq)
-    thr = float(threshold)
-    thr_sq = thr * thr if thr < np.inf else np.inf
-    return _reduce_squared(sq, norm_sq, dd_sq, ds_sq, diff_sq, offsets, thr_sq, out)
-
-
-def disc_batch_stats_numpy(u_radius, u_angle, offsets, window_radius, half_distance,
-                           threshold=np.inf, scale_source=1.0,
-                           scale_destination=1.0) -> FieldStats:
-    u1 = np.ascontiguousarray(u_radius, dtype=np.float64)
-    u2 = np.ascontiguousarray(u_angle, dtype=np.float64)
-    offsets = np.asarray(offsets, dtype=np.int64)
-    out = _alloc(offsets.size - 1)
-    if u1.size == 0 or not (np.diff(offsets) > 0).any():
-        return FieldStats(out)
-    tau = float(window_radius)
-    d = float(half_distance)
-    norm_sq = (tau * tau) * u1
-    r = np.sqrt(norm_sq)
-    cross = (2.0 * d) * r * np.cos((2.0 * math.pi) * u2)
-    base = norm_sq + d * d
-    ds_sq = base + cross
-    dd_sq = base - cross
-    sq = np.maximum(ds_sq, dd_sq)
-    diff_sq = np.maximum(scale_source * scale_source * ds_sq,
-                         scale_destination * scale_destination * dd_sq)
-    thr = float(threshold)
-    thr_sq = thr * thr if thr < np.inf else np.inf
-    return _reduce_squared(sq, norm_sq, dd_sq, ds_sq, diff_sq, offsets, thr_sq, out)
-
-
-HAS_NUMBA = False
-try:  # pragma: no cover - absence only matters on stripped installs
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-        return wrap
-
-
-@njit(cache=True)
-def _field_stats_loop(xs, ys, offsets, d, thr_sq, s1sq, s2sq,
-                      gamma_opt, idx_opt, gamma_mid, idx_mid, psi_mid, psi_second,
-                      gamma_c2d, gamma_csrc, n_feedback, gamma_diff):  # pragma: no cover
-    for t in range(offsets.shape[0] - 1):
-        lo = offsets[t]
-        hi = offsets[t + 1]
-        if hi <= lo:
-            continue
-        best_sq = np.inf
-        best_i = np.int64(-1)
-        best_norm = np.inf
-        second_norm = np.inf
-        norm_i = np.int64(-1)
-        sq_at_norm = np.inf
-        best_dd = np.inf
-        sq_at_dd = np.inf
-        best_ds = np.inf
-        sq_at_ds = np.inf
-        best_diff = np.inf
-        k = np.int64(0)
-        for i in range(lo, hi):
-            x = xs[i]
-            y = ys[i]
-            y2 = y * y
-            ds_sq = (x + d) ** 2 + y2
-            dd_sq = (x - d) ** 2 + y2
-            norm_sq = x * x + y2
-            sq = ds_sq if ds_sq > dd_sq else dd_sq
-            if sq < best_sq:
-                best_sq = sq
-                best_i = i
-            if norm_sq < best_norm:
-                second_norm = best_norm
-                best_norm = norm_sq
-                norm_i = i
-                sq_at_norm = sq
-            elif norm_sq < second_norm:
-                second_norm = norm_sq
-            if dd_sq < best_dd:
-                best_dd = dd_sq
-                sq_at_dd = sq
-            if ds_sq < best_ds:
-                best_ds = ds_sq
-                sq_at_ds = sq
-            if sq <= thr_sq:
-                k += 1
-            w1 = s1sq * ds_sq
-            w2 = s2sq * dd_sq
-            w = w1 if w1 > w2 else w2
-            if w < best_diff:
-                best_diff = w
-        gamma_opt[t] = math.sqrt(best_sq)
-        idx_opt[t] = best_i
-        gamma_mid[t] = math.sqrt(sq_at_norm)
-        idx_mid[t] = norm_i
-        psi_mid[t] = math.sqrt(best_norm)
-        psi_second[t] = math.sqrt(second_norm)
-        gamma_c2d[t] = math.sqrt(sq_at_dd)
-        gamma_csrc[t] = math.sqrt(sq_at_ds)
-        n_feedback[t] = k
-        gamma_diff[t] = math.sqrt(best_diff)
-
-
-@njit(cache=True)
-def _disc_batch_loop(u1, u2, offsets, tau, d, thr_sq, s1sq, s2sq,
-                     gamma_opt, idx_opt, gamma_mid, idx_mid, psi_mid, psi_second,
-                     gamma_c2d, gamma_csrc, n_feedback, gamma_diff):  # pragma: no cover
-    tau_sq = tau * tau
-    d_sq = d * d
-    two_pi = 2.0 * math.pi
-    two_d = 2.0 * d
-    for t in range(offsets.shape[0] - 1):
-        lo = offsets[t]
-        hi = offsets[t + 1]
-        if hi <= lo:
-            continue
-        best_sq = np.inf
-        best_i = np.int64(-1)
-        best_norm = np.inf
-        second_norm = np.inf
-        norm_i = np.int64(-1)
-        sq_at_norm = np.inf
-        best_dd = np.inf
-        sq_at_dd = np.inf
-        best_ds = np.inf
-        sq_at_ds = np.inf
-        best_diff = np.inf
-        k = np.int64(0)
-        for i in range(lo, hi):
-            norm_sq = tau_sq * u1[i]
-            cross = two_d * math.sqrt(norm_sq) * math.cos(two_pi * u2[i])
-            base = norm_sq + d_sq
-            ds_sq = base + cross
-            dd_sq = base - cross
-            sq = ds_sq if ds_sq > dd_sq else dd_sq
-            if sq < best_sq:
-                best_sq = sq
-                best_i = i
-            if norm_sq < best_norm:
-                second_norm = best_norm
-                best_norm = norm_sq
-                norm_i = i
-                sq_at_norm = sq
-            elif norm_sq < second_norm:
-                second_norm = norm_sq
-            if dd_sq < best_dd:
-                best_dd = dd_sq
-                sq_at_dd = sq
-            if ds_sq < best_ds:
-                best_ds = ds_sq
-                sq_at_ds = sq
-            if sq <= thr_sq:
-                k += 1
-            w1 = s1sq * ds_sq
-            w2 = s2sq * dd_sq
-            w = w1 if w1 > w2 else w2
-            if w < best_diff:
-                best_diff = w
-        gamma_opt[t] = math.sqrt(best_sq)
-        idx_opt[t] = best_i
-        gamma_mid[t] = math.sqrt(sq_at_norm)
-        idx_mid[t] = norm_i
-        psi_mid[t] = math.sqrt(best_norm)
-        psi_second[t] = math.sqrt(second_norm)
-        gamma_c2d[t] = math.sqrt(sq_at_dd)
-        gamma_csrc[t] = math.sqrt(sq_at_ds)
-        n_feedback[t] = k
-        gamma_diff[t] = math.sqrt(best_diff)
-
-
-def _thr_sq(threshold: float) -> float:
-    t = float(threshold)
-    return t * t if t < np.inf else np.inf
-
-
-def field_stats_numba(xs, ys, offsets, half_distance, threshold=np.inf,
-                      scale_source=1.0, scale_destination=1.0) -> FieldStats:
-    xs = np.ascontiguousarray(xs, dtype=np.float64)
-    ys = np.ascontiguousarray(ys, dtype=np.float64)
-    offsets = np.ascontiguousarray(offsets, dtype=np.int64)
-    out = _alloc(offsets.size - 1)
-    _field_stats_loop(xs, ys, offsets, float(half_distance), _thr_sq(threshold),
-                      float(scale_source) ** 2, float(scale_destination) ** 2,
-                      *(out[k] for k in _FIELDS))
-    return FieldStats(out)
-
-
-def disc_batch_stats_numba(u_radius, u_angle, offsets, window_radius, half_distance,
-                           threshold=np.inf, scale_source=1.0,
-                           scale_destination=1.0) -> FieldStats:
-    u1 = np.ascontiguousarray(u_radius, dtype=np.float64)
-    u2 = np.ascontiguousarray(u_angle, dtype=np.float64)
-    offsets = np.ascontiguousarray(offsets, dtype=np.int64)
-    out = _alloc(offsets.size - 1)
-    _disc_batch_loop(u1, u2, offsets, float(window_radius), float(half_distance),
-                     _thr_sq(threshold),
-                     float(scale_source) ** 2, float(scale_destination) ** 2,
-                     *(out[k] for k in _FIELDS))
-    return FieldStats(out)
-
-
-_FORCE_NUMPY = os.environ.get("RELAYSIM_NO_NUMBA", "").strip().lower() in ("1", "true", "yes")
-_USE_NUMBA = HAS_NUMBA and not _FORCE_NUMPY
-
-
-def kernel_backend() -> str:
-    return "numba" if _USE_NUMBA else "numpy"
+    return out
 
 
 def field_stats(xs, ys, offsets, half_distance, threshold=np.inf,
                 scale_source=1.0, scale_destination=1.0) -> FieldStats:
-    impl = field_stats_numba if _USE_NUMBA else field_stats_numpy
-    return impl(xs, ys, offsets, half_distance, threshold, scale_source, scale_destination)
+    """Reduce each field of relays at explicit coordinates ``(xs, ys)``."""
+    xs, ys, offsets = _checked(xs, ys, offsets)
+    d = float(half_distance)
+    y2 = ys * ys
+    return _reduce((xs + d) ** 2 + y2, (xs - d) ** 2 + y2, xs * xs + y2, offsets,
+                   threshold, scale_source, scale_destination)
 
 
 def disc_batch_stats(u_radius, u_angle, offsets, window_radius, half_distance,
                      threshold=np.inf, scale_source=1.0,
                      scale_destination=1.0) -> FieldStats:
-    impl = disc_batch_stats_numba if _USE_NUMBA else disc_batch_stats_numpy
-    return impl(u_radius, u_angle, offsets, window_radius, half_distance,
-                threshold, scale_source, scale_destination)
+    """Reduce each field of a disc batch given as inverse-cdf polar uniforms."""
+    u1, u2, offsets = _checked(u_radius, u_angle, offsets)
+    tau = float(window_radius)
+    d = float(half_distance)
+    norm_sq = (tau * tau) * u1
+    cross = (2.0 * d) * np.sqrt(norm_sq) * np.cos((2.0 * math.pi) * u2)
+    base = norm_sq + d * d
+    return _reduce(base + cross, base - cross, norm_sq, offsets,
+                   threshold, scale_source, scale_destination)

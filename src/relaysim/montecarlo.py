@@ -1,12 +1,17 @@
 """Monte Carlo harness: batched trials, empirical laws, analytic comparisons.
 
-Seed-splitting rule (fixed, so parallel executions can reproduce the serial
+Stream layout (fixed, so a split execution can reproduce the serial
 stream): all randomness comes from Philox keyed by the master seed, with the
-128-bit counter partitioned into blocks of 2^64 draws. Block 0 holds the
-per-trial point counts in trial order, block 1 the radial uniforms for all
-points in trial order, block 2 the angle uniforms. A worker owning trials
-[i, j) can therefore advance each block stream to its slice and generate
-byte-identical results; records always merge in trial order.
+128-bit counter partitioned into blocks of 2^64 counter values. Block 0 holds
+the per-trial point counts in trial order, block 1 the radial uniforms for
+all points in trial order, block 2 the angle uniforms.
+
+Block 0 cannot be advanced to a trial: Poisson draws consume a variable
+number of words (1000 draws at mean 314 use 585 counter values), so the
+counts are always drawn from the start of block 0. Blocks 1 and 2 can: each
+counter value yields four uniforms, so the uniform at flat point index k is
+reached with ``Philox(key, counter=block << 64).advance(k // 4)`` followed by
+discarding ``k % 4`` draws. Only the serial path is implemented.
 """
 from __future__ import annotations
 

@@ -1,12 +1,10 @@
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
 from relaysim import kernels
+from relaysim.errors import ParameterError
 
 
 def _random_batch(seed, n_trials=300, mean_pts=40):
@@ -22,32 +20,30 @@ def _random_batch(seed, n_trials=300, mean_pts=40):
     return xs, ys, u1, u2, offsets
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_backends_bit_identical_xy(seed):
+def _xy_entry(seed):
     xs, ys, _, _, offsets = _random_batch(seed)
-    a = kernels.field_stats_numpy(xs, ys, offsets, 1.0, 2.5, 1.0, 1.4)
-    b = kernels.field_stats_numba(xs, ys, offsets, 1.0, 2.5, 1.0, 1.4)
-    for key in a:
-        assert np.array_equal(a[key], b[key]), key
+    return xs, ys, offsets, kernels.field_stats(xs, ys, offsets, 1.0, 2.5, 1.0, 1.4)
 
 
-@pytest.mark.parametrize("seed", [3, 4])
-def test_backends_bit_identical_disc(seed):
+def _disc_entry(seed):
+    tau = 7.0
     _, _, u1, u2, offsets = _random_batch(seed)
-    a = kernels.disc_batch_stats_numpy(u1, u2, offsets, 7.0, 1.0, 3.0, 1.0, 1.0)
-    b = kernels.disc_batch_stats_numba(u1, u2, offsets, 7.0, 1.0, 3.0, 1.0, 1.0)
-    for key in a:
-        assert np.array_equal(a[key], b[key]), key
+    r = tau * np.sqrt(u1)
+    xs, ys = r * np.cos(2 * math.pi * u2), r * np.sin(2 * math.pi * u2)
+    st = kernels.disc_batch_stats(u1, u2, offsets, tau, 1.0, 2.5, 1.0, 1.4)
+    return xs, ys, offsets, st
 
 
-def test_against_bruteforce_reference():
-    xs, ys, _, _, offsets = _random_batch(7, n_trials=50, mean_pts=12)
-    st = kernels.field_stats(xs, ys, offsets, 1.0, 2.5, 1.0, 1.4)
-    for t in range(50):
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 7])
+@pytest.mark.parametrize("entry", [_xy_entry, _disc_entry], ids=["xy", "disc"])
+def test_against_bruteforce_reference(entry, seed):
+    xs, ys, offsets, st = entry(seed)
+    for t in range(offsets.size - 1):
         sl = slice(offsets[t], offsets[t + 1])
         x, y = xs[sl], ys[sl]
         if x.size == 0:
             assert st.idx_opt[t] == -1
+            assert st.idx_mid[t] == -1
             assert math.isinf(st.gamma_opt[t])
             assert st.n_feedback[t] == 0
             continue
@@ -57,6 +53,7 @@ def test_against_bruteforce_reference():
         norm = np.hypot(x, y)
         assert st.gamma_opt[t] == pytest.approx(s.min(), rel=1e-12)
         assert st.idx_opt[t] - offsets[t] == int(np.argmin(s))
+        assert st.idx_mid[t] - offsets[t] == int(np.argmin(norm))
         assert st.psi_mid[t] == pytest.approx(norm.min(), rel=1e-12)
         assert st.gamma_mid[t] == pytest.approx(s[np.argmin(norm)], rel=1e-12)
         assert st.gamma_c2d[t] == pytest.approx(s[np.argmin(dd)], rel=1e-12)
@@ -83,15 +80,18 @@ def test_empty_batch():
     assert np.all(np.isinf(st.gamma_opt))
 
 
-def test_env_flag_selects_numpy_backend():
-    env = dict(os.environ, RELAYSIM_NO_NUMBA="1")
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "from relaysim.kernels import kernel_backend; print(kernel_backend())"],
-        capture_output=True, text=True, env=env, check=True)
-    assert out.stdout.strip() == "numpy"
-
-
-def test_default_backend_is_numba_when_available():
-    if kernels.HAS_NUMBA and not os.environ.get("RELAYSIM_NO_NUMBA"):
-        assert kernels.kernel_backend() == "numba"
+@pytest.mark.parametrize("xs, ys, offsets", [
+    (np.arange(5.0), np.array([0.3]), [0, 2, 5]),
+    (np.zeros((5, 1)), np.zeros((5, 1)), [0, 2, 5]),
+    (np.zeros(5), np.zeros(5), []),
+    (np.zeros(5), np.zeros(5), [1, 2, 5]),
+    (np.zeros(5), np.zeros(5), [0, 3, 2, 5]),
+    (np.zeros(5), np.zeros(5), [0, 2, 4]),
+    (np.zeros(5), np.zeros(5), [0, 2, 6]),
+], ids=["unequal-shapes", "not-1d", "no-offsets", "nonzero-first-offset",
+        "decreasing-offsets", "short-last-offset", "long-last-offset"])
+def test_malformed_input_raises_parameter_error(xs, ys, offsets):
+    with pytest.raises(ParameterError):
+        kernels.field_stats(xs, ys, offsets, 1.0)
+    with pytest.raises(ParameterError):
+        kernels.disc_batch_stats(xs, ys, offsets, 3.0, 1.0)
