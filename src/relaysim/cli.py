@@ -210,21 +210,14 @@ def _eval_quantity(args) -> float:
         return metrics.threshold_for_load(args.mu0, lam, d)
     if q == "s-star":
         return metrics.s_star(args.rho)
-    if q == "rate":
-        law = {"optimum": dist.best_cqi_law,
-               "mid-point": dist.midpoint_cqi_law,
-               "closest-to-destination": dist.closest_to_destination_cqi_law}[args.policy](lam, d)
-        rate = metrics.average_rate(law, snr, pl, fading)
-        if args.full_duplex:
-            rate = metrics.full_duplex_rate(rate)
-        return rate.value
-    if q == "rate-feedback":
-        if threshold is None:
+    if q in ("rate", "rate-feedback"):
+        if q == "rate":
+            rate = metrics.average_rate(dist.policy_law(args.policy, lam, d), snr, pl, fading)
+        elif threshold is None:
             raise ParameterError("rate-feedback needs --T")
-        rate = metrics.average_rate_feedback(threshold, lam, d, snr, pl, fading)
-        if args.full_duplex:
-            rate = metrics.full_duplex_rate(rate)
-        return rate.value
+        else:
+            rate = metrics.average_rate_feedback(threshold, lam, d, snr, pl, fading)
+        return (metrics.full_duplex_rate(rate) if args.full_duplex else rate).value
     if q == "outage":
         return metrics.outage(args.rho, lam, d, snr, pl, fading)
     if q == "outage-slope":

@@ -36,6 +36,7 @@ __all__ = [
     "unequal_snr_cqi_cdf", "unequal_snr_support_min",
     "CqiLaw", "best_cqi_law", "best_cqi_law_finite",
     "midpoint_cqi_law", "closest_to_destination_cqi_law", "unequal_snr_cqi_law",
+    "policy_law",
     "nearest_neighbor_pdf", "nearest_neighbor_cdf",
 ]
 
@@ -193,7 +194,7 @@ def annulus_metric_ccdf(t, inner_radius: float, outer_radius: float,
     """
     d, psi, tau = half_distance, inner_radius, outer_radius
     _check_positive(outer_radius=outer_radius, half_distance=half_distance)
-    if psi < 0:
+    if not psi >= 0:
         raise ParameterError(f"inner_radius must be non-negative, got {psi}")
     if tau < math.sqrt(psi * psi + 2.0 * d * psi):
         raise ParameterError(
@@ -388,13 +389,13 @@ def received_snr_cdf(s, law: "CqiLaw", snr: float, path_loss: PathLoss):
     _check_positive(snr=snr)
 
     def fn(sv):
-        out = np.empty_like(sv)
-        for i, v in enumerate(sv):
-            if v <= 0:
-                out[i] = 0.0
-                continue
-            x = path_loss.gain_inverse(v / snr)
-            out[i] = 1.0 - law.cdf(x) if math.isfinite(x) else 1.0 - law.total_mass
+        out = np.zeros_like(sv)
+        rest = ~(sv <= 0)
+        x = path_loss.gain_inverse(sv[rest] / snr)
+        finite = np.isfinite(x)
+        below = np.full_like(x, law.total_mass)
+        below[finite] = law.cdf(x[finite])
+        out[rest] = 1.0 - below
         return out
 
     return _vectorized(s, fn)
@@ -412,11 +413,9 @@ def received_snr_pdf(s, law: "CqiLaw", snr: float, path_loss: PathLoss):
     def fn(sv):
         out = np.zeros_like(sv)
         top = snr * path_loss.gain(law.support_min)
-        for i, v in enumerate(sv):
-            if v <= 0 or v >= top:
-                continue
-            x = path_loss.gain_inverse(v / snr)
-            out[i] = law.pdf(x) / (snr * abs(path_loss.gain_derivative(x)))
+        inside = ~((sv <= 0) | (sv >= top))
+        x = path_loss.gain_inverse(sv[inside] / snr)
+        out[inside] = law.pdf(x) / (snr * np.abs(path_loss.gain_derivative(x)))
         return out
 
     return _vectorized(s, fn)
@@ -503,7 +502,7 @@ def exclusion_cqi_cdf(gamma, intensity: float, exclusion_radius: float,
                       half_distance: float):
     """Best-CQI cdf with a central exclusion disc of the given radius."""
     _check_positive(intensity=intensity, half_distance=half_distance)
-    if exclusion_radius < 0:
+    if not exclusion_radius >= 0:
         raise ParameterError("exclusion_radius must be non-negative")
     lam, r, d = intensity, exclusion_radius, half_distance
     if r == 0.0:
@@ -677,6 +676,15 @@ def closest_to_destination_cqi_law(intensity: float, half_distance: float) -> Cq
         lambda g: closest_to_destination_cqi_pdf(g, intensity, half_distance),
         support_min=half_distance,
     )
+
+
+def policy_law(policy: str, intensity: float, half_distance: float) -> CqiLaw:
+    """CQI law of the relay a location-based policy selects, by policy name."""
+    factory = {"optimum": best_cqi_law, "mid-point": midpoint_cqi_law,
+               "closest-to-destination": closest_to_destination_cqi_law}.get(policy)
+    if factory is None:
+        raise ParameterError(f"no analytic law for policy {policy!r}")
+    return factory(intensity, half_distance)
 
 
 def unequal_snr_cqi_law(intensity: float, half_distance: float,

@@ -64,19 +64,6 @@ def _mean_stderr(values: np.ndarray) -> float:
     return float(np.std(values) / math.sqrt(values.size))
 
 
-def _rate_samples(gammas: np.ndarray, snr: float, pl: PathLoss, fading: Fading) -> np.ndarray:
-    out = np.zeros_like(gammas)
-    ok = np.isfinite(gammas)
-    g = gammas[ok]
-    link = snr * pl.gain(g)
-    if fading is Fading.NONE:
-        out[ok] = 0.5 * np.log2(1.0 + link)
-    else:
-        vals = np.array([metrics.conditional_rate(v, snr, pl, fading).value for v in g])
-        out[ok] = vals
-    return out
-
-
 def _exp_midpoint_optimality(cfg: ExperimentConfig):
     rows = []
     k = 0
@@ -153,16 +140,6 @@ _POLICY_GAMMAS = {"optimum": "gamma_opt", "mid-point": "gamma_mid",
                   "closest-to-destination": "gamma_c2d"}
 
 
-def _policy_law(policy: str, lam: float, d: float) -> dist.CqiLaw:
-    if policy == "optimum":
-        return dist.best_cqi_law(lam, d)
-    if policy == "mid-point":
-        return dist.midpoint_cqi_law(lam, d)
-    if policy == "closest-to-destination":
-        return dist.closest_to_destination_cqi_law(lam, d)
-    raise ParameterError(f"no analytic law for policy {policy!r}")
-
-
 def _exp_outage_and_rate(cfg: ExperimentConfig):
     d = cfg.half_distance
     snr, pl = cfg.snr(), cfg.path_loss()
@@ -171,8 +148,8 @@ def _exp_outage_and_rate(cfg: ExperimentConfig):
         batch = run_trials(MonteCarloConfig(lam, d), cfg.n_trials, cfg.seed + k)
         for fading in (Fading.NONE, Fading.RAYLEIGH):
             for policy, attr in _POLICY_GAMMAS.items():
-                law = _policy_law(policy, lam, d)
-                rates = _rate_samples(getattr(batch, attr), snr, pl, fading)
+                law = dist.policy_law(policy, lam, d)
+                rates = metrics.conditional_rate(getattr(batch, attr), snr, pl, fading).value
                 out_sim = float(np.mean(rates <= cfg.rho))
                 rate_sim = float(np.mean(rates))
                 tag = f"{policy}/{fading.value}"
@@ -192,7 +169,7 @@ def _exp_rate_feedback(cfg: ExperimentConfig):
     for k, lam in enumerate(cfg.lambdas):
         batch = run_trials(MonteCarloConfig(lam, d), cfg.n_trials, cfg.seed + k)
         for fading in (Fading.NONE, Fading.RAYLEIGH):
-            base = _rate_samples(batch.gamma_opt, snr, pl, fading)
+            base = metrics.conditional_rate(batch.gamma_opt, snr, pl, fading).value
             for t in (*cfg.thresholds, math.inf):
                 gated = np.where(batch.gamma_opt <= t, base, 0.0)
                 sim = float(np.mean(gated))
@@ -214,7 +191,7 @@ def _exp_outage_feedback(cfg: ExperimentConfig):
     for k, lam in enumerate(cfg.lambdas):
         batch = run_trials(MonteCarloConfig(lam, d), cfg.n_trials, cfg.seed + k)
         for fading in (Fading.NONE, Fading.RAYLEIGH):
-            base = _rate_samples(batch.gamma_opt, snr, pl, fading)
+            base = metrics.conditional_rate(batch.gamma_opt, snr, pl, fading).value
             for t in (*cfg.thresholds, math.inf):
                 gated = np.where(batch.gamma_opt <= t, base, 0.0)
                 sim = float(np.mean(gated <= rho))
@@ -237,7 +214,7 @@ def _exp_fixed_load(cfg: ExperimentConfig):
         t = metrics.threshold_for_load(cfg.feedback_load, lam, d)
         batch = run_trials(MonteCarloConfig(lam, d), cfg.n_trials, cfg.seed + k)
         for fading in (Fading.NONE, Fading.RAYLEIGH):
-            base = _rate_samples(batch.gamma_opt, snr, pl, fading)
+            base = metrics.conditional_rate(batch.gamma_opt, snr, pl, fading).value
             gated = np.where(batch.gamma_opt <= t, base, 0.0)
             pairs = (
                 (f"rate selective/{fading.value}",

@@ -40,7 +40,9 @@ def kernel_backend() -> str:
     return "numpy"
 
 
-def _checked(a, b, offsets):
+def _checked(a, b, offsets, threshold):
+    if not threshold >= 0:
+        raise ParameterError(f"threshold must be non-negative, got {threshold}")
     a = np.ascontiguousarray(a, dtype=np.float64)
     b = np.ascontiguousarray(b, dtype=np.float64)
     offsets = np.asarray(offsets, dtype=np.int64)
@@ -75,7 +77,7 @@ def _reduce(ds_sq, dd_sq, norm_sq, offsets, threshold, scale_source, scale_desti
     diff_sq = np.maximum(scale_source * scale_source * ds_sq,
                          scale_destination * scale_destination * dd_sq)
     thr = float(threshold)
-    thr_sq = thr * thr if thr < np.inf else np.inf
+    thr_sq = thr * thr
 
     counts = np.diff(offsets)
     valid = counts > 0
@@ -115,7 +117,7 @@ def _reduce(ds_sq, dd_sq, norm_sq, offsets, threshold, scale_source, scale_desti
 def field_stats(xs, ys, offsets, half_distance, threshold=np.inf,
                 scale_source=1.0, scale_destination=1.0) -> FieldStats:
     """Reduce each field of relays at explicit coordinates ``(xs, ys)``."""
-    xs, ys, offsets = _checked(xs, ys, offsets)
+    xs, ys, offsets = _checked(xs, ys, offsets, threshold)
     d = float(half_distance)
     y2 = ys * ys
     return _reduce((xs + d) ** 2 + y2, (xs - d) ** 2 + y2, xs * xs + y2, offsets,
@@ -126,7 +128,7 @@ def disc_batch_stats(u_radius, u_angle, offsets, window_radius, half_distance,
                      threshold=np.inf, scale_source=1.0,
                      scale_destination=1.0) -> FieldStats:
     """Reduce each field of a disc batch given as inverse-cdf polar uniforms."""
-    u1, u2, offsets = _checked(u_radius, u_angle, offsets)
+    u1, u2, offsets = _checked(u_radius, u_angle, offsets, threshold)
     tau = float(window_radius)
     d = float(half_distance)
     norm_sq = (tau * tau) * u1

@@ -1,7 +1,9 @@
 """Rate and outage metrics, with and without selective feedback.
 
-Rates are half-duplex (a single 1/2 factor); the Rayleigh branch averages over
-unit-mean exponential fading through e^x E1(x). All integrals are adaptive
+Every rate goes through one array function of the link SNR s: the
+half-duplex rate 1/2 log2(1 + s) without fading, and its average over
+unit-mean exponential (Rayleigh) fading, e^(1/s) E1(1/s) / (2 ln 2). Outage
+inverts that function once per target rate. All integrals are adaptive
 quadrature so every figure is deterministic for fixed inputs.
 """
 from __future__ import annotations
@@ -9,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 from . import distributions as dist
 from .errors import ParameterError
@@ -30,9 +34,9 @@ _LN2 = math.log(2.0)
 
 @dataclass(frozen=True)
 class RateResult:
-    """A non-negative rate in bits/s/Hz plus the fading model it assumed."""
+    """Non-negative rates in bits/s/Hz (a float or an array) and the fading assumed."""
 
-    value: float
+    value: float | np.ndarray
     fading: Fading
 
     def __float__(self) -> float:
@@ -45,18 +49,37 @@ class OutageRegime(Enum):
     ALWAYS_OUTAGE = "always-outage"
 
 
-def _rate_from_link_snr(link_snr: float, fading: Fading) -> float:
-    if link_snr <= 0.0:
-        return 0.0
+def _rate_from_link_snr(link_snr, fading: Fading):
+    """Half-duplex rate at each link SNR; 0 where the SNR is not positive."""
+    s = np.asarray(link_snr, dtype=float)
+    on = s > 0  # off it, the stand-ins 0 and 1 keep log2 and E1 arguments valid
     if fading is Fading.NONE:
-        return 0.5 * math.log2(1.0 + link_snr)
-    return f_exp_e1(1.0 / link_snr) / (2.0 * _LN2)
+        rate = 0.5 * np.log2(1.0 + np.where(on, s, 0.0))
+    else:
+        rate = np.where(on, f_exp_e1(1.0 / np.where(on, s, 1.0)) / (2.0 * _LN2), 0.0)
+    return float(rate) if rate.ndim == 0 else rate
 
 
-def conditional_rate(gamma: float, snr: float, path_loss: PathLoss,
+def _link_snr_for_rate(target_rate: float, fading: Fading) -> float:
+    """The link SNR at which the rate equals ``target_rate``."""
+    if not target_rate >= 0:
+        raise ParameterError(f"target_rate must be non-negative, got {target_rate}")
+    if fading is Fading.NONE:
+        return 2.0 ** (2.0 * target_rate) - 1.0
+    return s_star(target_rate)
+
+
+def conditional_rate(gamma, snr: float, path_loss: PathLoss,
                      fading: Fading) -> RateResult:
-    """Rate given the selected relay's metric value."""
-    return RateResult(_rate_from_link_snr(snr * path_loss.gain(gamma), fading), fading)
+    """Rate given the selected relay's metric value.
+
+    ``gamma`` is a scalar or an array of metric values; ``value`` is then a
+    float or an array of the same shape. A non-finite metric (no relay
+    selected) gives rate 0.
+    """
+    g = np.asarray(gamma, dtype=float)
+    link = np.where(np.isfinite(g), snr * path_loss.gain(g), 0.0)
+    return RateResult(_rate_from_link_snr(link, fading), fading)
 
 
 def average_rate(law: dist.CqiLaw, snr: float, path_loss: PathLoss,
@@ -68,12 +91,15 @@ def average_rate(law: dist.CqiLaw, snr: float, path_loss: PathLoss,
     if law.pdf is None:
         raise ParameterError(f"law '{law.name}' has no density to integrate against")
     hi = law.quantile(min(law.total_mass, 1.0) - 1e-10)
+    return _rate_integral(law, law.support_min, hi, snr, path_loss, fading, tol)
 
+
+def _rate_integral(law, lo, hi, snr, path_loss, fading, tol) -> RateResult:
+    """Integral of the rate against the law's density over [lo, hi]."""
     def f(g):
         return _rate_from_link_snr(snr * path_loss.gain(g), fading) * law.pdf(g)
 
-    q = quad_adaptive(f, law.support_min, hi, tol=tol)
-    return RateResult(q.value, fading)
+    return RateResult(quad_adaptive(f, lo, hi, tol=tol).value, fading)
 
 
 def average_rate_optimum(intensity: float, half_distance: float, snr: float,
@@ -84,13 +110,13 @@ def average_rate_optimum(intensity: float, half_distance: float, snr: float,
 
 def s_star(target_rate: float) -> float:
     """Link-SNR level whose Rayleigh-averaged rate equals the target."""
-    if target_rate < 0:
+    if not target_rate >= 0:
         raise ParameterError(f"target_rate must be non-negative, got {target_rate}")
     if target_rate == 0.0:
         return 0.0
 
     def averaged(s):
-        return f_exp_e1(1.0 / s) / (2.0 * _LN2)
+        return _rate_from_link_snr(s, Fading.RAYLEIGH)
 
     lo, hi = 1e-12, 1.0
     while averaged(hi) < target_rate:
@@ -103,11 +129,8 @@ def s_star(target_rate: float) -> float:
 def outage_for_law(law: dist.CqiLaw, target_rate: float, snr: float,
                    path_loss: PathLoss, fading: Fading) -> float:
     """P(rate <= target) for a policy whose CQI follows ``law``."""
-    if target_rate < 0:
-        raise ParameterError("target_rate must be non-negative")
     top = snr * path_loss.gain(law.support_min)
-    level = (2.0 ** (2.0 * target_rate) - 1.0 if fading is Fading.NONE
-             else s_star(target_rate))
+    level = _link_snr_for_rate(target_rate, fading)
     if level >= top:
         return 1.0
     return float(dist.received_snr_cdf(level, law, snr, path_loss))
@@ -128,7 +151,7 @@ def mean_feedback_load(threshold: float, intensity: float, half_distance: float)
 
     The count itself is Poisson with this mean.
     """
-    if threshold < 0:
+    if not threshold >= 0:
         raise ParameterError(f"threshold must be non-negative, got {threshold}")
     d, lam, t = half_distance, intensity, threshold
     if t <= d:
@@ -140,7 +163,7 @@ def mean_feedback_load(threshold: float, intensity: float, half_distance: float)
 
 def threshold_for_load(load: float, intensity: float, half_distance: float) -> float:
     """Threshold whose mean feedback load equals ``load`` (monotone inverse)."""
-    if load < 0:
+    if not load >= 0:
         raise ParameterError(f"load must be non-negative, got {load}")
     if load == 0.0:
         return half_distance
@@ -155,18 +178,11 @@ def average_rate_feedback(threshold: float, intensity: float, half_distance: flo
                           snr: float, path_loss: PathLoss, fading: Fading,
                           tol: float = 1e-9) -> RateResult:
     """Average rate of threshold feedback; zero rate when nobody reports."""
-    if threshold < half_distance:
+    if not threshold >= half_distance:
         raise ParameterError(
             f"threshold {threshold} below the metric floor {half_distance}")
-    law = dist.best_cqi_law(intensity, half_distance)
-    if threshold == half_distance:
-        return RateResult(0.0, fading)
-
-    def f(g):
-        return _rate_from_link_snr(snr * path_loss.gain(g), fading) * law.pdf(g)
-
-    q = quad_adaptive(f, half_distance, threshold, tol=tol)
-    return RateResult(q.value, fading)
+    return _rate_integral(dist.best_cqi_law(intensity, half_distance), half_distance,
+                          threshold, snr, path_loss, fading, tol)
 
 
 def outage_feedback(threshold: float, target_rate: float, intensity: float,
@@ -179,12 +195,11 @@ def outage_feedback(threshold: float, target_rate: float, intensity: float,
     Rate-limited: outage matches the all-feedback case and no longer depends
     on the threshold. Ties resolve to the branch listed first.
     """
-    if threshold < half_distance:
+    if not threshold >= half_distance:
         raise ParameterError(
             f"threshold {threshold} below the metric floor {half_distance}")
     law = dist.best_cqi_law(intensity, half_distance)
-    level = (2.0 ** (2.0 * target_rate) - 1.0 if fading is Fading.NONE
-             else s_star(target_rate))
+    level = _link_snr_for_rate(target_rate, fading)
     at_threshold = snr * path_loss.gain(threshold)
     at_floor = snr * path_loss.gain(half_distance)
     if level <= at_threshold:
@@ -215,11 +230,8 @@ def optimality_rate_gap(intensity: float, half_distance: float, snr: float,
         s = math.sqrt(psi * psi + 2.0 * d * psi * math.cos(theta) + d * d)
         best = snr * path_loss.gain(math.hypot(psi, d))
         actual = snr * path_loss.gain(s)
-        if fading is Fading.NONE:
-            return 0.5 * (math.log2(1.0 + best) - math.log2(1.0 + actual))
-        hi = f_exp_e1(1.0 / best) if best > 0 else 0.0
-        lo = f_exp_e1(1.0 / actual) if actual > 0 else 0.0
-        return (hi - lo) / (2.0 * _LN2)
+        return (_rate_from_link_snr(best, fading)
+                - _rate_from_link_snr(actual, fading))
 
     def inner(theta):
         def f(psi):
@@ -254,20 +266,11 @@ def outage_decay_slope(policy: str, target_rate: float, half_distance: float,
     The log-outage curves are only near-linear, so the fitted value depends on
     the window; the default fits intensities 1..4. Reported, never gated.
     """
-    import numpy as np
-
     if intensities is None:
         intensities = np.linspace(1.0, 4.0, 13)
-    laws = {
-        "optimum": dist.best_cqi_law,
-        "mid-point": dist.midpoint_cqi_law,
-        "closest-to-destination": dist.closest_to_destination_cqi_law,
-    }
-    if policy not in laws:
-        raise ParameterError(f"no analytic outage curve for policy {policy!r}")
     lams = np.asarray(intensities, dtype=float)
-    logs = np.array([math.log10(outage_for_law(laws[policy](lam, half_distance),
-                                               target_rate, snr, path_loss, fading))
-                     for lam in lams])
+    laws = [dist.policy_law(policy, lam, half_distance) for lam in lams]
+    logs = np.array([math.log10(outage_for_law(law, target_rate, snr, path_loss, fading))
+                     for law in laws])
     slope, _ = np.polyfit(lams, logs, 1)
     return float(-slope)

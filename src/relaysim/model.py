@@ -136,7 +136,7 @@ class LinkBudget:
             v = getattr(self, name)
             if not v > 0:
                 raise ParameterError(f"{name} must be positive, got {v}")
-        if self.target_rate < 0:
+        if not self.target_rate >= 0:
             raise ParameterError(f"target_rate must be non-negative, got {self.target_rate}")
 
     def effective_scales(self, path_loss_exponent: float) -> tuple[float, float]:
@@ -233,7 +233,7 @@ class PathLoss:
             raise ParameterError("need matching 1-d tables with at least two rows")
         if not np.all(np.diff(xs) > 0):
             raise ParameterError("distances must be strictly increasing")
-        if np.any(gs < 0):
+        if not np.all(gs >= 0):
             raise ParameterError("gains must be non-negative")
         if np.any(np.diff(gs) > 0):
             raise ParameterError("gains must be non-increasing")

@@ -54,7 +54,7 @@ class MonteCarloConfig:
                                default_window_radius(self.intensity, self.half_distance))
         if not self.window_radius > 0:
             raise ParameterError("window_radius must be positive")
-        if self.threshold is not None and self.threshold < 0:
+        if self.threshold is not None and not self.threshold >= 0:
             raise ParameterError("threshold must be non-negative")
         if not (self.scale_source > 0 and self.scale_destination > 0):
             raise ParameterError("SNR scales must be positive")

@@ -1,9 +1,10 @@
 """Special functions, adaptive quadrature and a monotone root solver.
 
-The exponential integral E1 and its overflow-safe product e^x E1(x) are
-implemented directly (power series below 1, continued fraction above);
-quadrature delegates to QUADPACK's adaptive Gauss-Kronrod scheme with
-semi-infinite intervals mapped through t -> a + t/(1-t).
+The exponential integral E1 is scipy's ``exp1``. Its overflow-safe product
+e^x E1(x) takes scalars or arrays: the direct product up to x = 600, the
+asymptotic series above. Quadrature delegates to QUADPACK's adaptive
+Gauss-Kronrod scheme with semi-infinite intervals mapped through
+t -> a + t/(1-t).
 """
 from __future__ import annotations
 
@@ -25,64 +26,38 @@ __all__ = [
     "solve_monotone",
 ]
 
-_EULER_GAMMA = 0.5772156649015328606
-
-
-def _e1_series(x: float) -> float:
-    # E1(x) = -gamma - ln x + sum_{k>=1} (-1)^{k+1} x^k / (k k!), for small x
-    total = 0.0
-    term = 1.0
-    for k in range(1, 60):
-        term *= x / k
-        contrib = term / k if k % 2 == 1 else -term / k
-        total += contrib
-        if abs(contrib) < 1e-18 * max(abs(total), 1e-300):
-            break
-    return -_EULER_GAMMA - math.log(x) + total
-
-
-def _f_continued_fraction(x: float) -> float:
-    # e^x E1(x) = 1/(x+1- 1/(x+3- 4/(x+5- 9/(...)))), modified Lentz
-    tiny = 1e-300
-    b = x + 1.0
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for n in range(1, 400):
-        a = -(n * n)
-        b += 2.0
-        d = b + a * d
-        if abs(d) < tiny:
-            d = tiny
-        c = b + a / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = c * d
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            return h
-    raise NumericError(f"continued fraction for e^x E1(x) did not converge at x={x}")
+# Near x = 700 E1(x) turns subnormal and e^x overflows, so above this argument
+# e^x E1(x) comes from the asymptotic series sum_k (-1)^k k!/x^(k+1), summed
+# to k = 8; its first omitted term is below 1e-19 relative there.
+_ASYMPTOTIC_FROM = 600.0
 
 
 def exp_integral_e1(x: float) -> float:
     """E1(x) = integral_1^inf e^(-t x)/t dt for x > 0."""
     if not x > 0:
         raise ParameterError(f"E1 requires x > 0, got {x}")
-    if x <= 1.0:
-        return _e1_series(x)
-    if x > 700.0:
-        return 0.0  # below smallest double
-    return math.exp(-x) * _f_continued_fraction(x)
+    return float(_sp.exp1(x))
 
 
-def f_exp_e1(x: float) -> float:
-    """Overflow-safe e^x E1(x); strictly decreasing from +inf to 0 on (0, inf)."""
-    if not x > 0:
+def f_exp_e1(x):
+    """Overflow-safe e^x E1(x) of a scalar or an array; a float for scalar input.
+
+    Strictly decreasing from +inf to 0 on (0, inf); every x must be positive.
+    """
+    xa = np.asarray(x, dtype=float)
+    if not (xa > 0).all():
         raise ParameterError(f"f(x) = e^x E1(x) requires x > 0, got {x}")
-    if x <= 1.0:
-        return math.exp(x) * _e1_series(x)
-    return _f_continued_fraction(x)
+    near = np.minimum(xa, _ASYMPTOTIC_FROM)
+    out = np.exp(near) * _sp.exp1(near)
+    far = xa > _ASYMPTOTIC_FROM
+    if far.any():
+        y = 1.0 / xa[far]
+        series = 1.0
+        for k in range(8, 0, -1):
+            series = 1.0 - k * y * series
+        out = np.asarray(out)
+        out[far] = y * series
+    return float(out) if out.ndim == 0 else out
 
 
 def erfc_scaled(x):

@@ -64,7 +64,7 @@ def select(field, kind: PolicyKind, geometry: NetworkGeometry,
     d = geometry.half_distance
 
     if kind is PolicyKind.THRESHOLD_FEEDBACK:
-        if threshold is None or threshold < 0:
+        if threshold is None or not threshold >= 0:
             raise ParameterError("threshold feedback needs a threshold >= 0")
         if n == 0:
             return PolicyOutcome(None, None, 0, None)

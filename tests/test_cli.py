@@ -168,3 +168,11 @@ def test_numeric_failure_exit_code(monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "_eval_quantity", boom)
     assert cli.main(["eval", "cdf-gamma-opt"]) == 3
+
+
+def test_simulate_nan_threshold_is_usage_error(tmp_path):
+    res = run_cli("simulate", "--trials", "5", "--tau", "3", "--T", "nan",
+                  "--out", str(tmp_path / "t.csv"))
+    assert res.returncode == 2
+    assert "threshold" in res.stderr
+    assert not (tmp_path / "t.csv").exists()

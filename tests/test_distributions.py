@@ -384,3 +384,52 @@ def test_log_pdf_matches_pdf_where_representable():
         assert dist.best_cqi_log_pdf(g, 1.0, 1.0) == pytest.approx(
             math.log(dist.best_cqi_pdf(g, 1.0, 1.0)), rel=1e-12)
     assert dist.best_cqi_log_pdf(0.5, 1.0, 1.0) == -math.inf
+
+
+def test_policy_law_table():
+    for policy, law in (("optimum", dist.best_cqi_law(1.5, 1.0)),
+                        ("mid-point", dist.midpoint_cqi_law(1.5, 1.0)),
+                        ("closest-to-destination",
+                         dist.closest_to_destination_cqi_law(1.5, 1.0))):
+        got = dist.policy_law(policy, 1.5, 1.0)
+        assert got.name == law.name
+        assert got.cdf(1.7) == law.cdf(1.7)
+    with pytest.raises(ParameterError):
+        dist.policy_law("closest-to-source", 1.5, 1.0)
+
+
+def _received_snr_cdf_per_level(v, law, snr, pl):
+    # the branch values of the per-level definition
+    if v <= 0:
+        return 0.0
+    x = pl.gain_inverse(v / snr)
+    return 1.0 - law.cdf(x) if math.isfinite(x) else 1.0 - law.total_mass
+
+
+def test_received_snr_cdf_array_matches_per_level_branches():
+    # finite window: total mass < 1; bounded table gain: infinite inverse below 0.1
+    law = dist.best_cqi_law_finite(0.5, 1.0, 3.0)
+    pl = PathLoss.tabulated([0.0, 1.0, 10.0], [1.0, 0.5, 0.1])
+    snr = 2.0
+    levels = np.array([-1.0, 0.0, 0.05, 0.19, 0.2, 0.5, 0.9, 1.0, 1.5, 2.0, 3.0])
+    got = dist.received_snr_cdf(levels, law, snr, pl)
+    expected = [_received_snr_cdf_per_level(v, law, snr, pl) for v in levels]
+    assert np.array_equal(got, expected)
+    assert got[0] == got[1] == 0.0
+    assert got[2] == 1.0 - law.total_mass
+    assert np.array_equal(got, [dist.received_snr_cdf(v, law, snr, pl) for v in levels])
+
+
+def test_received_snr_pdf_array_matches_per_level_branches():
+    law = dist.best_cqi_law(1.0, 1.0)
+    pl = PathLoss.power_law(4.0)
+    snr = 3.0
+    top = snr * pl.gain(1.0)
+    levels = np.array([-1.0, 0.0, 0.01, 0.5, 1.0, 2.0, 2.9, top, 2 * top])
+    got = dist.received_snr_pdf(levels, law, snr, pl)
+    expected = [law.pdf(pl.gain_inverse(v / snr))
+                / (snr * abs(pl.gain_derivative(pl.gain_inverse(v / snr))))
+                if 0 < v < top else 0.0 for v in levels]
+    assert np.array_equal(got, expected)
+    assert np.array_equal(got, [dist.received_snr_pdf(v, law, snr, pl) for v in levels])
+    assert np.all(got[[0, 1, -2, -1]] == 0.0) and np.all(got[2:-2] > 0)

@@ -8,6 +8,7 @@ from relaysim import metrics
 from relaysim.errors import ParameterError
 from relaysim.model import Fading, PathLoss, snr_from_db
 from relaysim.montecarlo import MonteCarloConfig, run_trials
+from relaysim.numerics import f_exp_e1
 
 PL = PathLoss.power_law(4.0)
 SNR = snr_from_db(5.0)
@@ -220,3 +221,39 @@ def test_full_duplex_scaling():
     assert metrics.full_duplex_rate(metrics.RateResult(0.0, Fading.NONE)).value == 0.0
     twice = metrics.full_duplex_rate(metrics.full_duplex_rate(r))
     assert twice.value == pytest.approx(4.12)  # scaling is not idempotent
+
+
+@pytest.mark.parametrize("fading", list(Fading))
+def test_conditional_rate_array_matches_scalar_calls(fading):
+    gammas = np.array([1.0, 1.3, 2.0, 7.5, 40.0, 1e3, 1e6, math.inf])
+    rates = metrics.conditional_rate(gammas, SNR, PL, fading)
+    assert rates.fading is fading
+    assert isinstance(rates.value, np.ndarray) and rates.value.shape == gammas.shape
+    expected = [metrics.conditional_rate(float(g), SNR, PL, fading).value for g in gammas]
+    assert np.array_equal(rates.value, expected)
+    # the per-trial formula: half log2(1 + s) or f(1/s) / (2 ln 2), s = snr * g^-4
+    links = [SNR * g ** -4.0 for g in gammas[:-1]]
+    formula = [0.5 * math.log2(1.0 + s) if fading is Fading.NONE
+               else f_exp_e1(1.0 / s) / (2.0 * math.log(2.0)) for s in links]
+    assert rates.value[:-1] == pytest.approx(formula, rel=4 * np.finfo(float).eps)
+    assert rates.value[-1] == 0.0
+    grid = metrics.conditional_rate(gammas.reshape(2, 4), SNR, PL, fading).value
+    assert np.array_equal(grid, rates.value.reshape(2, 4))
+
+
+@pytest.mark.parametrize("fading", list(Fading))
+def test_conditional_rate_non_finite_metric_gives_zero(fading):
+    assert metrics.conditional_rate(math.inf, SNR, PL, fading).value == 0.0
+    assert metrics.conditional_rate(math.nan, SNR, PL, fading).value == 0.0
+    # a bounded gain would give a positive rate at an infinite metric
+    pl = PathLoss.tabulated([0.0, 1.0, 10.0], [1.0, 0.5, 0.1])
+    values = metrics.conditional_rate(np.array([1.0, math.inf]), SNR, pl, fading).value
+    assert values[0] > 0 and values[1] == 0.0
+
+
+@pytest.mark.parametrize("fading", list(Fading))
+def test_conditional_rate_zero_dim_input_gives_float(fading):
+    for gamma in (np.float64(1.5), np.array(1.5)):
+        value = metrics.conditional_rate(gamma, SNR, PL, fading).value
+        assert type(value) is float
+        assert value == metrics.conditional_rate(1.5, SNR, PL, fading).value

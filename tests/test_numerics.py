@@ -118,3 +118,37 @@ def test_solve_monotone_recovers_point(target_x):
     target = math.atan(target_x)
     got = solve_monotone(math.atan, target, -1.0, 5.0, tol=1e-12)
     assert got == pytest.approx(target_x, abs=1e-9)
+
+
+# frozen from 40-digit mpmath, mp.exp(x) * mp.e1(x): the asymptotic branch
+F_ASYMPTOTIC_TABLE = {
+    600.0: 0.0016638981021579472347,
+    700.0: 0.0014265364183008866918,
+    1000.0: 0.000999001994023880715,
+    1e4: 9.999000199940023988e-05,
+}
+
+
+@pytest.mark.parametrize("x,expected", sorted(F_ASYMPTOTIC_TABLE.items()))
+def test_f_exp_e1_asymptotic_frozen_values(x, expected):
+    assert f_exp_e1(x) == pytest.approx(expected, rel=1e-13)
+
+
+def test_f_exp_e1_array_matches_scalar_calls():
+    xs = np.concatenate([np.logspace(-6, 6, 300), [600.0, np.nextafter(600.0, np.inf)]])
+    got = f_exp_e1(xs)
+    assert isinstance(got, np.ndarray) and got.shape == xs.shape
+    assert np.array_equal(got, [f_exp_e1(float(x)) for x in xs])
+    assert isinstance(f_exp_e1(np.float64(2.0)), float)
+    assert f_exp_e1(xs.reshape(2, -1)).shape == (2, xs.size // 2)
+
+
+def test_f_exp_e1_non_increasing_across_branch_switch():
+    xs = np.linspace(599.0, 601.0, 20001)
+    assert np.all(np.diff(f_exp_e1(xs)) <= 0)
+
+
+@pytest.mark.parametrize("bad", [[1.0, 0.0], [1.0, -2.0], [math.nan], [2.0, math.nan]])
+def test_f_exp_e1_array_domain_error(bad):
+    with pytest.raises(ParameterError):
+        f_exp_e1(np.array(bad))
