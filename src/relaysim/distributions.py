@@ -5,10 +5,20 @@ the geometry parameter d, and ``gamma`` a selection-metric value. Every cdf is 0
 below its support minimum; laws driven by a finite-mean point count are
 defective (total mass < 1), the missing mass being the no-relay event.
 
+Every law takes a scalar or an array of metric values; NaN gives 0.
+
 Numerical notes: arcsec(x) is evaluated as arccos(1/x) and arccsc(x) as
-arcsin(1/x); scaled erfc avoids overflow in the sufficiency probability; the
-benchmark-policy integrals run over x = psi^2 with a further square-root shift
-that removes the integrable endpoint singularity of the density integrand.
+arcsin(1/x); scaled erfc avoids overflow in the sufficiency probability.
+The mid-point and closest-to-destination laws integrate over psi, the
+selected relay's distance from the policy's centre, with one fixed 64-node
+Gauss-Legendre rule for all metric values at once. Each integral stops
+sqrt(40/(pi intensity)) past its lower end psi0, where the nearest-neighbour
+weight exp(-pi intensity psi^2) has fallen below e^-40 of its value at psi0.
+The densities run over psi^2 = psi0^2 + u^2, which removes their
+inverse-square-root endpoint. The cdfs have a square-root endpoint at psi0
+and, as psi0 -> 0 (metric near d, or near 2d for closest-to-destination), a
+feature of width psi0; the graded map psi = psi0 + a (cosh v - 1) with
+a = max(psi0, 1e-6 span) smooths the first and spreads nodes over the second.
 """
 from __future__ import annotations
 
@@ -41,6 +51,14 @@ __all__ = [
 ]
 
 
+# The fixed rule on [0, 1]; the nearest-neighbour weight exp(-pi lam psi^2)
+# falls by e^-40 within _REACH / sqrt(lam).
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
+_GL_NODES, _GL_WEIGHTS = 0.5 * (_GL_NODES + 1.0), 0.5 * _GL_WEIGHTS
+_REACH = math.sqrt(40.0 / math.pi)
+_BLOCK = 2048  # metric values per (values, nodes) work array
+
+
 def _check_positive(**kwargs):
     for name, v in kwargs.items():
         if not v > 0:
@@ -53,26 +71,31 @@ def _vectorized(gamma, fn):
     return float(out[0]) if g.ndim == 0 else out.reshape(g.shape)
 
 
+def _on_support(gamma, floor: float, fn, at_inf: float = 0.0):
+    """fn on the finite metric values above floor; at_inf at +inf, else 0."""
+    def masked(g):
+        out = np.where(g == math.inf, at_inf, 0.0)
+        on = (g > floor) & (g < math.inf)
+        out[on] = fn(g[on])
+        return out
+
+    return _vectorized(gamma, masked)
+
+
 def _lens_shape(x: np.ndarray) -> np.ndarray:
     # area of {metric <= gamma} equals 2 d^2 * _lens_shape(gamma/d); zero at x=1
     xs = np.maximum(x, 1.0)
     return xs * xs * np.arccos(1.0 / xs) - np.sqrt(xs * xs - 1.0)
 
 
-def _lens_area(separation: float, r1: float, r2: float) -> float:
-    """Intersection area of discs with the given center separation and radii."""
-    if r1 + r2 <= separation:
-        return 0.0
-    if abs(r1 - r2) >= separation:
-        r = min(r1, r2)
-        return math.pi * r * r
-    c1 = (separation ** 2 + r1 ** 2 - r2 ** 2) / (2.0 * separation * r1)
-    c2 = (separation ** 2 + r2 ** 2 - r1 ** 2) / (2.0 * separation * r2)
-    k = ((r1 + r2 - separation) * (separation + r1 - r2)
-         * (separation - r1 + r2) * (separation + r1 + r2))
-    return (r1 * r1 * math.acos(min(1.0, max(-1.0, c1)))
-            + r2 * r2 * math.acos(min(1.0, max(-1.0, c2)))
-            - 0.5 * math.sqrt(max(k, 0.0)))
+def _lens_area(s: float, r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
+    """Intersection areas of discs with center separation s and the given radii."""
+    c1 = np.clip((s * s + r1 * r1 - r2 * r2) / (2.0 * s * r1), -1.0, 1.0)
+    c2 = np.clip((s * s + r2 * r2 - r1 * r1) / (2.0 * s * r2), -1.0, 1.0)
+    k = (r1 + r2 - s) * (s + r1 - r2) * (s - r1 + r2) * (s + r1 + r2)
+    lens = r1 * r1 * np.arccos(c1) + r2 * r2 * np.arccos(c2) - 0.5 * np.sqrt(np.maximum(k, 0.0))
+    return np.where(r1 + r2 <= s, 0.0, np.where(
+        np.abs(r1 - r2) >= s, math.pi * np.minimum(r1, r2) ** 2, lens))
 
 
 # ---------------------------------------------------------------------------
@@ -82,16 +105,8 @@ def best_cqi_cdf(gamma, intensity: float, half_distance: float):
     """cdf of the minimal selection metric; support starts at the half distance."""
     _check_positive(intensity=intensity, half_distance=half_distance)
     d, lam = half_distance, intensity
-
-    def fn(g):
-        out = np.zeros_like(g)
-        on = g >= d
-        fin = on & np.isfinite(g)
-        out[fin] = -np.expm1(-2.0 * lam * d * d * _lens_shape(g[fin] / d))
-        out[on & ~np.isfinite(g)] = 1.0
-        return out
-
-    return _vectorized(gamma, fn)
+    return _on_support(gamma, d, lambda g: -np.expm1(-2.0 * lam * d * d * _lens_shape(g / d)),
+                       1.0)
 
 
 def best_cqi_pdf(gamma, intensity: float, half_distance: float):
@@ -99,14 +114,10 @@ def best_cqi_pdf(gamma, intensity: float, half_distance: float):
     d, lam = half_distance, intensity
 
     def fn(g):
-        out = np.zeros_like(g)
-        on = (g >= d) & np.isfinite(g)
-        x = g[on] / d
-        out[on] = (4.0 * lam * g[on] * np.arccos(1.0 / x)
-                   * np.exp(-2.0 * lam * d * d * _lens_shape(x)))
-        return out
+        x = g / d
+        return 4.0 * lam * g * np.arccos(1.0 / x) * np.exp(-2.0 * lam * d * d * _lens_shape(x))
 
-    return _vectorized(gamma, fn)
+    return _on_support(gamma, d, fn)
 
 
 def best_cqi_log_pdf(gamma, intensity: float, half_distance: float):
@@ -250,88 +261,89 @@ def nearest_neighbor_cdf(psi, intensity: float):
     return float(out) if out.ndim == 0 else out
 
 
-def _mid_cdf_scalar(g: float, lam: float, d: float, tol: float) -> float:
-    if g <= d:
-        return 0.0
-    if not math.isfinite(g):
-        return 1.0
-    lo, hi = (g - d) ** 2, g * g - d * d
-
-    def integrand(x):
-        arg = (g * g - x - d * d) / (2.0 * d * math.sqrt(x))
-        return math.exp(-lam * math.pi * x) * math.acos(min(1.0, max(-1.0, arg)))
-
-    q = quad_adaptive(integrand, lo, hi, tol=tol)
-    return nearest_neighbor_cdf(math.sqrt(hi), lam) - 2.0 * lam * q.value
+def _gauss_legendre(integrand, top, *rows):
+    """Integral of integrand(t, *rows) over t in [0, top], one value per row;
+    the integrand sees top and rows as columns against the (rows, nodes) grid."""
+    if top.size > _BLOCK:
+        return np.concatenate([
+            _gauss_legendre(integrand, top[i:i + _BLOCK], *(r[i:i + _BLOCK] for r in rows))
+            for i in range(0, top.size, _BLOCK)])
+    vals = integrand(top[:, None] * _GL_NODES, *(r[:, None] for r in rows))
+    return top * (vals * _GL_WEIGHTS).sum(axis=1)
 
 
-def midpoint_cqi_cdf(gamma, intensity: float, half_distance: float, tol: float = 1e-10):
-    """cdf of the metric at the relay nearest to the mid-point."""
-    _check_positive(intensity=intensity, half_distance=half_distance)
-    return _vectorized(gamma, lambda g: np.array(
-        [_mid_cdf_scalar(v, intensity, half_distance, tol) for v in g]))
-
-
-def _sqrt_shift_quad(lam: float, lo: float, span: float, far: float, tol: float) -> float:
+def _sqrt_shift_integral(lam: float, lo, span, far):
     # integral of exp(-lam pi x)/sqrt((x - lo)(lo + far - x)) over [lo, lo + span]
     # via x = lo + u^2, which removes the lower-endpoint singularity
-    def integrand(u):
-        return 2.0 * math.exp(-lam * math.pi * (lo + u * u)) / math.sqrt(far - u * u)
+    def integrand(u, lo, far):
+        uu = u * u
+        return 2.0 * np.exp(-lam * math.pi * (lo + uu)) / np.sqrt(far - uu)
 
-    return quad_adaptive(integrand, 0.0, math.sqrt(span), tol=tol).value
-
-
-def _mid_pdf_scalar(g: float, lam: float, d: float, tol: float) -> float:
-    if g <= d or not math.isfinite(g):
-        return 0.0
-    lo, hi = (g - d) ** 2, g * g - d * d
-    far = (g + d) ** 2 - lo
-    return 4.0 * lam * g * _sqrt_shift_quad(lam, lo, hi - lo, far, tol)
+    top = np.minimum(np.sqrt(span), _REACH / math.sqrt(lam))
+    return _gauss_legendre(integrand, top, lo, far)
 
 
-def midpoint_cqi_pdf(gamma, intensity: float, half_distance: float, tol: float = 1e-10):
+def _nn_angle_cdf(g, lam: float, base, psi0, psi1, fraction):
+    """base + integral over [psi0, psi1] of f_nn(psi) * fraction(psi, g), where
+    fraction is the share of angles at distance psi from the policy's centre
+    that keeps the metric at most g; nodes follow psi = psi0 + a (cosh v - 1)."""
+    span = np.minimum(psi1 - psi0, _REACH / math.sqrt(lam))
+    a = np.maximum(psi0, 1e-6 * span)
+
+    def integrand(v, psi0, a, g):
+        half = np.sinh(0.5 * v)
+        psi = psi0 + 2.0 * a * half * half
+        return nearest_neighbor_pdf(psi, lam) * fraction(psi, g) * a * np.sinh(v)
+
+    # cosh(top) - 1 = span / a
+    return base + _gauss_legendre(integrand, 2.0 * np.arcsinh(np.sqrt(span / (2.0 * a))),
+                                  psi0, a, g)
+
+
+def midpoint_cqi_cdf(gamma, intensity: float, half_distance: float):
+    """cdf of the metric at the relay nearest to the mid-point."""
     _check_positive(intensity=intensity, half_distance=half_distance)
-    return _vectorized(gamma, lambda g: np.array(
-        [_mid_pdf_scalar(v, intensity, half_distance, tol) for v in g]))
+    lam, d = intensity, half_distance
+
+    def fraction(psi, g):
+        return (2.0 / math.pi) * np.arcsin(np.clip(
+            ((g - psi) * (g + psi) - d * d) / (2.0 * d * psi), -1.0, 1.0))
+
+    return _on_support(gamma, d, lambda g: _nn_angle_cdf(
+        g, lam, nearest_neighbor_cdf(g - d, lam), g - d, np.sqrt((g - d) * (g + d)),
+        fraction), 1.0)
 
 
-def _c2d_cdf_scalar(g: float, lam: float, d: float, tol: float) -> float:
-    if g <= d:
-        return 0.0
-    if not math.isfinite(g):
-        return 1.0
-    lo, hi = (g - 2.0 * d) ** 2, g * g
-
-    def integrand(x):
-        arg = (x + 4.0 * d * d - g * g) / (4.0 * d * math.sqrt(x))
-        return math.exp(-lam * math.pi * x) * math.acos(min(1.0, max(-1.0, arg)))
-
-    q = quad_adaptive(integrand, lo, hi, tol=tol)
-    return nearest_neighbor_cdf(g - 2.0 * d, lam) + lam * q.value
+def midpoint_cqi_pdf(gamma, intensity: float, half_distance: float):
+    _check_positive(intensity=intensity, half_distance=half_distance)
+    lam, d = intensity, half_distance
+    return _on_support(gamma, d, lambda g: 4.0 * lam * g * _sqrt_shift_integral(
+        lam, (g - d) ** 2, 2.0 * d * (g - d), 4.0 * d * g))
 
 
-def closest_to_destination_cqi_cdf(gamma, intensity: float, half_distance: float,
-                                   tol: float = 1e-10):
+def closest_to_destination_cqi_cdf(gamma, intensity: float, half_distance: float):
     """cdf of the metric at the relay nearest to the destination."""
     _check_positive(intensity=intensity, half_distance=half_distance)
-    return _vectorized(gamma, lambda g: np.array(
-        [_c2d_cdf_scalar(v, intensity, half_distance, tol) for v in g]))
+    lam, d = intensity, half_distance
+
+    def fraction(psi, g):
+        return (1.0 / math.pi) * np.arccos(np.clip(
+            ((psi - g) * (psi + g) + 4.0 * d * d) / (4.0 * d * psi), -1.0, 1.0))
+
+    return _on_support(gamma, d, lambda g: _nn_angle_cdf(
+        g, lam, nearest_neighbor_cdf(g - 2.0 * d, lam), np.abs(g - 2.0 * d), g, fraction), 1.0)
 
 
-def _c2d_pdf_scalar(g: float, lam: float, d: float, tol: float) -> float:
-    if g <= d or not math.isfinite(g):
-        return 0.0
-    lo, hi = (g - 2.0 * d) ** 2, g * g
-    far = (g + 2.0 * d) ** 2 - lo
-    atom = math.acos(min(1.0, d / g)) * math.exp(-lam * math.pi * g * g)
-    return 2.0 * lam * g * (atom + _sqrt_shift_quad(lam, lo, hi - lo, far, tol))
-
-
-def closest_to_destination_cqi_pdf(gamma, intensity: float, half_distance: float,
-                                   tol: float = 1e-10):
+def closest_to_destination_cqi_pdf(gamma, intensity: float, half_distance: float):
     _check_positive(intensity=intensity, half_distance=half_distance)
-    return _vectorized(gamma, lambda g: np.array(
-        [_c2d_pdf_scalar(v, intensity, half_distance, tol) for v in g]))
+    lam, d = intensity, half_distance
+
+    def fn(g):
+        atom = np.arccos(np.minimum(1.0, d / g)) * np.exp(-lam * math.pi * g * g)
+        return 2.0 * lam * g * (atom + _sqrt_shift_integral(
+            lam, (g - 2.0 * d) ** 2, 4.0 * d * (g - d), 8.0 * d * g))
+
+    return _on_support(gamma, d, fn)
 
 
 # ---------------------------------------------------------------------------
@@ -508,43 +520,31 @@ def exclusion_cqi_cdf(gamma, intensity: float, exclusion_radius: float,
     if r == 0.0:
         return best_cqi_cdf(gamma, intensity, half_distance)
 
-    def one(g: float) -> float:
-        if g <= math.hypot(r, d):
-            return 0.0
-        if not math.isfinite(g):
-            return 1.0
-        if g > r + d:
-            return -math.expm1(-2.0 * lam * d * d * float(_lens_shape(np.asarray(g / d)))
-                               + lam * math.pi * r * r)
+    def fn(g):
         x = g / d
-        cos_star = (g * g - d * d - r * r) / (2.0 * d * r)
-        cos_star = min(1.0, max(-1.0, cos_star))
-        b = math.sqrt(max((d + r - g) * (d + r + g) * (g + d - r) * (g + r - d), 0.0)) / (2.0 * d * r)
+        cos_star = np.clip((g * g - d * d - r * r) / (2.0 * d * r), -1.0, 1.0)
+        b = np.sqrt(np.maximum((d + r - g) * (d + r + g) * (g + d - r) * (g + r - d),
+                               0.0)) / (2.0 * d * r)
         # arccsc((g/d)/b) = arcsin(b d / g); b <= g/d always holds here
-        i_term = (x * x * (math.acos(1.0 / x) + math.asin(min(1.0, b / x))
-                           - math.acos(cos_star))
-                  + b * (math.sqrt(max(x * x - b * b, 0.0)) - cos_star)
-                  - math.sqrt(x * x - 1.0))
-        return -math.expm1(-2.0 * lam * d * d * i_term
-                           + 2.0 * lam * r * r * math.asin(cos_star))
+        i_term = (x * x * (np.arccos(1.0 / x) + np.arcsin(np.minimum(1.0, b / x))
+                           - np.arccos(cos_star))
+                  + b * (np.sqrt(np.maximum(x * x - b * b, 0.0)) - cos_star)
+                  - np.sqrt(x * x - 1.0))
+        return -np.expm1(np.where(
+            g > r + d, -2.0 * lam * d * d * _lens_shape(x) + lam * math.pi * r * r,
+            -2.0 * lam * d * d * i_term + 2.0 * lam * r * r * np.arcsin(cos_star)))
 
-    return _vectorized(gamma, lambda gs: np.array([one(v) for v in gs]))
+    return _on_support(gamma, math.hypot(r, d), fn, 1.0)
 
 
 def ring_cqi_cdf(gamma, intensity: float, ring_radius: float, half_distance: float):
     """Best-CQI cdf when relays live on a circle line; defective law."""
     _check_positive(intensity=intensity, ring_radius=ring_radius, half_distance=half_distance)
     lam, r, d = intensity, ring_radius, half_distance
-
-    def one(g: float) -> float:
-        if g <= math.hypot(r, d):
-            return 0.0
-        if g > r + d:
-            return -math.expm1(-2.0 * lam * math.pi * r)
-        arg = min(1.0, max(-1.0, (g * g - d * d - r * r) / (2.0 * d * r)))
-        return -math.expm1(-4.0 * lam * r * math.asin(arg))
-
-    return _vectorized(gamma, lambda gs: np.array([one(v) for v in gs]))
+    cap = -math.expm1(-2.0 * lam * math.pi * r)
+    return _on_support(gamma, math.hypot(r, d), lambda g: np.where(
+        g > r + d, cap, -np.expm1(-4.0 * lam * r * np.arcsin(np.clip(
+            (g * g - d * d - r * r) / (2.0 * d * r), -1.0, 1.0)))), cap)
 
 
 def gaussian_cqi_cdf(gamma, mean_count: float, spread: float, half_distance: float,
@@ -594,16 +594,8 @@ def unequal_snr_cqi_cdf(gamma, intensity: float, half_distance: float,
     _check_positive(intensity=intensity)
     bound = unequal_snr_support_min(half_distance, scale_source, scale_destination)
     lam, d = intensity, half_distance
-
-    def one(g: float) -> float:
-        if g < bound:
-            return 0.0
-        if not math.isfinite(g):
-            return 1.0
-        area = _lens_area(2.0 * d, g / scale_source, g / scale_destination)
-        return -math.expm1(-lam * area)
-
-    return _vectorized(gamma, lambda gs: np.array([one(v) for v in gs]))
+    return _on_support(gamma, bound, lambda g: -np.expm1(
+        -lam * _lens_area(2.0 * d, g / scale_source, g / scale_destination)), 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -50,13 +50,16 @@ class OutageRegime(Enum):
 
 
 def _rate_from_link_snr(link_snr, fading: Fading):
-    """Half-duplex rate at each link SNR; 0 where the SNR is not positive."""
+    """Half-duplex rate at each link SNR; 0 where the SNR is not positive, inf
+    where it is infinite."""
     s = np.asarray(link_snr, dtype=float)
     on = s > 0  # off it, the stand-ins 0 and 1 keep log2 and E1 arguments valid
     if fading is Fading.NONE:
         rate = 0.5 * np.log2(1.0 + np.where(on, s, 0.0))
     else:
-        rate = np.where(on, f_exp_e1(1.0 / np.where(on, s, 1.0)) / (2.0 * _LN2), 0.0)
+        finite = on & (s < math.inf)  # e^x E1(x) -> inf as x = 1/s -> 0
+        rate = np.where(finite, f_exp_e1(1.0 / np.where(finite, s, 1.0)) / (2.0 * _LN2),
+                        np.where(on, math.inf, 0.0))
     return float(rate) if rate.ndim == 0 else rate
 
 
@@ -156,6 +159,8 @@ def mean_feedback_load(threshold: float, intensity: float, half_distance: float)
     d, lam, t = half_distance, intensity, threshold
     if t <= d:
         return 0.0
+    if t == math.inf:  # every relay reports
+        return math.inf
     root = math.sqrt(t * t - d * d)
     return (lam * math.pi * t * t - 2.0 * d * lam * root
             - 2.0 * t * t * lam * math.atan(d / root))

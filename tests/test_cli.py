@@ -176,3 +176,8 @@ def test_simulate_nan_threshold_is_usage_error(tmp_path):
     assert res.returncode == 2
     assert "threshold" in res.stderr
     assert not (tmp_path / "t.csv").exists()
+
+
+def test_eval_mu_infinite_threshold_prints_inf(capsys):
+    assert main(["eval", "mu", "--lambda", "1", "--d", "1", "--T", "inf"]) == 0
+    assert capsys.readouterr().out.strip() == "inf"

@@ -433,3 +433,64 @@ def test_received_snr_pdf_array_matches_per_level_branches():
     assert np.array_equal(got, expected)
     assert np.array_equal(got, [dist.received_snr_pdf(v, law, snr, pl) for v in levels])
     assert np.all(got[[0, 1, -2, -1]] == 0.0) and np.all(got[2:-2] > 0)
+
+
+# 30-digit oracle (mpmath) of the policy cdfs next to their features: the
+# mid-point law just above d, the closest-to-destination law on both sides of 2d
+@pytest.mark.parametrize("law,gamma,lam,d,expected", [
+    (dist.midpoint_cqi_cdf, 1.00001, 100.0, 1.0, 1.1910771272784758654e-05),
+    (dist.closest_to_destination_cqi_cdf, 1.9999, 1.0, 1.0, 0.45990709978853025968),
+    (dist.closest_to_destination_cqi_cdf, 2.0001, 1.0, 1.0, 0.46010812054805365086),
+    (dist.closest_to_destination_cqi_cdf, 3.9998, 4.0, 2.0, 0.48964960019444430143),
+])
+def test_benchmark_cdf_oracle_values_near_features(law, gamma, lam, d, expected):
+    assert law(gamma, lam, d) == pytest.approx(expected, abs=1e-12)
+
+
+def test_c2d_cdf_graded_nodes_resolve_the_feature_below_2d():
+    # 30-digit oracle; evenly spread nodes in v miss it by 2.8e-13
+    assert dist.closest_to_destination_cqi_cdf(1.999999, 10.0, 1.0) == pytest.approx(
+        0.48740826113179023239, abs=1.5e-13)
+
+
+def test_benchmark_cdfs_reach_one_where_the_metric_squared_overflows():
+    for law in (dist.midpoint_cqi_cdf, dist.closest_to_destination_cqi_cdf):
+        with np.errstate(over="ignore"):
+            assert law(1e200, 1.0, 1.0) == 1.0
+
+
+_ARRAY_LAWS = {  # law -> (extra parameters, support floor)
+    "midpoint_cqi_cdf": ((1.5, 1.0), 1.0),
+    "midpoint_cqi_pdf": ((1.5, 1.0), 1.0),
+    "closest_to_destination_cqi_cdf": ((1.5, 1.0), 1.0),
+    "closest_to_destination_cqi_pdf": ((1.5, 1.0), 1.0),
+    "unequal_snr_cqi_cdf": ((1.0, 0.5, 1.0, 1.5), 0.6),
+    "ring_cqi_cdf": ((1.0, 1.5, 1.0), math.hypot(1.5, 1.0)),
+    "exclusion_cqi_cdf": ((1.0, 1.5, 1.0), math.hypot(1.5, 1.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ARRAY_LAWS))
+def test_law_array_matches_scalar_calls(name):
+    law = getattr(dist, name)
+    params, floor = _ARRAY_LAWS[name]
+    gs = np.concatenate([[-1.0, 0.0, floor * 0.999, floor, math.inf, -math.inf, math.nan],
+                         np.linspace(floor, 6.0, 2500)[1:]])  # more than one block of values
+    got = law(gs, *params)
+    scalar = np.array([law(g, *params) for g in gs])
+    assert np.array_equal(got, scalar)  # each value is summed on its own
+    assert np.array_equal(got[:4], np.zeros(4))
+    assert got[5] == 0.0 and got[6] == 0.0  # -inf and NaN, as best_cqi_cdf
+    assert np.array_equal(law(gs[:6].reshape(2, 3), *params), got[:6].reshape(2, 3))
+
+
+@pytest.mark.parametrize("lam", [1.0, 4.0, 100.0])
+def test_benchmark_cdfs_monotone_across_features(lam):
+    d = 1.0
+    near = np.concatenate([d + d * np.logspace(-12, -1, 400), np.linspace(1.1, 1.5, 400)])
+    mid = dist.midpoint_cqi_cdf(near, lam, d)
+    assert np.all(np.diff(mid) >= -1e-12) and mid[0] >= 0.0
+    across = 2.0 * d + d * np.concatenate([-np.logspace(-1, -12, 400), [0.0],
+                                           np.logspace(-12, -1, 400)])
+    c2d = dist.closest_to_destination_cqi_cdf(across, lam, d)
+    assert np.all(np.diff(c2d) >= -1e-12)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -257,3 +258,22 @@ def test_conditional_rate_zero_dim_input_gives_float(fading):
         value = metrics.conditional_rate(gamma, SNR, PL, fading).value
         assert type(value) is float
         assert value == metrics.conditional_rate(1.5, SNR, PL, fading).value
+
+
+def test_mean_feedback_load_infinite_threshold_is_infinite():
+    assert metrics.mean_feedback_load(math.inf, 1.0, 1.0) == math.inf
+    assert metrics.mean_feedback_load(math.inf, 0.2, 3.0) == math.inf
+
+
+@pytest.mark.parametrize("fading", list(Fading))
+def test_conditional_rate_infinite_link_snr_gives_infinite_rate(fading):
+    pl = PathLoss.power_law(4.0)
+    assert metrics.conditional_rate(0.0, 3.0, pl, fading).value == math.inf
+    gammas = np.array([0.0, 1.0, 1.5, 0.0, math.inf])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = metrics.conditional_rate(gammas, 3.0, pl, fading).value
+    expected = [metrics.conditional_rate(g, 3.0, pl, fading).value for g in gammas]
+    assert np.array_equal(got, expected)
+    assert got[0] == got[3] == math.inf and got[4] == 0.0
+    assert 0.0 < got[2] < got[1] < math.inf
