@@ -19,6 +19,13 @@ inverse-square-root endpoint. The cdfs have a square-root endpoint at psi0
 and, as psi0 -> 0 (metric near d, or near 2d for closest-to-destination), a
 feature of width psi0; the graded map psi = psi0 + a (cosh v - 1) with
 a = max(psi0, 1e-6 span) smooths the first and spreads nodes over the second.
+``CqiLaw.expect`` integrates on panels [a, b] mapped by gamma = a + s^2 (for the
+square-root endpoint at d), with edges d, a1 = max(d, 2d - r), 2d and 2d + r,
+r = sqrt(40/(pi intensity)): every policy's metric is at most 2d plus the
+nearest relay's distance from the mid-point or destination. [d, a1] is split by
+8 toward d, where the densities crowd at large intensity d^2, and [2d, 2d + r]
+at 2d + d, 2d + 8d and 2d + 64d, as the rate falls like gamma^-4. Mid-point
+optimality uses a tensor rule in psi = u^2 and in an angle graded toward pi/2.
 """
 from __future__ import annotations
 
@@ -85,7 +92,9 @@ def _on_support(gamma, floor: float, fn, at_inf: float = 0.0):
 def _lens_shape(x: np.ndarray) -> np.ndarray:
     # area of {metric <= gamma} equals 2 d^2 * _lens_shape(gamma/d); zero at x=1
     xs = np.maximum(x, 1.0)
-    return xs * xs * np.arccos(1.0 / xs) - np.sqrt(xs * xs - 1.0)
+    inv = 1.0 / xs
+    with np.errstate(over="ignore"):  # factored to overflow to inf, never to inf - inf
+        return xs * (xs * np.arccos(inv) - np.sqrt((1.0 - inv) * (1.0 + inv)))
 
 
 def _lens_area(s: float, r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
@@ -138,14 +147,9 @@ def best_cqi_log_pdf(gamma, intensity: float, half_distance: float):
     return _vectorized(gamma, fn)
 
 
-def best_cqi_mean(intensity: float, half_distance: float, tol: float = 1e-8) -> float:
-    """Mean of the best CQI: the support bound d plus the integrated tail."""
-    _check_positive(intensity=intensity, half_distance=half_distance)
-    d, lam = half_distance, intensity
-    c = 2.0 * lam * d * d
-    tail = quad_adaptive(lambda x: math.exp(-c * _lens_shape(np.asarray(x))),
-                         1.0, math.inf, tol=tol)
-    return d + d * tail.value
+def best_cqi_mean(intensity: float, half_distance: float) -> float:
+    """Mean of the best CQI."""
+    return best_cqi_law(intensity, half_distance).expect(lambda g: g)
 
 
 # ---------------------------------------------------------------------------
@@ -359,38 +363,34 @@ def prob_sufficient(intensity: float, half_distance: float) -> float:
     return float(erfc_scaled(math.sqrt(intensity * math.pi) * half_distance))
 
 
-def midpoint_displacement_exponent(psi: float, theta: float, half_distance: float) -> float:
+def midpoint_displacement_exponent(psi, theta, half_distance: float):
     """Area-type exponent P(psi, theta) controlling how likely a relay beats
-    the mid-point selection from norm psi and angle theta in [0, pi/2]."""
+    the mid-point selection from norm psi and angle theta in [0, pi/2] (arrays broadcast)."""
     d = half_distance
-    s2 = psi * psi + 2.0 * d * psi * math.cos(theta) + d * d
+    s2 = psi * psi + 2.0 * d * psi * np.cos(theta) + d * d
 
     def v_term(y):
-        rem = math.sqrt(max(s2 - y * y, 0.0))
-        return 2.0 * y * rem + 2.0 * s2 * math.atan2(y, rem)
+        rem = np.sqrt(np.maximum(s2 - y * y, 0.0))
+        return 2.0 * y * rem + 2.0 * s2 * np.arctan2(y, rem)
 
     return ((s2 - psi * psi) * (math.pi - 2.0 * theta)
-            - d * d * math.sin(2.0 * theta)
-            - v_term(d) + v_term(d * math.sin(theta)))
+            - d * d * np.sin(2.0 * theta)
+            - v_term(d) + v_term(d * np.sin(theta)))
 
 
-def prob_midpoint_optimal(intensity: float, half_distance: float,
-                          tol: float = 1e-8) -> float:
-    """Probability that the mid-point policy picks the overall best relay."""
+def nearest_to_midpoint_mean(intensity: float, half_distance: float, weight) -> float:
+    """Mean of weight(psi, theta) over the norm and angle of the relay nearest the mid-point."""
     _check_positive(intensity=intensity, half_distance=half_distance)
-    lam, d = intensity, half_distance
-    scale = 1.0 / math.sqrt(lam)
+    top = math.sqrt(_REACH / math.sqrt(intensity))  # psi = u^2 up to r
+    u, x = top * _GL_NODES, _GL_NODES[:, None]  # theta = x (2 - x) pi/2 crowds toward pi/2
+    vals = weight(u * u, 0.5 * math.pi * x * (2.0 - x)) * nearest_neighbor_pdf(u * u, intensity)
+    return top * float(_GL_WEIGHTS @ (vals * 4.0 * u * (1.0 - x)) @ _GL_WEIGHTS)
 
-    def inner(theta):
-        def f(psi):
-            return (math.exp(-lam * midpoint_displacement_exponent(psi, theta, d))
-                    * nearest_neighbor_pdf(psi, lam))
 
-        # nearest-neighbor weight dies off within a few 1/sqrt(lam)
-        return quad_adaptive(f, 0.0, 8.0 * scale, tol=tol * 0.05).value
-
-    outer = quad_adaptive(inner, 0.0, math.pi / 2.0, tol=tol * 0.5)
-    return (2.0 / math.pi) * outer.value
+def prob_midpoint_optimal(intensity: float, half_distance: float) -> float:
+    """Probability that the mid-point policy picks the overall best relay."""
+    return nearest_to_midpoint_mean(intensity, half_distance, lambda psi, theta: np.exp(
+        -intensity * midpoint_displacement_exponent(psi, theta, half_distance)))
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +520,8 @@ def exclusion_cqi_cdf(gamma, intensity: float, exclusion_radius: float,
     if r == 0.0:
         return best_cqi_cdf(gamma, intensity, half_distance)
 
-    def fn(g):
+    def fn(g_all):
+        g = np.minimum(g_all, r + d)  # the inner branch; it would overflow at huge g
         x = g / d
         cos_star = np.clip((g * g - d * d - r * r) / (2.0 * d * r), -1.0, 1.0)
         b = np.sqrt(np.maximum((d + r - g) * (d + r + g) * (g + d - r) * (g + r - d),
@@ -531,7 +532,7 @@ def exclusion_cqi_cdf(gamma, intensity: float, exclusion_radius: float,
                   + b * (np.sqrt(np.maximum(x * x - b * b, 0.0)) - cos_star)
                   - np.sqrt(x * x - 1.0))
         return -np.expm1(np.where(
-            g > r + d, -2.0 * lam * d * d * _lens_shape(x) + lam * math.pi * r * r,
+            g_all > r + d, -2.0 * lam * d * d * _lens_shape(g_all / d) + lam * math.pi * r * r,
             -2.0 * lam * d * d * i_term + 2.0 * lam * r * r * np.arcsin(cos_star)))
 
     return _on_support(gamma, math.hypot(r, d), fn, 1.0)
@@ -603,13 +604,27 @@ def unequal_snr_cqi_cdf(gamma, intensity: float, half_distance: float,
 
 @dataclass(frozen=True)
 class CqiLaw:
-    """A named CQI distribution: cdf, optional pdf, support bound, total mass."""
+    """A named CQI distribution: cdf, optional pdf, support bound, total mass and,
+    with a pdf, the panel edges ``expect`` integrates over."""
 
     name: str
     cdf: Callable
     pdf: Callable | None
     support_min: float
     total_mass: float = 1.0
+    edges: tuple = ()
+
+    def expect(self, fn, hi: float = math.inf) -> float:
+        """Integral of fn(gamma) pdf(gamma) up to hi on the fixed rule; fn takes arrays."""
+        if self.pdf is None or not self.edges:
+            raise ParameterError(f"law '{self.name}' has no density to integrate against")
+        edges = np.minimum(self.edges, hi)
+
+        def integrand(s, lo):
+            g = lo + s * s
+            return fn(g) * self.pdf(g) * 2.0 * s
+
+        return float(_gauss_legendre(integrand, np.sqrt(np.diff(edges)), edges[:-1]).sum())
 
     def quantile(self, p: float) -> float:
         """Smallest x with cdf(x) >= p; +inf beyond the law's total mass."""
@@ -631,12 +646,21 @@ class CqiLaw:
         return solve_monotone(self.cdf, p, lo, hi, tol=1e-12 * max(1.0, hi))
 
 
+def _panel_edges(intensity: float, d: float) -> tuple:
+    _check_positive(intensity=intensity, half_distance=d)
+    r = _REACH / math.sqrt(intensity)
+    a, k = max(d, 2.0 * d - r), 8.0 ** np.arange(3)
+    return tuple(np.unique(np.concatenate([[d, a, 2.0 * d, 2.0 * d + r], d + (a - d) / (8.0 * k),
+                                           2.0 * d + np.minimum(r, d * k)])))
+
+
 def best_cqi_law(intensity: float, half_distance: float) -> CqiLaw:
     return CqiLaw(
         "best-cqi",
         lambda g: best_cqi_cdf(g, intensity, half_distance),
         lambda g: best_cqi_pdf(g, intensity, half_distance),
         support_min=half_distance,
+        edges=_panel_edges(intensity, half_distance),
     )
 
 
@@ -658,6 +682,7 @@ def midpoint_cqi_law(intensity: float, half_distance: float) -> CqiLaw:
         lambda g: midpoint_cqi_cdf(g, intensity, half_distance),
         lambda g: midpoint_cqi_pdf(g, intensity, half_distance),
         support_min=half_distance,
+        edges=_panel_edges(intensity, half_distance),
     )
 
 
@@ -667,6 +692,7 @@ def closest_to_destination_cqi_law(intensity: float, half_distance: float) -> Cq
         lambda g: closest_to_destination_cqi_cdf(g, intensity, half_distance),
         lambda g: closest_to_destination_cqi_pdf(g, intensity, half_distance),
         support_min=half_distance,
+        edges=_panel_edges(intensity, half_distance),
     )
 
 

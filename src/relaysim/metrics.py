@@ -3,11 +3,12 @@
 Every rate goes through one array function of the link SNR s: the
 half-duplex rate 1/2 log2(1 + s) without fading, and its average over
 unit-mean exponential (Rayleigh) fading, e^(1/s) E1(1/s) / (2 ln 2). Outage
-inverts that function once per target rate. All integrals are adaptive
-quadrature so every figure is deterministic for fixed inputs.
+inverts that function once per target rate. Every average is one array call
+on the fixed Gauss-Legendre rule of ``distributions``, with no adaptive steps.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -17,7 +18,7 @@ import numpy as np
 from . import distributions as dist
 from .errors import ParameterError
 from .model import Fading, PathLoss
-from .numerics import f_exp_e1, quad_adaptive, solve_monotone
+from .numerics import f_exp_e1, quad_adaptive, solve_monotone  # quad_adaptive: perfbench traces it
 
 __all__ = [
     "RateResult", "OutageRegime",
@@ -67,8 +68,8 @@ def _link_snr_for_rate(target_rate: float, fading: Fading) -> float:
     """The link SNR at which the rate equals ``target_rate``."""
     if not target_rate >= 0:
         raise ParameterError(f"target_rate must be non-negative, got {target_rate}")
-    if fading is Fading.NONE:
-        return 2.0 ** (2.0 * target_rate) - 1.0
+    if fading is Fading.NONE:  # 2^(2 rho) overflows from rho = 512
+        return 2.0 ** (2.0 * target_rate) - 1.0 if target_rate < 512.0 else math.inf
     return s_star(target_rate)
 
 
@@ -86,23 +87,15 @@ def conditional_rate(gamma, snr: float, path_loss: PathLoss,
 
 
 def average_rate(law: dist.CqiLaw, snr: float, path_loss: PathLoss,
-                 fading: Fading, tol: float = 1e-9) -> RateResult:
-    """Rate averaged over relay positions under the given CQI law.
-
-    The integration horizon is where the law keeps all but 1e-10 of its mass.
-    """
-    if law.pdf is None:
-        raise ParameterError(f"law '{law.name}' has no density to integrate against")
-    hi = law.quantile(min(law.total_mass, 1.0) - 1e-10)
-    return _rate_integral(law, law.support_min, hi, snr, path_loss, fading, tol)
+                 fading: Fading) -> RateResult:
+    """Rate averaged over relay positions under the given CQI law."""
+    return _rate_integral(law, math.inf, snr, path_loss, fading)
 
 
-def _rate_integral(law, lo, hi, snr, path_loss, fading, tol) -> RateResult:
-    """Integral of the rate against the law's density over [lo, hi]."""
-    def f(g):
-        return _rate_from_link_snr(snr * path_loss.gain(g), fading) * law.pdf(g)
-
-    return RateResult(quad_adaptive(f, lo, hi, tol=tol).value, fading)
+def _rate_integral(law, hi, snr, path_loss, fading) -> RateResult:
+    """Integral of the rate against the law's density up to hi."""
+    return RateResult(law.expect(
+        lambda g: _rate_from_link_snr(snr * path_loss.gain(g), fading), hi), fading)
 
 
 def average_rate_optimum(intensity: float, half_distance: float, snr: float,
@@ -115,18 +108,11 @@ def s_star(target_rate: float) -> float:
     """Link-SNR level whose Rayleigh-averaged rate equals the target."""
     if not target_rate >= 0:
         raise ParameterError(f"target_rate must be non-negative, got {target_rate}")
-    if target_rate == 0.0:
-        return 0.0
-
-    def averaged(s):
-        return _rate_from_link_snr(s, Fading.RAYLEIGH)
-
-    lo, hi = 1e-12, 1.0
-    while averaged(hi) < target_rate:
+    rate = functools.partial(_rate_from_link_snr, fading=Fading.RAYLEIGH)  # 0 at s = 0
+    hi = 1.0
+    while rate(hi) < target_rate:  # hi reaches inf past the float range
         hi *= 2.0
-        if hi > 1e12:
-            break
-    return solve_monotone(averaged, target_rate, lo, hi, tol=1e-12)
+    return hi if hi == math.inf else solve_monotone(rate, target_rate, 0.0, hi, tol=1e-12 * hi)
 
 
 def outage_for_law(law: dist.CqiLaw, target_rate: float, snr: float,
@@ -180,14 +166,13 @@ def threshold_for_load(load: float, intensity: float, half_distance: float) -> f
 
 
 def average_rate_feedback(threshold: float, intensity: float, half_distance: float,
-                          snr: float, path_loss: PathLoss, fading: Fading,
-                          tol: float = 1e-9) -> RateResult:
+                          snr: float, path_loss: PathLoss, fading: Fading) -> RateResult:
     """Average rate of threshold feedback; zero rate when nobody reports."""
     if not threshold >= half_distance:
         raise ParameterError(
             f"threshold {threshold} below the metric floor {half_distance}")
-    return _rate_integral(dist.best_cqi_law(intensity, half_distance), half_distance,
-                          threshold, snr, path_loss, fading, tol)
+    return _rate_integral(dist.best_cqi_law(intensity, half_distance), threshold,
+                          snr, path_loss, fading)
 
 
 def outage_feedback(threshold: float, target_rate: float, intensity: float,
@@ -220,33 +205,22 @@ def outage_feedback(threshold: float, target_rate: float, intensity: float,
 # analytical upper bound on the optimum rate via the mid-point policy
 
 def optimality_rate_gap(intensity: float, half_distance: float, snr: float,
-                        path_loss: PathLoss, fading: Fading,
-                        tol: float = 1e-7) -> float:
+                        path_loss: PathLoss, fading: Fading) -> float:
     """Bound on the rate the mid-point policy can lose to the optimum one.
 
     Averages, over the nearest relay's position, the chance that a better
     relay exists times the rate spread between the hyperplane bound and the
     actual metric at the nearest relay.
     """
-    lam, d = intensity, half_distance
-    scale = 1.0 / math.sqrt(lam)
+    d = half_distance
 
-    def spread(psi, theta):
-        s = math.sqrt(psi * psi + 2.0 * d * psi * math.cos(theta) + d * d)
-        best = snr * path_loss.gain(math.hypot(psi, d))
-        actual = snr * path_loss.gain(s)
-        return (_rate_from_link_snr(best, fading)
-                - _rate_from_link_snr(actual, fading))
+    def weight(psi, theta):
+        s = np.sqrt(psi * psi + 2.0 * d * psi * np.cos(theta) + d * d)
+        spread = (_rate_from_link_snr(snr * path_loss.gain(np.hypot(psi, d)), fading)
+                  - _rate_from_link_snr(snr * path_loss.gain(s), fading))
+        return -np.expm1(-intensity * dist.midpoint_displacement_exponent(psi, theta, d)) * spread
 
-    def inner(theta):
-        def f(psi):
-            p = dist.midpoint_displacement_exponent(psi, theta, d)
-            return (-math.expm1(-lam * p)) * spread(psi, theta) * dist.nearest_neighbor_pdf(psi, lam)
-
-        return quad_adaptive(f, 0.0, 8.0 * scale, tol=tol * 0.05).value
-
-    outer = quad_adaptive(inner, 0.0, math.pi / 2.0, tol=tol * 0.5)
-    return (2.0 / math.pi) * outer.value
+    return dist.nearest_to_midpoint_mean(intensity, d, weight)
 
 
 def midpoint_rate_upper_bound(intensity: float, half_distance: float, snr: float,

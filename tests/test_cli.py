@@ -181,3 +181,9 @@ def test_simulate_nan_threshold_is_usage_error(tmp_path):
 def test_eval_mu_infinite_threshold_prints_inf(capsys):
     assert main(["eval", "mu", "--lambda", "1", "--d", "1", "--T", "inf"]) == 0
     assert capsys.readouterr().out.strip() == "inf"
+
+
+@pytest.mark.parametrize("rho,fading", [("25", "rayleigh"), ("600", "none")])
+def test_eval_outage_beyond_reachable_rate_prints_one(capsys, rho, fading):
+    assert main(["eval", "outage", "--rho", rho, "--fading", fading]) == 0
+    assert capsys.readouterr().out.strip() == "1"

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -494,3 +495,48 @@ def test_benchmark_cdfs_monotone_across_features(lam):
                                            np.logspace(-12, -1, 400)])
     c2d = dist.closest_to_destination_cqi_cdf(across, lam, d)
     assert np.all(np.diff(c2d) >= -1e-12)
+
+
+def test_best_laws_where_the_lens_area_overflows():
+    # the lens shape grows like (pi/2) x^2 and overflows to +inf near x = 1e154
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert dist.best_cqi_cdf(1e160, 1.0, 1.0) == 1.0
+        assert dist.best_cqi_pdf(1e160, 1.0, 1.0) == 0.0
+        assert dist.best_cqi_log_pdf(1e160, 1.0, 1.0) == -math.inf
+        assert dist.exclusion_cqi_cdf(1e160, 1.0, 1.5, 1.0) == 1.0
+
+
+def test_prob_midpoint_optimal_oracle_values_to_1e13():
+    for (lam, d), expected in MIDOPT_ORACLE.items():
+        assert dist.prob_midpoint_optimal(lam, d) == pytest.approx(expected, abs=1e-13)
+
+
+def test_prob_midpoint_optimal_at_large_intensity():
+    # mpmath (the adaptive path agreed within 3e-14); exp(-intensity P) steepens
+    # toward theta = pi/2, and evenly spread angle nodes miss this by 1e-11
+    assert dist.prob_midpoint_optimal(1e4, 1.0) == pytest.approx(0.16959831268328033674,
+                                                                 abs=1e-12)
+
+
+def test_best_cqi_mean_oracle_value():
+    # mpmath at 34 digits: integral of gamma times the density
+    assert dist.best_cqi_mean(1.0, 1.0) == pytest.approx(1.339139212142667647151, abs=1e-12)
+
+
+def test_midpoint_displacement_exponent_array_matches_scalar_loop():
+    psi = np.concatenate([[0.0, 1e-9], np.linspace(0.01, 3.0, 40)])
+    theta = np.linspace(0.0, math.pi / 2.0, 25)[:, None]
+    got = dist.midpoint_displacement_exponent(psi, theta, 0.7)
+    assert got.shape == (25, 42)
+    loop = [[dist.midpoint_displacement_exponent(float(p), float(t), 0.7) for p in psi]
+            for t in theta[:, 0]]
+    assert np.array_equal(got, loop)
+
+
+def test_expect_needs_a_density():
+    with pytest.raises(ParameterError):
+        dist.best_cqi_law_finite(1.0, 1.0, 3.0).expect(lambda g: g)
+    law = dist.best_cqi_law(1.0, 1.0)
+    assert law.expect(np.ones_like) == pytest.approx(1.0, abs=1e-13)
+    assert law.expect(np.ones_like, 1.5) == pytest.approx(law.cdf(1.5), abs=1e-13)

@@ -277,3 +277,84 @@ def test_conditional_rate_infinite_link_snr_gives_infinite_rate(fading):
     assert np.array_equal(got, expected)
     assert got[0] == got[3] == math.inf and got[4] == 0.0
     assert 0.0 < got[2] < got[1] < math.inf
+
+
+# mpmath (25 and 34 digits agree) of the rate against each policy density over
+# its whole support, SNR 5 dB, G(x) = x^-4
+RATE_ORACLE = {
+    ("optimum", 1.0, 1.0, Fading.NONE): 0.5447934993327584781861,
+    ("optimum", 1.0, 1.0, Fading.RAYLEIGH): 0.4653834101241917264211,
+    ("mid-point", 1.0, 1.0, Fading.NONE): 0.5159347525278669332078,
+    ("mid-point", 1.0, 1.0, Fading.RAYLEIGH): 0.4417162244976420485093,
+    ("closest-to-destination", 1.0, 1.0, Fading.NONE): 0.1636390293717209293696,
+    ("closest-to-destination", 1.0, 1.0, Fading.RAYLEIGH): 0.1483871214263236938736,
+    ("optimum", 3.0, 0.7, Fading.NONE): 1.340855068220723042914,
+    ("optimum", 3.0, 0.7, Fading.RAYLEIGH): 1.121738409438032029184,
+    ("mid-point", 3.0, 0.7, Fading.NONE): 1.282386558296048243114,
+    ("mid-point", 3.0, 0.7, Fading.RAYLEIGH): 1.073144329977649344158,
+    ("closest-to-destination", 3.0, 0.7, Fading.NONE): 0.4706200088958677102838,
+    ("closest-to-destination", 3.0, 0.7, Fading.RAYLEIGH): 0.4053396837306543817806,
+}
+
+
+@pytest.mark.parametrize("policy,lam,d,fading", sorted(RATE_ORACLE, key=str))
+def test_average_rate_oracle_values(policy, lam, d, fading):
+    law = dist.policy_law(policy, lam, d)
+    assert metrics.average_rate(law, SNR, PL, fading).value == pytest.approx(
+        RATE_ORACLE[policy, lam, d, fading], abs=1e-12)
+
+
+@pytest.mark.parametrize("fading,expected", [
+    (Fading.NONE, 0.4897514548615492592775), (Fading.RAYLEIGH, 0.4160580684839188514466)])
+def test_average_rate_feedback_oracle_values(fading, expected):
+    # mpmath: the rate against the best-CQI density over [1, 1.5]
+    got = metrics.average_rate_feedback(1.5, 1.0, 1.0, SNR, PL, fading).value
+    assert got == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.mark.parametrize("fading,expected", [
+    (Fading.NONE, 0.09580242849318388308253), (Fading.RAYLEIGH, 0.07799607232991216735256)])
+def test_optimality_rate_gap_oracle_values(fading, expected):
+    # mpmath: the double integral over the nearest relay's norm and angle
+    assert metrics.optimality_rate_gap(1.0, 1.0, SNR, PL, fading) == pytest.approx(
+        expected, abs=1e-12)
+
+
+def test_s_star_large_rate_matches_asymptote():
+    # e^x E1(x) = -gamma_E - ln x + O(x) as x = 1/s -> 0, so s* -> 4^rho e^gamma_E
+    assert metrics.s_star(50.0) == pytest.approx(4.0 ** 50 * math.exp(np.euler_gamma), rel=1e-9)
+    assert metrics.s_star(600.0) == math.inf
+
+
+@pytest.mark.parametrize("rho,fading", [(25.0, Fading.RAYLEIGH), (600.0, Fading.NONE),
+                                        (600.0, Fading.RAYLEIGH)])
+def test_outage_is_one_for_rates_beyond_reach(rho, fading):
+    assert metrics.outage(rho, 1.0, 1.0, SNR, PL, fading) == 1.0
+    assert metrics.outage_feedback(1.5, rho, 1.0, 1.0, SNR, PL, fading) == (
+        1.0, metrics.OutageRegime.ALWAYS_OUTAGE)
+
+
+@pytest.mark.parametrize("policy,lam,d,fading", [
+    ("closest-to-destination", 1e3, 1.0, Fading.NONE),
+    ("closest-to-destination", 1e3, 1.0, Fading.RAYLEIGH),
+    ("optimum", 1e3, 2.0, Fading.NONE), ("mid-point", 1e3, 2.0, Fading.NONE),
+    ("optimum", 1e-4, 0.5, Fading.NONE)])
+def test_average_rate_matches_adaptive_quadrature(policy, lam, d, fading):
+    # the closest-to-destination density peaks at 2d with width ~ 1/sqrt(pi lam),
+    # and one panel over [d, 2d + r] misses it by 3e-3; at lam d^2 = 4000 the
+    # density sits within ~3e-3 of d; at 1e-4 the rate falls like gamma^-4 over a
+    # support reaching 2d + 357. Without the panel splits the last three miss by
+    # 1e-9, 2e-8 and 1.3e-11 (relative)
+    from scipy import integrate
+    law = dist.policy_law(policy, lam, d)
+    r = math.sqrt(40.0 / (math.pi * lam))
+    w = d * (lam * d * d) ** (-2.0 / 3.0)
+    points = sorted(p for p in (d + w, d + 4 * w, d + 16 * w, d + 64 * w, 2 * d - r, 2 * d,
+                                2 * d + r, 10 * d, 100 * d) if d < p < 2 * d + 2 * r)
+
+    def f(g):
+        return metrics.conditional_rate(g, SNR, PL, fading).value * law.pdf(g)
+
+    ref, _ = integrate.quad(f, d, 2 * d + 2 * r, points=points, epsabs=1e-16, epsrel=1e-13,
+                            limit=1000)
+    assert metrics.average_rate(law, SNR, PL, fading).value == pytest.approx(ref, rel=1e-12, abs=0.0)
