@@ -11,16 +11,16 @@ import math
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
+from scipy import stats
 
 from . import distributions as dist
 from . import metrics
 from .errors import ParameterError
 from .model import Fading, LinkBudget, PathLoss, snr_from_db
-from .montecarlo import MonteCarloConfig, run_trials
+from .montecarlo import MonteCarloConfig, empirical_cdf, run_trials
 from .pointprocess import AnnulusUniform, sample
 
-__all__ = ["ExperimentConfig", "EXPERIMENTS", "run_experiment",
-           "experiment_names", "describe_experiments"]
+__all__ = ["ExperimentConfig", "EXPERIMENTS", "run_experiment", "describe_experiments"]
 
 _HEADER = ("x", "series", "analytic", "simulated", "stderr")
 
@@ -56,12 +56,22 @@ class ExperimentConfig:
         return snr_from_db(self.snr_db)
 
 
-def _binom_stderr(p: float, n: int) -> float:
-    return math.sqrt(max(p * (1.0 - p), 0.0) / n)
+def _freq_row(x, series, analytic, freq, n):
+    """A simulated frequency out of n trials, with its binomial standard error."""
+    return (float(x), series, float(analytic), float(freq),
+            math.sqrt(max(freq * (1.0 - freq), 0.0) / n))
 
 
-def _mean_stderr(values: np.ndarray) -> float:
-    return float(np.std(values) / math.sqrt(values.size))
+def _mean_row(x, series, analytic, values):
+    """A simulated sample mean, with its standard error."""
+    v = np.asarray(values, dtype=float)
+    return (float(x), series, float(analytic), float(np.mean(v)),
+            float(np.std(v) / math.sqrt(v.size)))
+
+
+def _freq_rows(grid, series, analytic, freqs, n):
+    """One frequency row per grid point (empirical cdfs and pmfs)."""
+    return [_freq_row(x, series, a, f, n) for x, a, f in zip(grid, analytic, freqs)]
 
 
 def _exp_midpoint_optimality(cfg: ExperimentConfig):
@@ -71,14 +81,11 @@ def _exp_midpoint_optimality(cfg: ExperimentConfig):
         for lam in cfg.lambdas:
             batch = run_trials(MonteCarloConfig(lam, d), cfg.n_trials, cfg.seed + k)
             k += 1
-            p_suff = dist.prob_sufficient(lam, d)
-            p_mid = dist.prob_midpoint_optimal(lam, d)
-            f_suff = float(np.mean(batch.sufficient))
-            f_mid = float(np.mean(batch.mid_is_opt))
-            rows.append((lam, f"sufficient d={d:g}", p_suff, f_suff,
-                         _binom_stderr(f_suff, cfg.n_trials)))
-            rows.append((lam, f"mid-optimal d={d:g}", p_mid, f_mid,
-                         _binom_stderr(f_mid, cfg.n_trials)))
+            rows.append(_freq_row(lam, f"sufficient d={d:g}", dist.prob_sufficient(lam, d),
+                                  np.mean(batch.sufficient), cfg.n_trials))
+            rows.append(_freq_row(lam, f"mid-optimal d={d:g}",
+                                  dist.prob_midpoint_optimal(lam, d),
+                                  np.mean(batch.mid_is_opt), cfg.n_trials))
     return rows
 
 
@@ -88,13 +95,11 @@ def _exp_finite_convergence(cfg: ExperimentConfig):
     gammas = np.linspace(d, d + 2.5, 101)
     rows = []
     for k, tau in enumerate(cfg.taus):
-        ana = dist.best_cqi_cdf_finite(gammas, lam, d, tau)
         batch = run_trials(MonteCarloConfig(lam, d, window_radius=tau),
                            cfg.n_trials, cfg.seed + k)
-        finite = batch.gamma_opt[np.isfinite(batch.gamma_opt)]
-        emp = np.searchsorted(np.sort(finite), gammas, side="right") / batch.n_trials
-        for x, a, e in zip(gammas, ana, emp):
-            rows.append((x, f"tau={tau:g}", a, e, _binom_stderr(e, cfg.n_trials)))
+        # empty windows record inf, which counts as beyond every grid point
+        rows += _freq_rows(gammas, f"tau={tau:g}", dist.best_cqi_cdf_finite(gammas, lam, d, tau),
+                           empirical_cdf(batch.gamma_opt, gammas), cfg.n_trials)
     limit = dist.best_cqi_cdf(gammas, lam, d)
     rows.extend((x, "limit", a, None, None) for x, a in zip(gammas, limit))
     return rows
@@ -104,36 +109,73 @@ def _exp_nfb_distribution(cfg: ExperimentConfig):
     d = cfg.half_distance
     t = cfg.nfb_threshold
     rows = []
-    from scipy import stats as st
     for k, lam in enumerate(cfg.nfb_lambdas):
         mu = metrics.mean_feedback_load(t, lam, d)
         batch = run_trials(MonteCarloConfig(lam, d, threshold=t), cfg.n_trials, cfg.seed + k)
-        kmax = max(int(batch.n_feedback.max()), int(st.poisson.ppf(0.9999, mu)))
-        freq = np.bincount(batch.n_feedback, minlength=kmax + 1) / cfg.n_trials
-        for kk in range(kmax + 1):
-            rows.append((kk, f"lambda={lam:g}", float(st.poisson.pmf(kk, mu)),
-                         float(freq[kk]), _binom_stderr(float(freq[kk]), cfg.n_trials)))
+        counts = np.arange(max(int(batch.n_feedback.max()), int(stats.poisson.ppf(0.9999, mu))) + 1)
+        freqs = np.bincount(batch.n_feedback, minlength=counts.size) / cfg.n_trials
+        rows += _freq_rows(counts, f"lambda={lam:g}", stats.poisson.pmf(counts, mu), freqs,
+                           cfg.n_trials)
     return rows
 
 
 def _exp_feedback_load(cfg: ExperimentConfig):
     d = cfg.half_distance
-    t_grid = np.linspace(d, 4.0 * d, 25)
     rows = []
     k = 0
     for lam in cfg.feedback_lambdas:
-        for t in t_grid:
+        for t in np.linspace(d, 4.0 * d, 25):
             mu = metrics.mean_feedback_load(float(t), lam, d)
-            batch = run_trials(MonteCarloConfig(lam, d, threshold=float(t)),
-                               cfg.n_trials, cfg.seed + k)
+            nfb = run_trials(MonteCarloConfig(lam, d, threshold=float(t)),
+                             cfg.n_trials, cfg.seed + k).n_feedback
             k += 1
-            nfb = batch.n_feedback
-            p_any = float(np.mean(nfb >= 1))
-            rows.append((float(t), f"load lambda={lam:g}", mu, float(np.mean(nfb)),
-                         _mean_stderr(nfb.astype(float))))
-            rows.append((float(t), f"p-any-feedback lambda={lam:g}", -math.expm1(-mu),
-                         p_any, _binom_stderr(p_any, cfg.n_trials)))
+            rows.append(_mean_row(t, f"load lambda={lam:g}", mu, nfb))
+            rows.append(_freq_row(t, f"p-any-feedback lambda={lam:g}", -math.expm1(-mu),
+                                  np.mean(nfb >= 1), cfg.n_trials))
     return rows
+
+
+def _rates(cfg: ExperimentConfig, gamma, fading: Fading) -> np.ndarray:
+    return metrics.conditional_rate(gamma, cfg.snr(), cfg.path_loss(), fading).value
+
+
+def _rate_cases(cfg: ExperimentConfig):
+    """The shared loop of the rate experiments: one trial batch per intensity
+    (grid point k seeded with seed + k), then each fading. Yields
+    (intensity, fading, batch, per-trial rate of the optimum policy)."""
+    for k, lam in enumerate(cfg.lambdas):
+        batch = run_trials(MonteCarloConfig(lam, cfg.half_distance), cfg.n_trials, cfg.seed + k)
+        for fading in (Fading.NONE, Fading.RAYLEIGH):
+            yield lam, fading, batch, _rates(cfg, batch.gamma_opt, fading)
+
+
+def _feedback_series(t: float, fading: Fading) -> str:
+    return f"all-feedback/{fading.value}" if math.isinf(t) else f"T={t:g}/{fading.value}"
+
+
+def _feedback_rate_row(cfg: ExperimentConfig, lam, fading, batch, base, t, series):
+    """Average rate of threshold feedback at t; t = inf is all feedback.
+
+    A trial whose best metric misses the threshold gets rate 0; with t = inf
+    that leaves ``base`` unchanged, since an empty field already has rate 0.
+    """
+    d, snr, pl = cfg.half_distance, cfg.snr(), cfg.path_loss()
+    if math.isinf(t):
+        ana = metrics.average_rate_optimum(lam, d, snr, pl, fading).value
+    else:
+        ana = metrics.average_rate_feedback(t, lam, d, snr, pl, fading).value
+    return _mean_row(lam, series, ana, np.where(batch.gamma_opt <= t, base, 0.0))
+
+
+def _feedback_outage_row(cfg: ExperimentConfig, lam, fading, batch, base, t, series):
+    """Outage of threshold feedback at t against ``rho_feedback``; t = inf is all feedback."""
+    d, snr, pl, rho = cfg.half_distance, cfg.snr(), cfg.path_loss(), cfg.rho_feedback
+    if math.isinf(t):
+        ana = metrics.outage(rho, lam, d, snr, pl, fading)
+    else:
+        ana = metrics.outage_feedback(t, rho, lam, d, snr, pl, fading)[0]
+    gated = np.where(batch.gamma_opt <= t, base, 0.0)
+    return _freq_row(lam, series, ana, np.mean(gated <= rho), cfg.n_trials)
 
 
 _POLICY_GAMMAS = {"optimum": "gamma_opt", "mid-point": "gamma_mid",
@@ -144,95 +186,41 @@ def _exp_outage_and_rate(cfg: ExperimentConfig):
     d = cfg.half_distance
     snr, pl = cfg.snr(), cfg.path_loss()
     rows = []
-    for k, lam in enumerate(cfg.lambdas):
-        batch = run_trials(MonteCarloConfig(lam, d), cfg.n_trials, cfg.seed + k)
-        for fading in (Fading.NONE, Fading.RAYLEIGH):
-            for policy, attr in _POLICY_GAMMAS.items():
-                law = dist.policy_law(policy, lam, d)
-                rates = metrics.conditional_rate(getattr(batch, attr), snr, pl, fading).value
-                out_sim = float(np.mean(rates <= cfg.rho))
-                rate_sim = float(np.mean(rates))
-                tag = f"{policy}/{fading.value}"
-                rows.append((lam, f"outage {tag}",
-                             metrics.outage_for_law(law, cfg.rho, snr, pl, fading),
-                             out_sim, _binom_stderr(out_sim, cfg.n_trials)))
-                rows.append((lam, f"rate {tag}",
-                             metrics.average_rate(law, snr, pl, fading).value,
-                             rate_sim, _mean_stderr(rates)))
+    for lam, fading, batch, opt in _rate_cases(cfg):
+        for policy, attr in _POLICY_GAMMAS.items():
+            law = dist.policy_law(policy, lam, d)
+            rates = opt if policy == "optimum" else _rates(cfg, getattr(batch, attr), fading)
+            tag = f"{policy}/{fading.value}"
+            rows.append(_freq_row(lam, f"outage {tag}",
+                                  metrics.outage_for_law(law, cfg.rho, snr, pl, fading),
+                                  np.mean(rates <= cfg.rho), cfg.n_trials))
+            rows.append(_mean_row(lam, f"rate {tag}",
+                                  metrics.average_rate(law, snr, pl, fading).value, rates))
     return rows
 
 
 def _exp_rate_feedback(cfg: ExperimentConfig):
-    d = cfg.half_distance
-    snr, pl = cfg.snr(), cfg.path_loss()
-    rows = []
-    for k, lam in enumerate(cfg.lambdas):
-        batch = run_trials(MonteCarloConfig(lam, d), cfg.n_trials, cfg.seed + k)
-        for fading in (Fading.NONE, Fading.RAYLEIGH):
-            base = metrics.conditional_rate(batch.gamma_opt, snr, pl, fading).value
-            for t in (*cfg.thresholds, math.inf):
-                gated = np.where(batch.gamma_opt <= t, base, 0.0)
-                sim = float(np.mean(gated))
-                if math.isinf(t):
-                    ana = metrics.average_rate_optimum(lam, d, snr, pl, fading).value
-                    series = f"all-feedback/{fading.value}"
-                else:
-                    ana = metrics.average_rate_feedback(t, lam, d, snr, pl, fading).value
-                    series = f"T={t:g}/{fading.value}"
-                rows.append((lam, series, ana, sim, _mean_stderr(gated)))
-    return rows
+    return [_feedback_rate_row(cfg, lam, fading, batch, base, t, _feedback_series(t, fading))
+            for lam, fading, batch, base in _rate_cases(cfg)
+            for t in (*cfg.thresholds, math.inf)]
 
 
 def _exp_outage_feedback(cfg: ExperimentConfig):
-    d = cfg.half_distance
-    snr, pl = cfg.snr(), cfg.path_loss()
-    rho = cfg.rho_feedback
-    rows = []
-    for k, lam in enumerate(cfg.lambdas):
-        batch = run_trials(MonteCarloConfig(lam, d), cfg.n_trials, cfg.seed + k)
-        for fading in (Fading.NONE, Fading.RAYLEIGH):
-            base = metrics.conditional_rate(batch.gamma_opt, snr, pl, fading).value
-            for t in (*cfg.thresholds, math.inf):
-                gated = np.where(batch.gamma_opt <= t, base, 0.0)
-                sim = float(np.mean(gated <= rho))
-                if math.isinf(t):
-                    ana = metrics.outage(rho, lam, d, snr, pl, fading)
-                    series = f"all-feedback/{fading.value}"
-                else:
-                    ana = metrics.outage_feedback(t, rho, lam, d, snr, pl, fading)[0]
-                    series = f"T={t:g}/{fading.value}"
-                rows.append((lam, series, ana, sim, _binom_stderr(sim, cfg.n_trials)))
-    return rows
+    return [_feedback_outage_row(cfg, lam, fading, batch, base, t, _feedback_series(t, fading))
+            for lam, fading, batch, base in _rate_cases(cfg)
+            for t in (*cfg.thresholds, math.inf)]
 
 
 def _exp_fixed_load(cfg: ExperimentConfig):
-    d = cfg.half_distance
-    snr, pl = cfg.snr(), cfg.path_loss()
-    rho = cfg.rho_feedback
+    t_load = {lam: metrics.threshold_for_load(cfg.feedback_load, lam, cfg.half_distance)
+              for lam in cfg.lambdas}
     rows = []
-    for k, lam in enumerate(cfg.lambdas):
-        t = metrics.threshold_for_load(cfg.feedback_load, lam, d)
-        batch = run_trials(MonteCarloConfig(lam, d), cfg.n_trials, cfg.seed + k)
-        for fading in (Fading.NONE, Fading.RAYLEIGH):
-            base = metrics.conditional_rate(batch.gamma_opt, snr, pl, fading).value
-            gated = np.where(batch.gamma_opt <= t, base, 0.0)
-            pairs = (
-                (f"rate selective/{fading.value}",
-                 metrics.average_rate_feedback(t, lam, d, snr, pl, fading).value,
-                 float(np.mean(gated)), _mean_stderr(gated)),
-                (f"rate all-feedback/{fading.value}",
-                 metrics.average_rate_optimum(lam, d, snr, pl, fading).value,
-                 float(np.mean(base)), _mean_stderr(base)),
-                (f"outage selective/{fading.value}",
-                 metrics.outage_feedback(t, rho, lam, d, snr, pl, fading)[0],
-                 float(np.mean(gated <= rho)),
-                 _binom_stderr(float(np.mean(gated <= rho)), cfg.n_trials)),
-                (f"outage all-feedback/{fading.value}",
-                 metrics.outage(rho, lam, d, snr, pl, fading),
-                 float(np.mean(base <= rho)),
-                 _binom_stderr(float(np.mean(base <= rho)), cfg.n_trials)),
-            )
-            rows.extend((lam, s, a, m, e) for s, a, m, e in pairs)
+    for lam, fading, batch, base in _rate_cases(cfg):
+        cases = ((t_load[lam], "selective"), (math.inf, "all-feedback"))
+        rows += [_feedback_rate_row(cfg, lam, fading, batch, base, t,
+                                    f"rate {name}/{fading.value}") for t, name in cases]
+        rows += [_feedback_outage_row(cfg, lam, fading, batch, base, t,
+                                      f"outage {name}/{fading.value}") for t, name in cases]
     return rows
 
 
@@ -240,17 +228,13 @@ def _exp_annulus_ccdf(cfg: ExperimentConfig):
     d = cfg.half_distance
     rows = []
     for k, (tau, psi) in enumerate(cfg.annulus_cases):
-        n = cfg.n_trials
-        pts = sample(AnnulusUniform(psi, tau, n), cfg.seed + k).points
+        pts = sample(AnnulusUniform(psi, tau, cfg.n_trials), cfg.seed + k).points
         s = np.maximum(np.hypot(pts[:, 0] + d, pts[:, 1]),
                        np.hypot(pts[:, 0] - d, pts[:, 1]))
-        s.sort()
         grid = np.linspace(math.hypot(psi, d) * 0.98, tau + d, 101)
-        ana = dist.annulus_metric_ccdf(grid, psi, tau, d)
-        emp = 1.0 - np.searchsorted(s, grid, side="right") / n
-        for x, a, e in zip(grid, ana, emp):
-            rows.append((float(x), f"tau={tau:g} psi={psi:g}", float(a), float(e),
-                         _binom_stderr(float(e), n)))
+        rows += _freq_rows(grid, f"tau={tau:g} psi={psi:g}",
+                           dist.annulus_metric_ccdf(grid, psi, tau, d),
+                           1.0 - empirical_cdf(s, grid), cfg.n_trials)
     return rows
 
 
@@ -263,17 +247,11 @@ def _exp_diff_snr_cdf(cfg: ExperimentConfig):
                             snr_destination=snr_from_db(db2))
         s1, s2 = budget.effective_scales(cfg.alpha)
         law = dist.unequal_snr_cqi_law(lam, d, s1, s2)
-        lo = law.support_min
-        hi = law.quantile(0.999)
-        grid = np.linspace(lo * 0.95, hi, 101)
+        grid = np.linspace(law.support_min * 0.95, law.quantile(0.999), 101)
         batch = run_trials(MonteCarloConfig(lam, d, scale_source=s1, scale_destination=s2),
                            cfg.n_trials, cfg.seed + k)
-        samples = np.sort(batch.gamma_diff)
-        emp = np.searchsorted(samples, grid, side="right") / cfg.n_trials
-        ana = law.cdf(grid)
-        for x, a, e in zip(grid, ana, emp):
-            rows.append((float(x), f"snr1={db1:g}dB snr2={db2:g}dB", float(a), float(e),
-                         _binom_stderr(float(e), cfg.n_trials)))
+        rows += _freq_rows(grid, f"snr1={db1:g}dB snr2={db2:g}dB", law.cdf(grid),
+                           empirical_cdf(batch.gamma_diff, grid), cfg.n_trials)
     return rows
 
 
@@ -309,10 +287,6 @@ EXPERIMENTS = {
         _exp_diff_snr_cdf,
         "weighted-metric minimum cdf for unequal per-hop SNRs"),
 }
-
-
-def experiment_names():
-    return tuple(EXPERIMENTS)
 
 
 def describe_experiments():

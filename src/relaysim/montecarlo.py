@@ -231,7 +231,7 @@ def compare_to_analytic(batch: TrialBatch, evaluator, quantity: str = "gamma_opt
     qs = np.quantile(finite, np.linspace(0.01, 0.99, grid_size))
     ana = np.asarray(cdf(qs), dtype=float)
     # infinite samples (defective laws) sit beyond every grid point
-    emp = np.searchsorted(finite, qs, side="right") / samples.size
+    emp = empirical_cdf(samples, qs)
     grid = [(float(x), float(a), float(e)) for x, a, e in zip(qs, ana, emp)]
     mae = float(np.mean(np.abs(ana - emp)))
     # chi-square over equal-occupancy bins, mass at infinity folded into the tail
