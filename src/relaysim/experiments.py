@@ -4,6 +4,12 @@ Every experiment emits rows of (x, series, analytic, simulated, stderr); the
 CLI writes them as one CSV per experiment. Grid point k of an experiment
 seeds its trial batch with ``seed + k``, so outputs are byte-stable for a
 fixed config and seed.
+
+The stderr column depends on what the row simulates. For a frequency (a
+probability, or a cdf or pmf value) it is the binomial sqrt(a(1 - a)/n) at
+the analytic value a: the spread the frequency has if the law holds, so a
+batch frequency of exactly 0 or 1 does not make it zero. For a mean (a
+feedback load, a rate) it is the sample standard error.
 """
 from __future__ import annotations
 
@@ -57,9 +63,9 @@ class ExperimentConfig:
 
 
 def _freq_row(x, series, analytic, freq, n):
-    """A simulated frequency out of n trials, with its binomial standard error."""
+    """A simulated frequency out of n trials; stderr is binomial at the analytic value."""
     return (float(x), series, float(analytic), float(freq),
-            math.sqrt(max(freq * (1.0 - freq), 0.0) / n))
+            math.sqrt(max(analytic * (1.0 - analytic), 0.0) / n))
 
 
 def _mean_row(x, series, analytic, values):
@@ -112,7 +118,8 @@ def _exp_nfb_distribution(cfg: ExperimentConfig):
     for k, lam in enumerate(cfg.nfb_lambdas):
         mu = metrics.mean_feedback_load(t, lam, d)
         batch = run_trials(MonteCarloConfig(lam, d, threshold=t), cfg.n_trials, cfg.seed + k)
-        counts = np.arange(max(int(batch.n_feedback.max()), int(stats.poisson.ppf(0.9999, mu))) + 1)
+        kmax = max(int(batch.n_feedback.max()), int(stats.poisson.ppf(0.9999, mu)))
+        counts = np.arange(kmax + 1)
         freqs = np.bincount(batch.n_feedback, minlength=counts.size) / cfg.n_trials
         rows += _freq_rows(counts, f"lambda={lam:g}", stats.poisson.pmf(counts, mu), freqs,
                            cfg.n_trials)
@@ -147,10 +154,6 @@ def _rate_cases(cfg: ExperimentConfig):
         batch = run_trials(MonteCarloConfig(lam, cfg.half_distance), cfg.n_trials, cfg.seed + k)
         for fading in (Fading.NONE, Fading.RAYLEIGH):
             yield lam, fading, batch, _rates(cfg, batch.gamma_opt, fading)
-
-
-def _feedback_series(t: float, fading: Fading) -> str:
-    return f"all-feedback/{fading.value}" if math.isinf(t) else f"T={t:g}/{fading.value}"
 
 
 def _feedback_rate_row(cfg: ExperimentConfig, lam, fading, batch, base, t, series):
@@ -199,16 +202,20 @@ def _exp_outage_and_rate(cfg: ExperimentConfig):
     return rows
 
 
-def _exp_rate_feedback(cfg: ExperimentConfig):
-    return [_feedback_rate_row(cfg, lam, fading, batch, base, t, _feedback_series(t, fading))
+def _threshold_sweep(cfg: ExperimentConfig, row):
+    """``row`` at every configured threshold, then at t = inf (all feedback)."""
+    return [row(cfg, lam, fading, batch, base, t,
+                f"all-feedback/{fading.value}" if math.isinf(t) else f"T={t:g}/{fading.value}")
             for lam, fading, batch, base in _rate_cases(cfg)
             for t in (*cfg.thresholds, math.inf)]
+
+
+def _exp_rate_feedback(cfg: ExperimentConfig):
+    return _threshold_sweep(cfg, _feedback_rate_row)
 
 
 def _exp_outage_feedback(cfg: ExperimentConfig):
-    return [_feedback_outage_row(cfg, lam, fading, batch, base, t, _feedback_series(t, fading))
-            for lam, fading, batch, base in _rate_cases(cfg)
-            for t in (*cfg.thresholds, math.inf)]
+    return _threshold_sweep(cfg, _feedback_outage_row)
 
 
 def _exp_fixed_load(cfg: ExperimentConfig):

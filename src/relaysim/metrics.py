@@ -109,10 +109,27 @@ def s_star(target_rate: float) -> float:
     if not target_rate >= 0:
         raise ParameterError(f"target_rate must be non-negative, got {target_rate}")
     rate = functools.partial(_rate_from_link_snr, fading=Fading.RAYLEIGH)  # 0 at s = 0
-    hi = 1.0
-    while rate(hi) < target_rate:  # hi reaches inf past the float range
-        hi *= 2.0
-    return hi if hi == math.inf else solve_monotone(rate, target_rate, 0.0, hi, tol=1e-12 * hi)
+    return _solve_above_floor(rate, target_rate, 0.0, 1.0)
+
+
+def _solve_above_floor(f, target: float, floor: float, step: float) -> float:
+    """The x >= floor where the increasing f reaches the target.
+
+    Brackets the offset x - floor between h/2 and h, growing or halving h by
+    factors of two from ``step``, then bisects that bracket to 1e-12 of h, so
+    a root close to the floor keeps its relative precision. Returns inf when
+    f stays below the target over the float range.
+    """
+    if not f(floor) < target:
+        return floor
+    h = step
+    while f(floor + h) < target:  # h reaches inf past the float range
+        h *= 2.0
+    if h == math.inf:
+        return h
+    while f(floor + 0.5 * h) >= target:
+        h *= 0.5
+    return floor + solve_monotone(lambda x: f(floor + x), target, 0.5 * h, h, tol=1e-12 * h)
 
 
 def outage_for_law(law: dist.CqiLaw, target_rate: float, snr: float,
@@ -156,13 +173,8 @@ def threshold_for_load(load: float, intensity: float, half_distance: float) -> f
     """Threshold whose mean feedback load equals ``load`` (monotone inverse)."""
     if not load >= 0:
         raise ParameterError(f"load must be non-negative, got {load}")
-    if load == 0.0:
-        return half_distance
-    hi = half_distance * 2.0
-    while mean_feedback_load(hi, intensity, half_distance) < load:
-        hi *= 2.0
-    return solve_monotone(lambda t: mean_feedback_load(t, intensity, half_distance),
-                          load, half_distance, hi, tol=1e-10 * max(1.0, hi))
+    return _solve_above_floor(lambda t: mean_feedback_load(t, intensity, half_distance),
+                              load, half_distance, half_distance)
 
 
 def average_rate_feedback(threshold: float, intensity: float, half_distance: float,

@@ -114,6 +114,17 @@ def test_mean_feedback_load_matches_simulation():
     assert abs(batch.n_feedback.mean() - mu) < 3 * se
 
 
+@pytest.mark.parametrize("rho", [1e-14, 1e-10, 1e-6])
+def test_s_star_round_trip_at_tiny_rates(rho):
+    s = metrics.s_star(rho)
+    assert f_exp_e1(1.0 / s) / (2 * math.log(2)) == pytest.approx(rho, rel=1e-9, abs=0)
+
+
+def test_threshold_for_load_round_trip_near_the_floor():
+    t = metrics.threshold_for_load(1e-9, 1.0, 1e-3)
+    assert metrics.mean_feedback_load(t, 1.0, 1e-3) == pytest.approx(1e-9, rel=1e-9, abs=0)
+
+
 def test_threshold_for_load_roundtrip():
     assert metrics.threshold_for_load(0.0, 1.0, 1.0) == 1.0
     assert metrics.threshold_for_load(4.913478794435027, 1.0, 1.0) == pytest.approx(
