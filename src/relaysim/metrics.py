@@ -164,15 +164,18 @@ def mean_feedback_load(threshold: float, intensity: float, half_distance: float)
         return 0.0
     if t == math.inf:  # every relay reports
         return math.inf
-    root = math.sqrt(t * t - d * d)
-    return (lam * math.pi * t * t - 2.0 * d * lam * root
-            - 2.0 * t * t * lam * math.atan(d / root))
+    # 2 lam (t^2 atan(root/d) - d root), with neither t^2 nor t^2 - d^2 formed:
+    # no overflow below the float range and less cancellation near the floor
+    root = math.sqrt(t - d) * math.sqrt(t + d)
+    return 2.0 * lam * t * (t * math.atan(root / d) - d * (root / t))
 
 
 def threshold_for_load(load: float, intensity: float, half_distance: float) -> float:
     """Threshold whose mean feedback load equals ``load`` (monotone inverse)."""
     if not load >= 0:
         raise ParameterError(f"load must be non-negative, got {load}")
+    if load == math.inf:  # the load is finite at every finite threshold
+        return math.inf
     return _solve_above_floor(lambda t: mean_feedback_load(t, intensity, half_distance),
                               load, half_distance, half_distance)
 

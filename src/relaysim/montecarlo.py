@@ -6,12 +6,22 @@ stream): all randomness comes from Philox keyed by the master seed, with the
 the per-trial point counts in trial order, block 1 the radial uniforms for
 all points in trial order, block 2 the angle uniforms.
 
+``run_trials`` draws every count from block 0 first, then walks the trials
+in chunks of whole trials holding at most ``_CHUNK_POINTS`` points (a trial
+larger than that is a chunk of its own). Each chunk takes its next uniforms
+from two generators kept open on blocks 1 and 2 and is reduced by one
+``disc_batch_stats`` call. Successive draws from one Philox generator give
+exactly the values of one large draw, so the output does not depend on the
+chunk size, and memory beyond the per-trial results is bounded by the chunk
+budget (or by the largest trial) for any ``n_trials``.
+
 Block 0 cannot be advanced to a trial: Poisson draws consume a variable
 number of words (1000 draws at mean 314 use 585 counter values), so the
 counts are always drawn from the start of block 0. Blocks 1 and 2 can: each
 counter value yields four uniforms, so the uniform at flat point index k is
 reached with ``Philox(key, counter=block << 64).advance(k // 4)`` followed by
-discarding ``k % 4`` draws. Only the serial path is implemented.
+discarding ``k % 4`` draws. The serial walk never needs this; only a future
+split of the trials across workers would.
 """
 from __future__ import annotations
 
@@ -22,7 +32,7 @@ import numpy as np
 from scipy import stats as _stats
 
 from .errors import ParameterError
-from .kernels import disc_batch_stats
+from .kernels import FieldStats, disc_batch_stats
 from .pointprocess import default_window_radius
 
 __all__ = ["MonteCarloConfig", "TrialBatch", "ComparisonReport",
@@ -80,9 +90,26 @@ class TrialBatch:
     mid_is_opt: np.ndarray = field(repr=False)
 
 
+# Points per kernel call: bounds the memory of a batch of any size; 2^16
+# points make the kernel's full-size temporaries about 8 MB together.
+_CHUNK_POINTS = 1 << 16
+
+
 def _block_rng(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.uint64(seed),
                                                 counter=block << 64))
+
+
+def _chunks(offsets: np.ndarray):
+    """Yield (lo, hi): runs of whole trials with at most _CHUNK_POINTS points,
+    or a single trial when it alone holds more."""
+    n_trials = offsets.size - 1
+    lo = 0
+    while lo < n_trials:
+        hi = int(np.searchsorted(offsets, offsets[lo] + _CHUNK_POINTS, side="right")) - 1
+        hi = max(hi, lo + 1)
+        yield lo, hi
+        lo = hi
 
 
 def run_trials(config: MonteCarloConfig, n_trials: int, seed: int) -> TrialBatch:
@@ -91,18 +118,23 @@ def run_trials(config: MonteCarloConfig, n_trials: int, seed: int) -> TrialBatch
         raise ParameterError(f"n_trials must be >= 1, got {n_trials}")
     lam = config.intensity
     tau = config.window_radius
+    d = config.half_distance
     counts = _block_rng(seed, 0).poisson(lam * math.pi * tau * tau, size=n_trials)
     offsets = np.zeros(n_trials + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
-    total = int(offsets[-1])
-    u_radius = _block_rng(seed, 1).random(total)
-    u_angle = _block_rng(seed, 2).random(total)
+    radius_rng, angle_rng = _block_rng(seed, 1), _block_rng(seed, 2)
 
     threshold = math.inf if config.threshold is None else config.threshold
-    st = disc_batch_stats(u_radius, u_angle, offsets, tau, config.half_distance,
-                          threshold, config.scale_source, config.scale_destination)
+    parts = []
+    for lo, hi in _chunks(offsets):
+        local = offsets[lo:hi + 1] - offsets[lo]
+        m = int(local[-1])
+        parts.append(disc_batch_stats(radius_rng.random(m), angle_rng.random(m), local,
+                                      tau, d, threshold, config.scale_source,
+                                      config.scale_destination))
+    # idx_opt and idx_mid index into their own chunk; only their equality is read
+    st = FieldStats({k: np.concatenate([p[k] for p in parts]) for k in parts[0]})
 
-    d = config.half_distance
     sufficient = st.gamma_mid <= np.hypot(d, st.psi_second)
     sufficient[counts == 0] = True  # vacuously certified, matches the 1-point case
     mid_is_opt = st.idx_mid == st.idx_opt  # both -1 on empty fields
@@ -252,13 +284,11 @@ def batch_to_csv(batch: TrialBatch, path) -> None:
     cols = ("trial", "n_points", "gamma_opt", "gamma_mid", "gamma_c2d",
             "gamma_csrc", "gamma_diff", "psi_mid", "psi_second",
             "n_feedback", "sufficient", "mid_is_opt")
+    row = "{},{}" + ",{:.12g}" * 7 + ",{},{:d},{:d}\n"
+    columns = [range(batch.n_trials), batch.counts.tolist(),
+               *(getattr(batch, c).tolist() for c in cols[2:9]),
+               batch.n_feedback.tolist(), batch.sufficient.tolist(),
+               batch.mid_is_opt.tolist()]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(cols) + "\n")
-        for t in range(batch.n_trials):
-            row = (t, batch.counts[t],
-                   f"{batch.gamma_opt[t]:.12g}", f"{batch.gamma_mid[t]:.12g}",
-                   f"{batch.gamma_c2d[t]:.12g}", f"{batch.gamma_csrc[t]:.12g}",
-                   f"{batch.gamma_diff[t]:.12g}",
-                   f"{batch.psi_mid[t]:.12g}", f"{batch.psi_second[t]:.12g}",
-                   batch.n_feedback[t], int(batch.sufficient[t]), int(batch.mid_is_opt[t]))
-            fh.write(",".join(str(v) for v in row) + "\n")
+        fh.writelines(row.format(*values) for values in zip(*columns))

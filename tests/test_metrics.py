@@ -276,6 +276,16 @@ def test_mean_feedback_load_infinite_threshold_is_infinite():
     assert metrics.mean_feedback_load(math.inf, 0.2, 3.0) == math.inf
 
 
+def test_feedback_load_past_the_float_range_is_infinite_not_nan():
+    assert metrics.mean_feedback_load(1e200, 1.0, 1.0) == math.inf
+    assert metrics.threshold_for_load(math.inf, 1.0, 1.0) == math.inf
+    t = metrics.threshold_for_load(1e300, 1.0, 1.0)
+    assert metrics.mean_feedback_load(t, 1.0, 1.0) == pytest.approx(1e300, rel=1e-9)
+    # 30-digit value just above the floor, where the terms nearly cancel
+    assert metrics.mean_feedback_load(1.0 + 1e-6, 1.0, 1.0) == pytest.approx(
+        3.7712374857953019571e-9, rel=1e-9)
+
+
 @pytest.mark.parametrize("fading", list(Fading))
 def test_conditional_rate_infinite_link_snr_gives_infinite_rate(fading):
     pl = PathLoss.power_law(4.0)

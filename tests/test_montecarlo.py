@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from relaysim import distributions as dist
-from relaysim import metrics
+from relaysim import metrics, montecarlo
 from relaysim.errors import ParameterError
 from relaysim.montecarlo import (ComparisonReport, MonteCarloConfig, TrialBatch,
                                  batch_to_csv, compare_to_analytic, empirical_cdf,
@@ -145,3 +146,49 @@ def test_trialbatch_fields_shape():
     assert np.all(batch.gamma_opt <= batch.gamma_mid + 1e-12)
     assert np.all(batch.gamma_opt >= 1.0)
     assert np.all(batch.n_feedback <= batch.counts)
+
+
+_BATCH_FIELDS = ("counts", "gamma_opt", "gamma_mid", "gamma_c2d", "gamma_csrc",
+                 "gamma_diff", "psi_mid", "psi_second", "n_feedback",
+                 "sufficient", "mid_is_opt")
+
+
+@pytest.mark.parametrize("config", [
+    MonteCarloConfig(1.0, 1.0, threshold=2.0),
+    MonteCarloConfig(0.5, 1.0, scale_source=1.7, scale_destination=0.6),
+    MonteCarloConfig(0.02, 1.0, window_radius=3.0),  # most fields empty
+], ids=["threshold", "unequal-snr", "mostly-empty"])
+def test_run_trials_identical_for_every_chunk_budget(config, monkeypatch):
+    kernel = montecarlo.disc_batch_stats
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(np.size(args[0]))
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "disc_batch_stats", counted)
+    monkeypatch.setattr(montecarlo, "_CHUNK_POINTS", 1 << 40)
+    whole = run_trials(config, 400, 9)
+    assert len(calls) == 1
+    if config.intensity < 0.1:
+        assert np.mean(whole.counts == 0) > 0.5
+    # 1 and 50 points are below most non-empty trials, which then get a chunk each
+    for budget in (1, 50, int(whole.counts.sum()) // 3):
+        monkeypatch.setattr(montecarlo, "_CHUNK_POINTS", budget)
+        calls.clear()
+        batch = run_trials(config, 400, 9)
+        assert len(calls) > 1 and sum(calls) == whole.counts.sum()
+        for name in _BATCH_FIELDS:
+            assert np.array_equal(getattr(batch, name), getattr(whole, name)), (budget, name)
+
+
+def test_run_trials_memory_is_bounded_by_the_chunk():
+    # 10k trials of about 314 points each: 3.1M points, 25 MB per float64 array
+    tracemalloc.start()
+    try:
+        batch = run_trials(MonteCarloConfig(1.0, 1.0, window_radius=10.0), 10_000, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert batch.counts.sum() > 3_000_000
+    assert peak < 32 * 2**20
