@@ -6,8 +6,8 @@ Usage (from the root of a checkout):
     python3 benchmarks/record.py BENCH_8.json --label change
     python3 benchmarks/record.py BENCH_8.json --label parent --checkout ../parent
 
-Runs ``perfbench/run.py`` of the checkout at ``--trace 0`` on each workload,
-one workload at a time (mc-batch alone may use the most memory), and appends
+Runs ``perfbench/run.py --seed 1 --seconds 20 --trace 0`` of the checkout on
+each workload, one workload at a time (mc-batch alone may use the most memory), and appends
 one entry per run to the file's ``runs`` list: the label, the workload, and
 the ``env`` and ``info`` lines and the result line that run.py printed. The
 file is created when it does not exist, so several invocations (the parent
@@ -45,14 +45,12 @@ def main(argv=None) -> int:
                     help="checkout whose perfbench/run.py runs (default: this one)")
     ap.add_argument("--workload", action="append", choices=WORKLOADS,
                     help="repeat to pick workloads (default: all)")
-    ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--seconds", type=int, default=20)
     args = ap.parse_args(argv)
 
     record = json.loads(args.out.read_text()) if args.out.exists() else {"runs": []}
     for workload in args.workload or WORKLOADS:
         cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-               "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", "0"]
+               "--seed", "1", "--seconds", "20", "--trace", "0"]
         proc = subprocess.run(cmd, cwd=args.checkout, capture_output=True, text=True)
         if proc.returncode != 0:
             sys.stderr.write(proc.stderr)

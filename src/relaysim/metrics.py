@@ -152,6 +152,11 @@ def outage(target_rate: float, intensity: float, half_distance: float,
 # ---------------------------------------------------------------------------
 # selective threshold feedback
 
+def _check_half_distance(d):
+    if not d > 0:  # the load divides by d; the threshold search steps by d
+        raise ParameterError(f"half_distance must be positive, got {d}")
+
+
 def mean_feedback_load(threshold: float, intensity: float, half_distance: float) -> float:
     """Mean number of relays whose metric clears the feedback threshold.
 
@@ -159,6 +164,7 @@ def mean_feedback_load(threshold: float, intensity: float, half_distance: float)
     """
     if not threshold >= 0:
         raise ParameterError(f"threshold must be non-negative, got {threshold}")
+    _check_half_distance(half_distance)
     d, lam, t = half_distance, intensity, threshold
     if t <= d:
         return 0.0
@@ -174,6 +180,7 @@ def threshold_for_load(load: float, intensity: float, half_distance: float) -> f
     """Threshold whose mean feedback load equals ``load`` (monotone inverse)."""
     if not load >= 0:
         raise ParameterError(f"load must be non-negative, got {load}")
+    _check_half_distance(half_distance)
     if load == math.inf:  # the load is finite at every finite threshold
         return math.inf
     return _solve_above_floor(lambda t: mean_feedback_load(t, intensity, half_distance),

@@ -159,6 +159,12 @@ def test_missing_required_flag_is_usage_error(capsys):
     assert main(["eval", "mu"]) == 2  # mu needs --T
 
 
+def test_eval_zero_half_distance_is_usage_error(capsys):
+    for quantity in (["mu", "--T", "1"], ["threshold-for-load", "--mu0", "1"]):
+        assert main(["eval", *quantity, "--d", "0"]) == 2
+    assert "half_distance must be positive" in capsys.readouterr().err
+
+
 def test_numeric_failure_exit_code(monkeypatch, capsys):
     from relaysim import cli
     from relaysim.errors import NumericError

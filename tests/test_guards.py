@@ -21,6 +21,8 @@ ENTRY_POINTS = {
                                                              threshold=v),
     "mean_feedback_load": lambda v: metrics.mean_feedback_load(v, 1.0, 1.0),
     "threshold_for_load": lambda v: metrics.threshold_for_load(v, 1.0, 1.0),
+    "mean_feedback_load.half_distance": lambda v: metrics.mean_feedback_load(2.0, 1.0, v),
+    "threshold_for_load.half_distance": lambda v: metrics.threshold_for_load(1.0, 1.0, v),
     "s_star": lambda v: metrics.s_star(v),
     "outage": lambda v: metrics.outage(v, 1.0, 1.0, SNR, PL, Fading.NONE),
     "outage/rayleigh": lambda v: metrics.outage(v, 1.0, 1.0, SNR, PL, Fading.RAYLEIGH),
