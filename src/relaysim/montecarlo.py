@@ -90,9 +90,11 @@ class TrialBatch:
     mid_is_opt: np.ndarray = field(repr=False)
 
 
-# Points per kernel call: bounds the memory of a batch of any size; 2^16
-# points make the kernel's full-size temporaries about 8 MB together.
-_CHUNK_POINTS = 1 << 16
+# Points per kernel call: bounds the memory of a batch of any size. At 2^13
+# points the kernel's temporaries (64 KB each, about 1 MB together) are
+# mostly reused by the allocator from one call to the next; at 2^16 every
+# call took fresh pages (figures: 1.2M-1.6M page faults a pass, 0.87M unchunked).
+_CHUNK_POINTS = 1 << 13
 
 
 def _block_rng(seed: int, block: int) -> np.random.Generator:
