@@ -171,9 +171,16 @@ def mean_feedback_load(threshold: float, intensity: float, half_distance: float)
     if t == math.inf:  # every relay reports
         return math.inf
     # 2 lam (t^2 atan(root/d) - d root), with neither t^2 nor t^2 - d^2 formed:
-    # no overflow below the float range and less cancellation near the floor
+    # no overflow below the float range
     root = math.sqrt(t - d) * math.sqrt(t + d)
-    return 2.0 * lam * t * (t * math.atan(root / d) - d * (root / t))
+    x = root / d
+    if x < 0.125:
+        # near the floor the two terms cancel; with y = -x^2 the load is
+        # (4/3) lam root^3/d * sum_k 3 y^k / ((2k+1)(2k+3)), summed to x^14
+        y = -x * x
+        series = sum(3.0 * y ** k / ((2 * k + 1) * (2 * k + 3)) for k in range(8))
+        return 4.0 * lam * root * x * x * d / 3.0 * series
+    return 2.0 * lam * t * (t * math.atan(x) - d * (root / t))
 
 
 def threshold_for_load(load: float, intensity: float, half_distance: float) -> float:

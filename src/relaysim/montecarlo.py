@@ -9,11 +9,13 @@ all points in trial order, block 2 the angle uniforms.
 ``run_trials`` draws every count from block 0 first, then walks the trials
 in chunks of whole trials holding at most ``_CHUNK_POINTS`` points (a trial
 larger than that is a chunk of its own). Each chunk takes its next uniforms
-from two generators kept open on blocks 1 and 2 and is reduced by one
-``disc_batch_stats`` call. Successive draws from one Philox generator give
-exactly the values of one large draw, so the output does not depend on the
-chunk size, and memory beyond the per-trial results is bounded by the chunk
-budget (or by the largest trial) for any ``n_trials``.
+from two generators kept open on blocks 1 and 2 and goes to one
+``disc_batch_stats`` call, which evaluates the angle only for the relays
+that can attain a field's minimum or may sit on its feedback threshold, with
+the bits of evaluating every relay. Successive draws from one Philox
+generator give exactly the values of one large draw, so the output does not
+depend on the chunk size, and memory beyond the per-trial results is bounded
+by the chunk budget (or by the largest trial) for any ``n_trials``.
 
 Block 0 cannot be advanced to a trial: Poisson draws consume a variable
 number of words (1000 draws at mean 314 use 585 counter values), so the
@@ -90,11 +92,13 @@ class TrialBatch:
     mid_is_opt: np.ndarray = field(repr=False)
 
 
-# Points per kernel call: bounds the memory of a batch of any size. At 2^13
-# points the kernel's temporaries (64 KB each, about 1 MB together) are
-# mostly reused by the allocator from one call to the next; at 2^16 every
-# call took fresh pages (figures: 1.2M-1.6M page faults a pass, 0.87M unchunked).
-_CHUNK_POINTS = 1 << 13
+# Points per kernel call: bounds the memory of a batch of any size. One
+# figures pass in fresh processes at PYTHONHASHSEED 0-3 (2 vCPUs, medians of
+# 20 runs at 2^13 and 2^14, 8 at 2^15) took 3.52 s at 2^13, 2.96 s at 2^14
+# and 3.86 s at 2^15, where each call's temporaries land on fresh pages
+# (0.66M-0.73M minor page faults a pass, against 1.2k-3.3k at 2^13 and
+# 1.5k-206k at 2^14). A 100k-trial mc-batch pass: 2.01 s at 2^13, 1.92 s at 2^14.
+_CHUNK_POINTS = 1 << 14
 
 
 def _block_rng(seed: int, block: int) -> np.random.Generator:
@@ -286,11 +290,11 @@ def batch_to_csv(batch: TrialBatch, path) -> None:
     cols = ("trial", "n_points", "gamma_opt", "gamma_mid", "gamma_c2d",
             "gamma_csrc", "gamma_diff", "psi_mid", "psi_second",
             "n_feedback", "sufficient", "mid_is_opt")
-    row = "{},{}" + ",{:.12g}" * 7 + ",{},{:d},{:d}\n"
+    row = "%d,%d" + ",%.12g" * 7 + ",%d,%d,%d\n"
     columns = [range(batch.n_trials), batch.counts.tolist(),
                *(getattr(batch, c).tolist() for c in cols[2:9]),
                batch.n_feedback.tolist(), batch.sufficient.tolist(),
                batch.mid_is_opt.tolist()]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(cols) + "\n")
-        fh.writelines(row.format(*values) for values in zip(*columns))
+        fh.writelines(row % values for values in zip(*columns))

@@ -95,3 +95,82 @@ def test_malformed_input_raises_parameter_error(xs, ys, offsets):
         kernels.field_stats(xs, ys, offsets, 1.0)
     with pytest.raises(ParameterError):
         kernels.disc_batch_stats(xs, ys, offsets, 3.0, 1.0)
+
+
+def _unpruned_disc(u1, u2, offsets, tau, d, threshold, scale_source, scale_destination):
+    """Every statistic of ``disc_batch_stats`` with every point evaluated, one
+    field at a time, in the kernel's arithmetic order."""
+    norm_sq = (tau * tau) * u1
+    cross = (2.0 * d) * np.sqrt(norm_sq) * np.cos((2.0 * math.pi) * u2)
+    base = norm_sq + d * d
+    ds, dd = base + cross, base - cross
+    sq = np.maximum(ds, dd)
+    diff = np.maximum(scale_source * scale_source * ds, scale_destination * scale_destination * dd)
+    n = offsets.size - 1
+    out = {k: np.full(n, np.inf) for k in ("gamma_opt", "gamma_mid", "psi_mid", "psi_second",
+                                           "gamma_c2d", "gamma_csrc", "gamma_diff")}
+    out.update(idx_opt=np.full(n, -1, dtype=np.int64), idx_mid=np.full(n, -1, dtype=np.int64),
+               n_feedback=np.zeros(n, dtype=np.int64))
+
+    def first_min(v):  # lowest index not above the minimum: the first one when it is NaN
+        return int(np.flatnonzero(~(v > v.min()))[0])
+
+    for t in range(n):
+        lo, hi = offsets[t], offsets[t + 1]
+        if lo == hi:
+            continue
+        s, nrm = sq[lo:hi], norm_sq[lo:hi]
+        im = first_min(nrm)
+        out["idx_opt"][t], out["idx_mid"][t] = lo + first_min(s), lo + im
+        out["gamma_opt"][t] = np.sqrt(s.min())
+        out["psi_mid"][t] = np.sqrt(nrm.min())
+        out["gamma_mid"][t] = np.sqrt(s[im])
+        out["gamma_c2d"][t] = np.sqrt(s[first_min(dd[lo:hi])])
+        out["gamma_csrc"][t] = np.sqrt(s[first_min(ds[lo:hi])])
+        out["gamma_diff"][t] = np.sqrt(diff[lo:hi].min())
+        rest = nrm.copy()
+        rest[im] = np.inf
+        out["psi_second"][t] = np.sqrt(rest.min())
+        out["n_feedback"][t] = np.count_nonzero(s <= threshold * threshold)
+    return out
+
+
+@pytest.mark.parametrize("tau", [4.0, 1e200], ids=["window", "overflowing-window"])
+@pytest.mark.parametrize("threshold", [0.0, 1.0, 3.0, math.inf], ids=["T0", "Td", "T3d", "Tinf"])
+@pytest.mark.parametrize("scales", [(1.0, 1.0), (1.0, 1.4)], ids=["equal", "unequal"])
+@pytest.mark.parametrize("ties", [False, True], ids=["uniform", "rounded"])
+def test_disc_pruning_is_bit_identical_to_evaluating_every_point(tau, threshold, scales,
+                                                                 ties, monkeypatch):
+    d = 1.0  # rounded uniforms then put points exactly on base = T^2 and on sq = T^2
+    cos, cos_points = np.cos, []
+
+    def counted_cos(x):
+        cos_points.append(x.size)
+        return cos(x)
+
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        counts = rng.poisson(30, 60)
+        counts[rng.integers(0, 60, 8)] = 0  # empty trials
+        offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+        u1, u2 = rng.random(offsets[-1]), rng.random(offsets[-1])
+        if ties:  # repeated norms, angles and whole points
+            u1, u2 = np.round(u1 * 16) / 16, np.round(u2 * 8) / 8
+        args = (u1, u2, offsets, tau, d, threshold * d, *scales)
+        with np.errstate(invalid="ignore"):  # the overflowing window gives inf - inf
+            ref = _unpruned_disc(*args)
+            monkeypatch.setattr(np, "cos", counted_cos)
+            st = kernels.disc_batch_stats(*args)
+            monkeypatch.setattr(np, "cos", cos)
+        assert set(st) == set(ref)
+        for name in ref:
+            assert np.array_equal(st[name], ref[name], equal_nan=True), (seed, name)
+    if tau == 4.0 and threshold in (0.0, math.inf):  # the cosine of most points is skipped
+        assert sum(cos_points) < 0.5 * 3 * 60 * 30
+
+
+def test_disc_empty_batch():
+    st = kernels.disc_batch_stats(np.empty(0), np.empty(0), np.zeros(3, dtype=np.int64),
+                                  3.0, 1.0, 2.0)
+    assert np.all(st.idx_mid == -1) and np.all(st.n_feedback == 0)
+    assert np.all(np.isinf(st.gamma_diff)) and np.all(np.isinf(st.psi_second))

@@ -286,6 +286,15 @@ def test_feedback_load_past_the_float_range_is_infinite_not_nan():
         3.7712374857953019571e-9, rel=1e-9)
 
 
+@pytest.mark.parametrize("t, load", [
+    (1.0 + 1e-9, 1.1925697364277655718e-13),
+    (1.0 + 1e-12, 3.771739075143379384e-18),
+])
+def test_feedback_load_keeps_relative_precision_at_the_floor(t, load):
+    # 50-digit mpmath of 2 (t^2 atan(root) - root), root = sqrt(t^2 - 1), at the float t
+    assert metrics.mean_feedback_load(t, 1.0, 1.0) == pytest.approx(load, rel=1e-13, abs=0)
+
+
 @pytest.mark.parametrize("fading", list(Fading))
 def test_conditional_rate_infinite_link_snr_gives_infinite_rate(fading):
     pl = PathLoss.power_law(4.0)

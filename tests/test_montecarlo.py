@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -192,3 +193,21 @@ def test_run_trials_memory_is_bounded_by_the_chunk():
         tracemalloc.stop()
     assert batch.counts.sum() > 3_000_000
     assert peak < 32 * 2**20
+
+
+# SHA-256 of the trial CSV of 3000 trials at seed 11, recorded before the disc
+# kernel pruned its candidates: every kernel statistic and the row format.
+@pytest.mark.parametrize("config, digest", [
+    (MonteCarloConfig(1.0, 1.0),
+     "3fe4e1f5781df0c45526b3e70ba882b09e476f90e9dade2e09645564ce5434d9"),
+    (MonteCarloConfig(1.0, 1.0, threshold=2.5),
+     "a75b58eabc06344f1fdfac59ee41b5525f6c7e90d752e6fcc47ae58d1690c1b6"),
+    (MonteCarloConfig(1.0, 1.0, scale_source=1.0, scale_destination=1.4),
+     "ad8302bbb9930dc90eb69756b0614978f4f7424f61d45f12105489b3c33fe084"),
+    (MonteCarloConfig(0.1, 1.0, window_radius=1.5),  # about half the trials empty
+     "917c03b54d9dce16eb36ecd4835790788444d437824df07f54f95b96a5d1ad5e"),
+], ids=["no-threshold", "threshold", "unequal-snr", "mostly-empty"])
+def test_batch_csv_bytes_are_pinned(config, digest, tmp_path):
+    path = tmp_path / "batch.csv"
+    batch_to_csv(run_trials(config, 3000, 11), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
