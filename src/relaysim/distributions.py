@@ -25,7 +25,12 @@ r = sqrt(40/(pi intensity)): every policy's metric is at most 2d plus the
 nearest relay's distance from the mid-point or destination. [d, a1] is split by
 8 toward d, where the densities crowd at large intensity d^2, and [2d, 2d + r]
 at 2d + d, 2d + 8d and 2d + 64d, as the rate falls like gamma^-4. Mid-point
-optimality uses a tensor rule in psi = u^2 and in an angle graded toward pi/2.
+optimality uses a tensor rule in psi = u^2 and in the angle x (2 - x) pi/2,
+graded toward pi/2. The Gaussian-cluster law grades its angle harder,
+(1 - (1 - x)^3) pi/2, for the reach's feature of width sqrt(2 (gamma - d)/d) at
+pi/2 just above the floor. Only the isotropic master formula, which takes a
+caller's scalar callable (kinks and steps allowed), stays on adaptive
+quadrature: it is the reference for the exclusion, ring and Gaussian laws.
 """
 from __future__ import annotations
 
@@ -35,9 +40,10 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NumericError, ParameterError, UnsupportedOperationError
+from .errors import ParameterError, UnsupportedOperationError
 from .model import PathLoss
-from .numerics import erfc_scaled, quad_adaptive, solve_monotone
+# perfbench traces quad_adaptive and solve_monotone by rebinding these module names
+from .numerics import erfc_scaled, quad_adaptive, solve_above_floor, solve_monotone  # noqa: F401
 
 __all__ = [
     "best_cqi_cdf", "best_cqi_pdf", "best_cqi_log_pdf", "best_cqi_mean",
@@ -444,13 +450,19 @@ def best_received_snr_pdf(s, intensity, half_distance, snr, path_loss):
 # ---------------------------------------------------------------------------
 # isotropic (non-homogeneous) fields
 
-def _reach(g: float, d: float, theta: np.ndarray) -> np.ndarray:
-    # radius of the centered ball swept at angle theta for metric level g
-    return np.sqrt(g * g - (d * np.sin(theta)) ** 2) - d * np.cos(theta)
+_ISOTROPIC_TOL = 1e-9  # absolute tolerance of the master formula's quadrature
+
+
+def _reach(g, d: float, theta):
+    # radius of the centered ball swept at angle theta for metric level g,
+    # sqrt(g^2 - (d sin theta)^2) - d cos theta rationalised: no cancellation
+    # near g = d, and no g^2 to overflow
+    ds = d * np.sin(theta)
+    return (g - d) * ((g + d) / (np.sqrt(g - ds) * np.sqrt(g + ds) + d * np.cos(theta)))
 
 
 def isotropic_best_cqi_cdf(gamma, mean_measure: Callable[[float], float],
-                           half_distance: float, tol: float = 1e-9):
+                           half_distance: float):
     """Best-CQI cdf for a rotation-invariant Poisson field.
 
     ``mean_measure(r)`` is the expected point count in the centered ball of
@@ -466,9 +478,9 @@ def isotropic_best_cqi_cdf(gamma, mean_measure: Callable[[float], float],
             g = 1e300
 
         def f(theta):
-            return mean_measure(float(_reach(g, d, np.asarray(theta))))
+            return mean_measure(float(_reach(g, d, theta)))
 
-        q = quad_adaptive(f, 0.0, math.pi / 2.0, tol=tol)
+        q = quad_adaptive(f, 0.0, math.pi / 2.0, tol=_ISOTROPIC_TOL)
         return -math.expm1(-(2.0 / math.pi) * q.value)
 
     return _vectorized(gamma, lambda gs: np.array([one(v) for v in gs]))
@@ -476,8 +488,7 @@ def isotropic_best_cqi_cdf(gamma, mean_measure: Callable[[float], float],
 
 def isotropic_best_cqi_pdf(gamma, radial_intensity: Callable[[float], float],
                            half_distance: float,
-                           mean_measure: Callable[[float], float] | None = None,
-                           tol: float = 1e-9):
+                           mean_measure: Callable[[float], float] | None = None):
     """Best-CQI density for an isotropic field with continuous radial intensity.
 
     ``mean_measure`` may be passed when a closed form exists; otherwise it is
@@ -490,21 +501,19 @@ def isotropic_best_cqi_pdf(gamma, radial_intensity: Callable[[float], float],
         def mean_measure(r):  # noqa: F811 - deliberate default
             if r <= 0:
                 return 0.0
-            q = quad_adaptive(lambda p: radial_intensity(p) * p, 0.0, r, tol=tol)
+            q = quad_adaptive(lambda p: radial_intensity(p) * p, 0.0, r, tol=_ISOTROPIC_TOL)
             return 2.0 * math.pi * q.value
 
     def one(g: float) -> float:
         if g < d or not math.isfinite(g):
             return 0.0
 
-        def front(theta):
-            th = np.asarray(theta)
-            r = float(_reach(g, d, th))
-            denom = math.sqrt(g * g - (d * math.sin(float(th))) ** 2)
-            return g * r / denom * radial_intensity(r)
+        def front(theta):  # r + d cos(theta) = sqrt(g^2 - (d sin(theta))^2)
+            r = float(_reach(g, d, theta))
+            return g * (r / (r + d * math.cos(theta))) * radial_intensity(r)
 
-        pre = quad_adaptive(front, 0.0, math.pi / 2.0, tol=tol).value
-        surv = 1.0 - isotropic_best_cqi_cdf(g, mean_measure, d, tol=tol)
+        pre = quad_adaptive(front, 0.0, math.pi / 2.0, tol=_ISOTROPIC_TOL).value
+        surv = 1.0 - isotropic_best_cqi_cdf(g, mean_measure, d)
         return 4.0 * pre * surv
 
     return _vectorized(gamma, lambda gs: np.array([one(v) for v in gs]))
@@ -548,28 +557,25 @@ def ring_cqi_cdf(gamma, intensity: float, ring_radius: float, half_distance: flo
             (g * g - d * d - r * r) / (2.0 * d * r), -1.0, 1.0)))), cap)
 
 
-def gaussian_cqi_cdf(gamma, mean_count: float, spread: float, half_distance: float,
-                     tol: float = 1e-9):
+def gaussian_cqi_cdf(gamma, mean_count: float, spread: float, half_distance: float):
     """Best-CQI cdf for the Gaussian cluster; defective law with mass
     1 - exp(-mean_count)."""
     _check_positive(mean_count=mean_count, spread=spread, half_distance=half_distance)
     n, sig, d = mean_count, spread, half_distance
-    two_sig2 = 2.0 * sig * sig
 
-    def one(g: float) -> float:
-        if g < d:
-            return 0.0
-        if not math.isfinite(g):
-            return -math.expm1(-n)
+    def integrand(x, g):
+        # the share of the mean count within the reach at the angle
+        # theta = (1 - y^3) pi/2, y = 1 - x, which crowds toward pi/2
+        y = 1.0 - x
+        q = _reach(g, d, 0.5 * math.pi * (1.0 - y * y * y)) / (math.sqrt(2.0) * sig)
+        return -np.expm1(-q * q) * 1.5 * math.pi * y * y
 
-        def f(theta):
-            r = float(_reach(g, d, np.asarray(theta)))
-            return math.exp(-r * r / two_sig2)
+    def fn(g):
+        with np.errstate(over="ignore"):  # q^2 overflows to inf at huge g
+            inside = _gauss_legendre(integrand, np.ones_like(g), g)
+        return -np.expm1(-(2.0 * n / math.pi) * inside)
 
-        q = quad_adaptive(f, 0.0, math.pi / 2.0, tol=tol)
-        return -math.expm1(-n + (2.0 * n / math.pi) * q.value)
-
-    return _vectorized(gamma, lambda gs: np.array([one(v) for v in gs]))
+    return _on_support(gamma, d, fn, -math.expm1(-n))
 
 
 # ---------------------------------------------------------------------------
@@ -632,18 +638,7 @@ class CqiLaw:
             raise ParameterError(f"quantile level must be in [0, 1], got {p}")
         if p >= self.total_mass:
             return math.inf
-        if p <= 0.0:
-            return self.support_min
-        lo = self.support_min
-        step = max(lo, 1.0)
-        hi = lo + step
-        for _ in range(200):
-            if self.cdf(hi) >= p:
-                break
-            hi = lo + (hi - lo) * 2.0
-        else:
-            raise NumericError(f"quantile search for {self.name} did not bracket p={p}")
-        return solve_monotone(self.cdf, p, lo, hi, tol=1e-12 * max(1.0, hi))
+        return solve_above_floor(self.cdf, p, self.support_min, max(self.support_min, 1.0))
 
 
 def _panel_edges(intensity: float, d: float) -> tuple:

@@ -22,7 +22,7 @@ from scipy import stats
 from . import distributions as dist
 from . import metrics
 from .errors import ParameterError
-from .model import Fading, LinkBudget, PathLoss, snr_from_db
+from .model import Fading, LinkBudget, PathLoss, leg_distances, snr_from_db
 from .montecarlo import MonteCarloConfig, empirical_cdf, run_trials
 from .pointprocess import AnnulusUniform, sample
 
@@ -236,8 +236,7 @@ def _exp_annulus_ccdf(cfg: ExperimentConfig):
     rows = []
     for k, (tau, psi) in enumerate(cfg.annulus_cases):
         pts = sample(AnnulusUniform(psi, tau, cfg.n_trials), cfg.seed + k).points
-        s = np.maximum(np.hypot(pts[:, 0] + d, pts[:, 1]),
-                       np.hypot(pts[:, 0] - d, pts[:, 1]))
+        s = np.maximum(*leg_distances(pts[:, 0], pts[:, 1], d))
         grid = np.linspace(math.hypot(psi, d) * 0.98, tau + d, 101)
         rows += _freq_rows(grid, f"tau={tau:g} psi={psi:g}",
                            dist.annulus_metric_ccdf(grid, psi, tau, d),

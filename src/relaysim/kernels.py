@@ -40,6 +40,8 @@ from .errors import ParameterError
 
 __all__ = ["FieldStats", "field_stats", "disc_batch_stats", "kernel_backend"]
 
+_MAX = float(np.finfo(np.float64).max)  # coordinates must be finite
+
 # the float statistics in the order _reduce computes them
 _VALUES = ("gamma_opt", "psi_mid", "gamma_c2d", "gamma_csrc", "gamma_diff", "gamma_mid")
 
@@ -55,8 +57,9 @@ def kernel_backend() -> str:
     return "numpy"
 
 
-def _checked(a, b, offsets, threshold):
-    """Validated float64 inputs, int64 offsets and the squared threshold."""
+def _checked(a, b, offsets, threshold, low, high):
+    """Validated float64 inputs in [low, high], int64 offsets and the squared
+    threshold."""
     if not threshold >= 0:
         raise ParameterError(f"threshold must be non-negative, got {threshold}")
     a = np.ascontiguousarray(a, dtype=np.float64)
@@ -69,6 +72,9 @@ def _checked(a, b, offsets, threshold):
         raise ParameterError(f"offsets must run from 0 to {a.size}")
     if (np.diff(offsets) < 0).any():
         raise ParameterError("offsets must be non-decreasing")
+    # a NaN minimum or maximum fails both comparisons
+    if a.size and not all(low <= v.min() and v.max() <= high for v in (a, b)):
+        raise ParameterError(f"inputs must lie in [{low:g}, {high:g}], NaN excluded")
     thr = float(threshold)
     return a, b, offsets, thr * thr
 
@@ -103,8 +109,9 @@ def _reduce(ds_sq, dd_sq, cand, norm_sq, valid, starts, n_feedback, thr_sq,
     np.maximum(scale_source * scale_source * ds_sq,
                scale_destination * scale_destination * dd_sq, out=rows[4])
     low = np.minimum.reduceat(rows, cstarts, axis=1)
-    rep = np.repeat(low[:4], np.diff(cstarts, append=k), axis=1)
-    first = np.minimum.reduceat(np.where(rows[:4] > rep, k, np.arange(k)), cstarts, axis=1)
+    # the repeated minima are freed before np.where allocates its result
+    above = rows[:4] > np.repeat(low[:4], np.diff(cstarts, append=k), axis=1)
+    first = np.minimum.reduceat(np.where(above, k, np.arange(k)), cstarts, axis=1)
     values = np.sqrt(np.vstack((low[:2], sq[first[2:]], low[4:], sq[first[1:2]])))
     for name, v in zip(_VALUES, values):
         out[name][valid] = v
@@ -126,8 +133,8 @@ def _segments(offsets):
 
 def field_stats(xs, ys, offsets, half_distance, threshold=np.inf,
                 scale_source=1.0, scale_destination=1.0) -> FieldStats:
-    """Reduce each field of relays at explicit coordinates ``(xs, ys)``."""
-    xs, ys, offsets, thr_sq = _checked(xs, ys, offsets, threshold)
+    """Reduce each field of relays at finite explicit coordinates ``(xs, ys)``."""
+    xs, ys, offsets, thr_sq = _checked(xs, ys, offsets, threshold, -_MAX, _MAX)
     if xs.size == 0:
         return _empty(offsets.size - 1)
     d = float(half_distance)
@@ -141,8 +148,8 @@ def disc_batch_stats(u_radius, u_angle, offsets, window_radius, half_distance,
                      threshold=np.inf, scale_source=1.0,
                      scale_destination=1.0) -> FieldStats:
     """Reduce each field of a disc batch given as inverse-cdf polar uniforms
-    (finite, as the pruning bounds assume)."""
-    u1, u2, offsets, thr_sq = _checked(u_radius, u_angle, offsets, threshold)
+    in [0, 1]; the pruning bounds assume them finite."""
+    u1, u2, offsets, thr_sq = _checked(u_radius, u_angle, offsets, threshold, 0.0, 1.0)
     if u1.size == 0:
         return _empty(offsets.size - 1)
     tau = float(window_radius)

@@ -18,7 +18,8 @@ import numpy as np
 from . import distributions as dist
 from .errors import ParameterError
 from .model import Fading, PathLoss
-from .numerics import f_exp_e1, quad_adaptive, solve_monotone  # quad_adaptive: perfbench traces it
+# perfbench traces quad_adaptive and solve_monotone by rebinding these module names
+from .numerics import f_exp_e1, quad_adaptive, solve_above_floor, solve_monotone  # noqa: F401
 
 __all__ = [
     "RateResult", "OutageRegime",
@@ -109,27 +110,7 @@ def s_star(target_rate: float) -> float:
     if not target_rate >= 0:
         raise ParameterError(f"target_rate must be non-negative, got {target_rate}")
     rate = functools.partial(_rate_from_link_snr, fading=Fading.RAYLEIGH)  # 0 at s = 0
-    return _solve_above_floor(rate, target_rate, 0.0, 1.0)
-
-
-def _solve_above_floor(f, target: float, floor: float, step: float) -> float:
-    """The x >= floor where the increasing f reaches the target.
-
-    Brackets the offset x - floor between h/2 and h, growing or halving h by
-    factors of two from ``step``, then bisects that bracket to 1e-12 of h, so
-    a root close to the floor keeps its relative precision. Returns inf when
-    f stays below the target over the float range.
-    """
-    if not f(floor) < target:
-        return floor
-    h = step
-    while f(floor + h) < target:  # h reaches inf past the float range
-        h *= 2.0
-    if h == math.inf:
-        return h
-    while f(floor + 0.5 * h) >= target:
-        h *= 0.5
-    return floor + solve_monotone(lambda x: f(floor + x), target, 0.5 * h, h, tol=1e-12 * h)
+    return solve_above_floor(rate, target_rate, 0.0, 1.0)
 
 
 def outage_for_law(law: dist.CqiLaw, target_rate: float, snr: float,
@@ -190,8 +171,8 @@ def threshold_for_load(load: float, intensity: float, half_distance: float) -> f
     _check_half_distance(half_distance)
     if load == math.inf:  # the load is finite at every finite threshold
         return math.inf
-    return _solve_above_floor(lambda t: mean_feedback_load(t, intensity, half_distance),
-                              load, half_distance, half_distance)
+    return solve_above_floor(lambda t: mean_feedback_load(t, intensity, half_distance),
+                             load, half_distance, half_distance)
 
 
 def average_rate_feedback(threshold: float, intensity: float, half_distance: float,

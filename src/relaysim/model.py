@@ -22,6 +22,7 @@ __all__ = [
     "PathLoss",
     "Fading",
     "LinkBudget",
+    "leg_distances",
     "selection_metric",
     "selection_metric_diff",
     "diff_metric_minimum",
@@ -62,6 +63,11 @@ class NetworkGeometry:
         return Point2(0.0, 0.0)
 
 
+def leg_distances(x, y, half_distance: float):
+    """Distances from the point(s) (x, y) to the source and to the destination."""
+    return np.hypot(x + half_distance, y), np.hypot(x - half_distance, y)
+
+
 def selection_metric(points, geometry: NetworkGeometry):
     """CQI of one point or an (n, 2) batch: max of distances to the endpoints.
 
@@ -70,10 +76,7 @@ def selection_metric(points, geometry: NetworkGeometry):
     over d falls below the resolution of the result.
     """
     p = np.asarray(points, dtype=float)
-    d = geometry.half_distance
-    ds = np.hypot(p[..., 0] + d, p[..., 1])
-    dd = np.hypot(p[..., 0] - d, p[..., 1])
-    out = np.maximum(ds, dd)
+    out = np.maximum(*leg_distances(p[..., 0], p[..., 1], geometry.half_distance))
     return float(out) if out.ndim == 0 else out
 
 
@@ -86,9 +89,7 @@ def selection_metric_diff(points, geometry: NetworkGeometry, budget: "LinkBudget
     """
     s1, s2 = budget.effective_scales(path_loss_exponent)
     p = np.asarray(points, dtype=float)
-    d = geometry.half_distance
-    ds = np.hypot(p[..., 0] + d, p[..., 1])
-    dd = np.hypot(p[..., 0] - d, p[..., 1])
+    ds, dd = leg_distances(p[..., 0], p[..., 1], geometry.half_distance)
     out = np.maximum(s1 * ds, s2 * dd)
     return float(out) if out.ndim == 0 else out
 
@@ -221,7 +222,7 @@ class PathLoss:
         return PathLoss(f"shifted-power-law(alpha={a:g})", gain, inverse, True, derivative)
 
     @staticmethod
-    def tabulated(distances, gains, rel_tol: float = 1e-12) -> "PathLoss":
+    def tabulated(distances, gains) -> "PathLoss":
         """Piecewise-linear G from a monotone table; validated at load time.
 
         Outside the table G is clamped to the end values, so the generalized
@@ -245,25 +246,17 @@ class PathLoss:
             out = np.interp(x, xs, gs)
             return float(out) if out.ndim == 0 else out
 
-        def inverse_scalar(s: float) -> float:
-            if s >= gs[0]:
-                return 0.0
-            if s < gs[-1]:
-                return math.inf
-            lo, hi = float(xs[0]), float(xs[-1])
-            # leftmost crossing of the non-increasing interpolant
-            while hi - lo > rel_tol * max(1.0, abs(hi)):
-                mid = 0.5 * (lo + hi)
-                if np.interp(mid, xs, gs) <= s:
-                    hi = mid
-                else:
-                    lo = mid
-            return hi
-
         def inverse(s):
-            s_arr = np.asarray(s, dtype=float)
-            if s_arr.ndim == 0:
-                return inverse_scalar(float(s_arr))
-            return np.array([inverse_scalar(v) for v in s_arr.ravel()]).reshape(s_arr.shape)
+            s = np.asarray(s, dtype=float)
+            # the first row with G <= s ends the segment the crossing lies on
+            j = np.clip(np.searchsorted(-gs, -s), 1, xs.size - 1)
+            x0, g0, x1 = xs[j - 1], gs[j - 1], xs[j]
+            with np.errstate(divide="ignore", invalid="ignore"):  # off the table's range
+                x = np.minimum(x0 + (x1 - x0) * ((g0 - s) / (g0 - gs[j])), x1)
+            x = np.atleast_1d(np.where(s >= gs[0], 0.0, np.where(s < gs[-1], np.inf, x)))
+            # rounding can leave G(x) a few ulps above s; G(x1) = gs[j] <= s exactly
+            while (high := (np.interp(x, xs, gs) > s) & (x < math.inf)).any():
+                x[high] = np.nextafter(x[high], math.inf)
+            return float(x[0]) if s.ndim == 0 else x
 
         return PathLoss("tabulated", gain, inverse, smooth=False)

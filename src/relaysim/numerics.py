@@ -1,10 +1,13 @@
-"""Special functions, adaptive quadrature and a monotone root solver.
+"""Special functions, adaptive quadrature and monotone root searches.
 
 The exponential integral E1 is scipy's ``exp1``. Its overflow-safe product
 e^x E1(x) takes scalars or arrays: the direct product up to x = 600, the
 asymptotic series above. Quadrature delegates to QUADPACK's adaptive
 Gauss-Kronrod scheme with semi-infinite intervals mapped through
-t -> a + t/(1-t).
+t -> a + t/(1-t); only the laws that take a caller's scalar callable use it.
+``solve_monotone`` bisects a given bracket; ``solve_above_floor`` finds that
+bracket at the root's own scale for ``s_star``, ``threshold_for_load`` and
+``CqiLaw.quantile``.
 """
 from __future__ import annotations
 
@@ -24,6 +27,7 @@ __all__ = [
     "erfc_scaled",
     "quad_adaptive",
     "solve_monotone",
+    "solve_above_floor",
 ]
 
 # Near x = 700 E1(x) turns subnormal and e^x overflows, so above this argument
@@ -129,3 +133,24 @@ def solve_monotone(f, target: float, lo: float, hi: float,
         else:
             lo, flo = mid, fm
     return 0.5 * (lo + hi)
+
+
+def solve_above_floor(f, target: float, floor: float, step: float) -> float:
+    """The x >= floor where the non-decreasing f reaches the target.
+
+    Brackets the offset x - floor between h/2 and h, growing or halving h by
+    factors of two from ``step``, then bisects that bracket to 1e-12 of h, so
+    a root close to the floor keeps its relative precision. Returns floor
+    when f(floor) already reaches the target, and inf when f stays below it
+    over the float range.
+    """
+    if not f(floor) < target:
+        return floor
+    h = step
+    while h < math.inf and f(floor + h) < target:
+        h *= 2.0
+    if h == math.inf:  # past the float range
+        return h
+    while f(floor + 0.5 * h) >= target:
+        h *= 0.5
+    return floor + solve_monotone(lambda x: f(floor + x), target, 0.5 * h, h, tol=1e-12 * h)

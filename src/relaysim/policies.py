@@ -12,7 +12,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import EmptyFieldError, ParameterError
-from .model import LinkBudget, NetworkGeometry, Point2
+from .model import LinkBudget, NetworkGeometry, Point2, leg_distances
 
 __all__ = ["PolicyKind", "PolicyOutcome", "select", "sufficient_condition_holds"]
 
@@ -42,12 +42,6 @@ class PolicyOutcome:
     second_nearest_norm: float | None = None
 
 
-def _distances(points: np.ndarray, d: float):
-    ds = np.hypot(points[:, 0] + d, points[:, 1])
-    dd = np.hypot(points[:, 0] - d, points[:, 1])
-    return ds, dd
-
-
 def select(field, kind: PolicyKind, geometry: NetworkGeometry,
            budget: LinkBudget | None = None, threshold: float | None = None,
            path_loss_exponent: float | None = None) -> PolicyOutcome:
@@ -71,7 +65,7 @@ def select(field, kind: PolicyKind, geometry: NetworkGeometry,
     elif n == 0:
         raise EmptyFieldError(f"policy {kind.value} needs at least one relay")
 
-    ds, dd = _distances(points, d)
+    ds, dd = leg_distances(points[:, 0], points[:, 1], d)
     metric = np.maximum(ds, dd)
     norm = np.hypot(points[:, 0], points[:, 1])
     second = float(np.partition(norm, 1)[1]) if n >= 2 else None
@@ -121,6 +115,5 @@ def sufficient_condition_holds(field, geometry: NetworkGeometry) -> bool:
     norm = np.hypot(points[:, 0], points[:, 1])
     order = np.partition(norm, 1)
     i = int(np.argmin(norm))
-    s_mid = max(np.hypot(points[i, 0] + d, points[i, 1]),
-                np.hypot(points[i, 0] - d, points[i, 1]))
+    s_mid = max(leg_distances(points[i, 0], points[i, 1], d))
     return s_mid <= np.hypot(d, order[1])

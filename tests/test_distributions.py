@@ -318,6 +318,65 @@ def test_gaussian_example():
     assert np.abs(dist.gaussian_cqi_cdf(probe, n, sig, d) - master).max() < 1e-10
 
 
+# 30-digit oracle of 1 - exp(-(2 n/pi) integral_0^(pi/2) (1 - exp(-r^2/(2 sigma^2))) dtheta),
+# r = sqrt(gamma^2 - d^2 sin^2 theta) - d cos theta, keyed by (n, sigma, d): from just
+# above the floor, where the reach near pi/2 has width sqrt(2 (gamma - d)/d), to 6d + 5 sigma
+GAUSSIAN_ORACLE = {
+    (50.0, 1.0, 1.0): [
+        (1.0000000001, 3.0010547596978621399e-14),
+        (1.000001, 3.0010547919455479657e-8),
+        (1.00482, 0.0099994141294291359422),
+        (1.051841, 0.29999812470739743297),
+        (1.116184, 0.70000101263383915486),
+        (1.283459, 0.99000011380626973911),
+        (11.0, 1.0),
+    ],
+    (5.0, 0.3, 1.0): [
+        (1.0000000001, 3.3345052878788637176e-14),
+        (1.000001, 3.3344985757219925788e-8),
+        (1.0045, 0.0099317568202254229652),
+        (1.051488, 0.29797679444324849092),
+        (1.126962, 0.69528343246244366683),
+        (1.438717, 0.98332939715491584878),
+        (7.5, 0.9932620530009145329),
+    ],
+    (200.0, 2.0, 0.5): [
+        (0.50000000005, 7.5026368993854142377e-15),
+        (0.5000005, 7.5026384710442870933e-9),
+        (0.5060595, 0.010000022198196715594),
+        (0.5638492, 0.30000010870061882961),
+        (0.6395663, 0.70000016717616291523),
+        (0.8221208, 0.9900000058454693565),
+        (13.0, 1.0),
+    ],
+    (1.0, 5.0, 2.0): [
+        (2.0000000002, 9.6033752311946392052e-17),
+        (2.000002, 9.6033770912348247988e-11),
+        (2.31676, 0.0063212141047035518323),
+        (4.903671, 0.18963612425944237005),
+        (8.040299, 0.44248440990369531635),
+        (15.68448, 0.62579934244976348727),
+        (37.0, 0.63212055882436373068),
+    ],
+    (100.0, 0.05, 2.0): [
+        (2.0000000002, 9.6033749234562230276e-11),
+        (2.000002, 0.000095998445533411592824),
+        (2.000045, 0.010124626150158499153),
+        (2.000505, 0.30002492503953354913),
+        (2.001212, 0.69990999114315138168),
+        (2.003492, 0.99000416958346251822),
+        (12.25, 1.0),
+    ],
+}
+
+
+@pytest.mark.parametrize("config", sorted(GAUSSIAN_ORACLE),
+                         ids=lambda c: "n={:g}-sigma={:g}-d={:g}".format(*c))
+def test_gaussian_cdf_against_oracle(config):
+    gs, expected = np.array(GAUSSIAN_ORACLE[config]).T
+    assert np.abs(dist.gaussian_cqi_cdf(gs, *config) - expected).max() <= 1e-13
+
+
 DIFF_ORACLE = {  # (gamma; lam=1, d=0.5, scales (1, 1.5)) 30-digit oracle
     0.7: 0.0639972916135709,
     1.0: 0.450214750373257,
@@ -359,6 +418,22 @@ def test_law_quantile_roundtrip():
         assert law.cdf(x) == pytest.approx(p, abs=1e-9)
     finite = dist.best_cqi_law_finite(0.05, 1.0, 1.5)
     assert finite.quantile(finite.total_mass + 1e-3) == math.inf
+
+
+def test_law_quantile_at_the_ends_of_the_mass():
+    law = dist.best_cqi_law(1.0, 1.0)
+    # the cdf grows like (gamma - d)^(3/2): p = 1e-300 lies within an ulp of the floor
+    tiny = law.quantile(1e-300)
+    assert 1.0 < tiny <= np.nextafter(1.0, 2.0)
+    assert law.cdf(tiny) >= 1e-300
+    top = np.nextafter(1.0, 0.0)
+    x = law.quantile(top)
+    assert math.isfinite(x)
+    assert law.cdf(x * (1 - 1e-11)) <= top <= law.cdf(x * (1 + 1e-11))
+    # the window law reaches its total mass at gamma = window radius + d
+    finite = dist.best_cqi_law_finite(0.05, 1.0, 1.5)
+    assert 1.0 < finite.quantile(np.nextafter(finite.total_mass, 0.0)) <= 2.5
+    assert finite.quantile(finite.total_mass) == math.inf
 
 
 def test_tail_exponent_trend():

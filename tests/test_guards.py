@@ -1,11 +1,13 @@
-"""Guards on non-negative parameters reject NaN as well as negative values."""
+"""Guards on non-negative parameters reject NaN as well as negative values, and
+no public law, model or metric function takes a tolerance knob."""
+import inspect
 import math
 
 import numpy as np
 import pytest
 
 from relaysim import distributions as dist
-from relaysim import metrics
+from relaysim import metrics, model
 from relaysim.errors import ParameterError
 from relaysim.kernels import disc_batch_stats, field_stats
 from relaysim.model import Fading, LinkBudget, NetworkGeometry, PathLoss, snr_from_db
@@ -52,3 +54,21 @@ ENTRY_POINTS = {
 def test_nan_or_negative_parameter_raises(entry, value):
     with pytest.raises(ParameterError):
         ENTRY_POINTS[entry](value)
+
+
+def _public_functions(module):
+    for name in module.__all__:
+        obj = getattr(module, name)
+        if inspect.isfunction(obj):
+            yield name, obj
+        elif inspect.isclass(obj):
+            yield from ((f"{name}.{attr}", fn)
+                        for attr, fn in inspect.getmembers(obj, inspect.isfunction)
+                        if not attr.startswith("_"))
+
+
+@pytest.mark.parametrize("module", [dist, model, metrics], ids=lambda m: m.__name__)
+def test_no_public_function_takes_a_tolerance(module):
+    knobs = [name for name, fn in _public_functions(module)
+             if {"tol", "rel_tol"} & set(inspect.signature(fn).parameters)]
+    assert knobs == []

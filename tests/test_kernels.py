@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -95,6 +96,37 @@ def test_malformed_input_raises_parameter_error(xs, ys, offsets):
         kernels.field_stats(xs, ys, offsets, 1.0)
     with pytest.raises(ParameterError):
         kernels.disc_batch_stats(xs, ys, offsets, 3.0, 1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("which", [0, 1], ids=["xs", "ys"])
+def test_non_finite_coordinates_raise(bad, which):
+    xy = [np.array([0.1, 0.5, 2.0]), np.array([0.3, -0.2, 0.0])]
+    xy[which][1] = bad
+    with pytest.raises(ParameterError):
+        kernels.field_stats(*xy, [0, 3], 1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, -1e-300, np.nextafter(1.0, 2.0), math.inf])
+@pytest.mark.parametrize("which", [0, 1], ids=["radius", "angle"])
+def test_disc_uniforms_outside_the_unit_interval_raise(bad, which):
+    u = [np.array([0.0, 0.5, 1.0]), np.array([0.25, 0.5, 0.75])]
+    kernels.disc_batch_stats(*u, [0, 3], 3.0, 1.0)  # both ends of [0, 1] are valid
+    u[which][1] = bad
+    with pytest.raises(ParameterError):
+        kernels.disc_batch_stats(*u, [0, 3], 3.0, 1.0)
+
+
+def test_field_stats_peak_memory_per_point():
+    xs, ys, _, _, offsets = _random_batch(5, n_trials=2000, mean_pts=40)  # about 80k points
+    tracemalloc.start()
+    try:
+        kernels.field_stats(xs, ys, offsets, 1.0, 2.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert xs.size > 75_000
+    assert peak <= 140 * xs.size
 
 
 def _unpruned_disc(u1, u2, offsets, tau, d, threshold, scale_source, scale_destination):

@@ -154,6 +154,46 @@ def test_tabulated_path_loss():
         pl.gain_derivative(1.0)
 
 
+def _bisected_inverse(s, xs, gs):
+    """inf{x >= 0 : G(x) <= s} of the interpolated table, bisected to 1e-12 max(1, x)."""
+    if s >= gs[0]:
+        return 0.0
+    if s < gs[-1]:
+        return math.inf
+    lo, hi = float(xs[0]), float(xs[-1])
+    while hi - lo > 1e-12 * max(1.0, hi):
+        mid = 0.5 * (lo + hi)
+        if np.interp(mid, xs, gs) <= s:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_tabulated_inverse_is_exact_on_random_tables(seed):
+    rng = np.random.default_rng(seed)
+    for k in range(25):
+        n = int(rng.integers(2, 9))
+        scale = 10.0 ** rng.uniform(-300, -250) if k % 5 == 0 else 10.0 ** rng.uniform(-3, 3)
+        xs = np.cumsum(rng.uniform(0.01, 1.0, n)) * scale
+        if k % 3 == 0:
+            xs[0] = 0.0
+        gs = np.sort(rng.uniform(0.0, 1.0, n))[::-1]
+        if k % 2 == 0:  # a flat segment
+            i = int(rng.integers(0, n - 1))
+            gs[i + 1] = gs[i]
+        pl = PathLoss.tabulated(xs, gs)
+        levels = np.concatenate([rng.uniform(gs[-1], gs[0], 30), gs, [0.5 * gs[-1]]])
+        x = pl.gain_inverse(levels)
+        ref = np.array([_bisected_inverse(s, xs, gs) for s in levels])
+        assert np.array_equal(np.isinf(x), np.isinf(ref))
+        on = np.isfinite(ref)
+        assert np.all(pl.gain(x[on]) <= levels[on])  # exactly, not within a tolerance
+        assert np.all(np.abs(x[on] - ref[on]) <= 1e-12 * np.maximum(1.0, ref[on]))
+        assert pl.gain_inverse(float(levels[0])) == x[0]
+
+
 def test_tabulated_validation():
     with pytest.raises(ParameterError):
         PathLoss.tabulated([0, 1, 2], [1.0, 1.1, 0.5])  # not non-increasing

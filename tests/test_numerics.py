@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special as sp
 
+from relaysim import metrics
 from relaysim.errors import BracketError, NumericError, ParameterError
 from relaysim.numerics import (QuadratureResult, erfc_scaled, exp_integral_e1,
-                               f_exp_e1, quad_adaptive, solve_monotone)
+                               f_exp_e1, quad_adaptive, solve_above_floor, solve_monotone)
 
 # frozen from a 30-digit series/continued-fraction computation done before the build
 E1_TABLE = {
@@ -118,6 +119,32 @@ def test_solve_monotone_recovers_point(target_x):
     target = math.atan(target_x)
     got = solve_monotone(math.atan, target, -1.0, 5.0, tol=1e-12)
     assert got == pytest.approx(target_x, abs=1e-9)
+
+
+@pytest.mark.parametrize("root", [1e-100, 1e-12, 1.0, 1e12, 1e100])
+def test_solve_above_floor_keeps_relative_precision_at_any_scale(root):
+    assert solve_above_floor(lambda x: x ** 3, root ** 3, 0.0, 1.0) == pytest.approx(
+        root, rel=1e-11, abs=0)
+    # above a floor of 2 the offset is bisected to 1e-12 of itself, then rounded
+    got = solve_above_floor(lambda x: x - 2.0, root, 2.0, 2.0)
+    assert abs(got - (2.0 + root)) <= 2e-12 * root + 4.5e-16
+
+
+def test_solve_above_floor_ends():
+    assert solve_above_floor(math.atan, -1.0, 0.0, 1.0) == 0.0  # reached at the floor
+    assert solve_above_floor(math.atan, 2.0, 0.0, 1.0) == math.inf  # atan < pi/2 < 2
+
+
+# the bracketed search through its two callers in metrics
+@pytest.mark.parametrize("rho", [1e-14, 1e-10, 1e-6])
+def test_s_star_round_trip_at_tiny_rates(rho):
+    s = metrics.s_star(rho)
+    assert f_exp_e1(1.0 / s) / (2 * math.log(2)) == pytest.approx(rho, rel=1e-9, abs=0)
+
+
+def test_threshold_for_load_round_trip_near_the_floor():
+    t = metrics.threshold_for_load(1e-9, 1.0, 1e-3)
+    assert metrics.mean_feedback_load(t, 1.0, 1e-3) == pytest.approx(1e-9, rel=1e-9, abs=0)
 
 
 # frozen from 40-digit mpmath, mp.exp(x) * mp.e1(x): the asymptotic branch
