@@ -58,8 +58,7 @@ def kernel_backend() -> str:
 
 
 def _checked(a, b, offsets, threshold, low, high):
-    """Validated float64 inputs in [low, high], int64 offsets and the squared
-    threshold."""
+    """Validated float64 inputs in [low, high], int64 offsets, squared threshold."""
     if not threshold >= 0:
         raise ParameterError(f"threshold must be non-negative, got {threshold}")
     a = np.ascontiguousarray(a, dtype=np.float64)

@@ -255,7 +255,7 @@ class PathLoss:
                 x = np.minimum(x0 + (x1 - x0) * ((g0 - s) / (g0 - gs[j])), x1)
             x = np.atleast_1d(np.where(s >= gs[0], 0.0, np.where(s < gs[-1], np.inf, x)))
             # rounding can leave G(x) a few ulps above s; G(x1) = gs[j] <= s exactly
-            while (high := (np.interp(x, xs, gs) > s) & (x < math.inf)).any():
+            while (high := (gain(x) > s) & (x < math.inf)).any():
                 x[high] = np.nextafter(x[high], math.inf)
             return float(x[0]) if s.ndim == 0 else x
 
