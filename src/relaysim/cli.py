@@ -236,12 +236,11 @@ def _eval_quantity(args) -> float:
 
 
 def _cmd_simulate(args) -> int:
+    if (args.snr1_db is None) != (args.snr2_db is None):
+        raise ParameterError("simulate needs both --snr1-db and --snr2-db, or neither")
     scale_source = scale_destination = 1.0
-    if args.snr1_db is not None or args.snr2_db is not None:
-        db1 = args.snr1_db if args.snr1_db is not None else args.snr2_db
-        db2 = args.snr2_db if args.snr2_db is not None else args.snr1_db
-        budget = LinkBudget(snr=snr_from_db(db1), snr_relay=snr_from_db(db1),
-                            snr_destination=snr_from_db(db2))
+    if args.snr1_db is not None:
+        budget = LinkBudget(snr_from_db(args.snr1_db), snr_destination=snr_from_db(args.snr2_db))
         scale_source, scale_destination = budget.effective_scales(args.alpha)
     config = MonteCarloConfig(args.intensity, args.half_distance,
                               window_radius=args.window_radius,

@@ -9,6 +9,10 @@ Every law takes a scalar or an array of metric values; NaN gives 0.
 
 Numerical notes: arcsec(x) is evaluated as arccos(1/x) and arccsc(x) as
 arcsin(1/x); scaled erfc avoids overflow in the sufficiency probability.
+Each planar area is written once: a lens is two segments with half-angles from
+atan2 (x - sin x from its series below 0.5), and ``_strip_area`` serves the annulus
+law and the mid-point exponent. The window law is the annulus law at inner radius
+0, which computes the lens near its floor and the sliver outside near its rim.
 The mid-point and closest-to-destination laws integrate over psi, the
 selected relay's distance from the policy's centre, with one fixed 64-node
 Gauss-Legendre rule for all metric values at once. Each integral stops
@@ -41,7 +45,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ParameterError, UnsupportedOperationError
-from .model import PathLoss
+from .model import NetworkGeometry, PathLoss, diff_metric_minimum
 # perfbench traces quad_adaptive and solve_monotone by rebinding these module names
 from .numerics import erfc_scaled, quad_adaptive, solve_above_floor, solve_monotone  # noqa: F401
 
@@ -103,14 +107,35 @@ def _lens_shape(x: np.ndarray) -> np.ndarray:
         return xs * (xs * np.arccos(inv) - np.sqrt((1.0 - inv) * (1.0 + inv)))
 
 
+def _segment(r, alpha):
+    """Area r^2 (2 alpha - sin 2 alpha)/2 of the circular segment of half-angle alpha;
+    below 0.5, x - sin x is summed from its series instead of cancelling."""
+    x = 2.0 * alpha
+    xx = x * x
+    series = np.ones_like(x)
+    for den in (272.0, 210.0, 156.0, 110.0, 72.0, 42.0, 20.0):  # (2k)(2k + 1), Horner
+        series = 1.0 - xx / den * series
+    return 0.5 * r * r * np.where(x < 0.5, x * xx / 6.0 * series, x - np.sin(x))
+
+
 def _lens_area(s: float, r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
-    """Intersection areas of discs with center separation s and the given radii."""
-    c1 = np.clip((s * s + r1 * r1 - r2 * r2) / (2.0 * s * r1), -1.0, 1.0)
-    c2 = np.clip((s * s + r2 * r2 - r1 * r1) / (2.0 * s * r2), -1.0, 1.0)
-    k = (r1 + r2 - s) * (s + r1 - r2) * (s - r1 + r2) * (s + r1 + r2)
-    lens = r1 * r1 * np.arccos(c1) + r2 * r2 * np.arccos(c2) - 0.5 * np.sqrt(np.maximum(k, 0.0))
-    return np.where(r1 + r2 <= s, 0.0, np.where(
-        np.abs(r1 - r2) >= s, math.pi * np.minimum(r1, r2) ** 2, lens))
+    """Intersection areas of discs with center separation s and the given radii: two
+    segments with half-angles atan2(2 s h, s^2 + r_i^2 - r_j^2), h the half-chord."""
+    total, skew = r1 + r2, r1 - r2  # r1 - r2 first: s + r1 - r2 loses s when r1 >> s
+    # k and r^2 overflow to inf, and the area with them; inf * 0 arises only in the
+    # disjoint and contained branches, which the last line masks
+    with np.errstate(over="ignore", invalid="ignore"):
+        root = np.sqrt(np.maximum((total - s) * (s + skew) * (s - skew) * (total + s), 0.0))
+        lens = (_segment(r1, np.arctan2(root, s * s + skew * total))
+                + _segment(r2, np.arctan2(root, s * s - skew * total)))
+        return np.where(total <= s, 0.0, np.where(
+            np.abs(skew) >= s, math.pi * np.minimum(r1, r2) ** 2, lens))
+
+
+def _strip_area(r2, y):
+    """Area of the disc of squared radius r2 inside the strip |t| <= y, for y >= 0."""
+    rem = np.sqrt(np.maximum(r2 - y * y, 0.0))
+    return 2.0 * y * rem + 2.0 * r2 * np.arctan2(y, rem)
 
 
 # ---------------------------------------------------------------------------
@@ -159,34 +184,47 @@ def best_cqi_mean(intensity: float, half_distance: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# finite simulation window
+# metric of a uniform point on a disc or an annulus (the finite window, and the
+# optimality probability)
+
+def _annulus_metric_split(tv, psi: float, tau: float, d: float):
+    """(P(metric <= t), P(metric > t)) for a point uniform on the annulus between
+    the radii psi and tau. Each branch computes one side without cancelling and
+    takes the other as one minus it: the ccdf next to the hole, the lens less the
+    hole up to hypot(tau, d), and the sliver outside the disc beyond it."""
+    area2 = tau * tau - psi * psi
+
+    def p_term(x, y):
+        return _strip_area(x * x, y) / (math.pi * area2)
+
+    below, above = np.zeros_like(tv), np.zeros_like(tv)
+    above[tv < math.hypot(psi, d)] = 1.0
+    below[tv >= tau + d] = 1.0
+    near = (tv >= math.hypot(psi, d)) & (tv < psi + d)
+    x = tv[near]
+    a = np.arccos(np.clip((x * x - psi * psi - d * d) / (2.0 * d * psi), -1.0, 1.0))
+    above[near] = ((tau * tau - x * x) / area2
+                   + (2.0 * a * (x * x - psi * psi) + d * d * np.sin(2.0 * a)) / (math.pi * area2)
+                   + p_term(x, d) - p_term(x, d * np.sin(a)))
+    mid = (tv >= psi + d) & (tv < math.hypot(tau, d))
+    x = tv[mid]
+    below[mid] = (_lens_area(2.0 * d, x, x) - math.pi * psi * psi) / (math.pi * area2)
+    far = (tv >= math.hypot(tau, d)) & (tv < tau + d)
+    x = tv[far]
+    b = np.arccos(np.clip((x * x - tau * tau - d * d) / (2.0 * d * tau), -1.0, 1.0))
+    above[far] = ((2.0 * b * (tau * tau - x * x) - d * d * np.sin(2.0 * b)) / (math.pi * area2)
+                  + p_term(x, d * np.sin(b)))
+    below[near | far] = 1.0 - above[near | far]
+    above[mid] = 1.0 - below[mid]
+    return below, above
+
 
 def disc_point_metric_cdf(gamma, window_radius: float, half_distance: float):
-    """cdf of the metric at a single point uniform on the disc of the given radius."""
+    """cdf of the metric at a single point uniform on the disc of the given radius:
+    the annulus law at inner radius 0."""
     _check_positive(window_radius=window_radius, half_distance=half_distance)
-    d, tau = half_distance, window_radius
-
-    def fn(g):
-        out = np.zeros_like(g)
-        mid = (g >= d) & (g <= math.hypot(tau, d))
-        x = g[mid]
-        out[mid] = (2.0 / (math.pi * tau * tau)) * (
-            x * x * np.arccos(np.minimum(d / x, 1.0)) - d * np.sqrt(np.maximum(x * x - d * d, 0.0)))
-        rim = (g > math.hypot(tau, d)) & (g <= tau + d)
-        x = g[rim]
-        q = tau * tau + d * d - x * x  # negative on this branch
-        root = np.sqrt(np.maximum(4.0 * d * d * tau * tau - q * q, 0.0))
-        t1 = (2.0 * x * x / (math.pi * tau * tau)) * (
-            np.arccos(np.clip(q / (-2.0 * d * tau), -1.0, 1.0))
-            - np.arctan2(root, tau * tau - d * d + x * x))
-        t2 = -(2.0 / math.pi) * np.arcsin(np.clip(q / (2.0 * d * tau), -1.0, 1.0))
-        t3 = -np.sqrt(np.maximum(
-            (tau - d + x) * (tau + d - x) * (d - tau + x) * (tau + d + x), 0.0)) / (math.pi * tau * tau)
-        out[rim] = t1 + t2 + t3
-        out[g > tau + d] = 1.0
-        return out
-
-    return _vectorized(gamma, fn)
+    return _on_support(gamma, half_distance, lambda g: _annulus_metric_split(
+        g, 0.0, window_radius, half_distance)[0], 1.0)
 
 
 def best_cqi_cdf_finite(gamma, intensity: float, half_distance: float,
@@ -194,17 +232,10 @@ def best_cqi_cdf_finite(gamma, intensity: float, half_distance: float,
     """Best-CQI cdf when relays are confined to a disc; defective by the
     no-relay mass exp(-intensity * pi * window_radius^2)."""
     _check_positive(intensity=intensity)
-    lam, tau = intensity, window_radius
+    exponent = intensity * math.pi * window_radius * window_radius
+    return _vectorized(gamma, lambda g: -np.expm1(
+        -exponent * disc_point_metric_cdf(g, window_radius, half_distance)))
 
-    def fn(g):
-        base = np.atleast_1d(disc_point_metric_cdf(g, window_radius, half_distance))
-        return -np.expm1(-lam * math.pi * tau * tau * base)
-
-    return _vectorized(gamma, fn)
-
-
-# ---------------------------------------------------------------------------
-# metric of a uniform point on an annulus (feeds the optimality probability)
 
 def annulus_metric_ccdf(t, inner_radius: float, outer_radius: float,
                         half_distance: float):
@@ -221,37 +252,7 @@ def annulus_metric_ccdf(t, inner_radius: float, outer_radius: float,
         raise ParameterError(
             f"need outer_radius >= sqrt(inner^2 + 2 d inner) = "
             f"{math.sqrt(psi * psi + 2 * d * psi):g}, got {tau}")
-    area2 = tau * tau - psi * psi
-
-    def p_term(tv, y):
-        rem = np.sqrt(np.maximum(tv * tv - y * y, 0.0))
-        return (2.0 * y * rem + 2.0 * tv * tv * np.arctan2(y, rem)) / (math.pi * area2)
-
-    def fn(tv):
-        out = np.zeros_like(tv)
-        out[tv < math.hypot(psi, d)] = 1.0
-        near = (tv >= math.hypot(psi, d)) & (tv < psi + d)
-        if near.any():
-            x = tv[near]
-            a = np.arccos(np.clip((x * x - psi * psi - d * d) / (2.0 * d * psi), -1.0, 1.0))
-            out[near] = ((tau * tau - x * x) / area2
-                         + (2.0 * a * (x * x - psi * psi) + d * d * np.sin(2.0 * a))
-                         / (math.pi * area2)
-                         + p_term(x, d) - p_term(x, d * np.sin(a)))
-        mid = (tv >= psi + d) & (tv < math.hypot(tau, d))
-        if mid.any():
-            x = tv[mid]
-            out[mid] = (tau * tau - x * x) / area2 + p_term(x, d)
-        far = (tv >= math.hypot(tau, d)) & (tv < tau + d)
-        if far.any():
-            x = tv[far]
-            b = np.arccos(np.clip((x * x - tau * tau - d * d) / (2.0 * d * tau), -1.0, 1.0))
-            out[far] = ((2.0 * b * (tau * tau - x * x) - d * d * np.sin(2.0 * b))
-                        / (math.pi * area2)
-                        + p_term(x, d * np.sin(b)))
-        return out
-
-    return _vectorized(t, fn)
+    return _vectorized(t, lambda tv: _annulus_metric_split(tv, psi, tau, d)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -374,14 +375,9 @@ def midpoint_displacement_exponent(psi, theta, half_distance: float):
     the mid-point selection from norm psi and angle theta in [0, pi/2] (arrays broadcast)."""
     d = half_distance
     s2 = psi * psi + 2.0 * d * psi * np.cos(theta) + d * d
-
-    def v_term(y):
-        rem = np.sqrt(np.maximum(s2 - y * y, 0.0))
-        return 2.0 * y * rem + 2.0 * s2 * np.arctan2(y, rem)
-
     return ((s2 - psi * psi) * (math.pi - 2.0 * theta)
             - d * d * np.sin(2.0 * theta)
-            - v_term(d) + v_term(d * np.sin(theta)))
+            - _strip_area(s2, d) + _strip_area(s2, d * np.sin(theta)))
 
 
 def nearest_to_midpoint_mean(intensity: float, half_distance: float, weight) -> float:
@@ -585,8 +581,7 @@ def unequal_snr_support_min(half_distance: float, scale_source: float,
                             scale_destination: float) -> float:
     _check_positive(half_distance=half_distance, scale_source=scale_source,
                     scale_destination=scale_destination)
-    return (2.0 * half_distance * scale_source * scale_destination
-            / (scale_source + scale_destination))
+    return diff_metric_minimum(NetworkGeometry(half_distance), scale_source, scale_destination)
 
 
 def unequal_snr_cqi_cdf(gamma, intensity: float, half_distance: float,
@@ -661,14 +656,11 @@ def best_cqi_law(intensity: float, half_distance: float) -> CqiLaw:
 
 def best_cqi_law_finite(intensity: float, half_distance: float,
                         window_radius: float) -> CqiLaw:
-    mass = -math.expm1(-intensity * math.pi * window_radius ** 2)
-    return CqiLaw(
-        f"best-cqi-window({window_radius:g})",
-        lambda g: best_cqi_cdf_finite(g, intensity, half_distance, window_radius),
-        None,
-        support_min=half_distance,
-        total_mass=mass,
-    )
+    def cdf(g):
+        return best_cqi_cdf_finite(g, intensity, half_distance, window_radius)
+
+    return CqiLaw(f"best-cqi-window({window_radius:g})", cdf, None,
+                  support_min=half_distance, total_mass=cdf(math.inf))
 
 
 def midpoint_cqi_law(intensity: float, half_distance: float) -> CqiLaw:

@@ -160,8 +160,11 @@ class PathLoss:
     name: str
     gain: Callable = field(repr=False)
     gain_inverse: Callable = field(repr=False)
-    smooth: bool = True
     _derivative: Callable | None = field(default=None, repr=False)
+
+    @property
+    def smooth(self) -> bool:
+        return self._derivative is not None
 
     def gain_derivative(self, x):
         if self._derivative is None:
@@ -193,7 +196,7 @@ class PathLoss:
             out = -a * x ** (-a - 1.0)
             return float(out) if out.ndim == 0 else out
 
-        return PathLoss(f"power-law(alpha={a:g})", gain, inverse, True, derivative)
+        return PathLoss(f"power-law(alpha={a:g})", gain, inverse, derivative)
 
     @staticmethod
     def shifted_power_law(exponent: float) -> "PathLoss":
@@ -219,7 +222,7 @@ class PathLoss:
             out = -a * x ** (a - 1.0) / (1.0 + x ** a) ** 2
             return float(out) if out.ndim == 0 else out
 
-        return PathLoss(f"shifted-power-law(alpha={a:g})", gain, inverse, True, derivative)
+        return PathLoss(f"shifted-power-law(alpha={a:g})", gain, inverse, derivative)
 
     @staticmethod
     def tabulated(distances, gains) -> "PathLoss":
@@ -259,4 +262,4 @@ class PathLoss:
                 x[high] = np.nextafter(x[high], math.inf)
             return float(x[0]) if s.ndim == 0 else x
 
-        return PathLoss("tabulated", gain, inverse, smooth=False)
+        return PathLoss("tabulated", gain, inverse)

@@ -148,6 +148,16 @@ def test_simulate_writes_batch(tmp_path, capsys):
     assert lines[0].startswith("trial,")
 
 
+def test_simulate_rejects_a_lone_per_hop_snr(tmp_path):
+    # eval fills a missing hop from --snr-db, so simulate must not guess one
+    for flag in ("--snr1-db", "--snr2-db"):
+        res = run_cli("simulate", "--trials", "5", "--tau", "3", flag, "10",
+                      "--out", str(tmp_path / "t.csv"))
+        assert res.returncode == 2
+        assert "--snr1-db and --snr2-db" in res.stderr
+        assert not (tmp_path / "t.csv").exists()
+
+
 def test_bad_config_line(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("this is not a pair\n")

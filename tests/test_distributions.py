@@ -77,6 +77,23 @@ def test_disc_point_metric_cdf_matches_oracle_and_joins():
     assert np.all(np.diff(vals) >= -1e-12)
 
 
+# 50-digit oracle (mpmath) of the lens share 2 (g^2 acos(d/g) - d sqrt(g^2 - d^2))/(pi tau^2)
+# at window radius 3, half distance 1, from 1e-15 to 1e-3 relative above the floor
+WINDOW_FLOOR_ORACLE = [
+    (1.000000000000001, 4.934085747899360819272904343e-24),
+    (1.000000000001, 1.33397981747093886985244229006e-19),
+    (1.000000001, 4.2178526340950588788853603513e-15),
+    (1.000001, 1.33380241652838606149179682839e-10),
+    (1.001, 0.00000421932809009469513304117140757),
+]
+
+
+def test_disc_point_metric_cdf_keeps_relative_precision_above_its_floor():
+    gs, expected = np.array(WINDOW_FLOOR_ORACLE).T
+    got = dist.disc_point_metric_cdf(gs, 3.0, 1.0)
+    assert np.all(np.abs(got - expected) <= 2e-15 * expected)
+
+
 def test_finite_window_cdf_branches():
     lam, d, tau = 0.7, 1.0, 3.0
     cap = -math.expm1(-lam * math.pi * tau * tau)
@@ -396,6 +413,31 @@ def test_unequal_snr_cdf():
     assert np.all(np.diff(vals) >= -1e-12)
 
 
+# 50-digit oracle (mpmath) of 1 - exp(-lens area) at lam=1, d=0.5, scales (1, 1.5),
+# at the doubles 0.6 (1 + off) for off from 3e-16 to 1
+DIFF_FLOOR_ORACLE = [
+    (0.6000000000000001, 1.66372983581095285937074189907e-24),
+    (0.6000000000000006, 3.24780401814094460638970783511e-23),
+    (0.600000000000006, 9.17532038489553137775045143855e-22),
+    (0.6000000000000599, 2.91606462701931291631352410896e-20),
+    (0.6000000000006, 9.23883617701798742042662270375e-19),
+    (0.60000000006, 9.23760032591823012619316336149e-16),
+    (0.6000000059999999, 9.23760415028204114745082972335e-13),
+    (0.6000005999999999, 9.23760730230977124776935732987e-10),
+    (0.6000599999999999, 0.00000092379002554170189190428988617),
+    (0.606, 0.000926326572296694546080498914079),
+    (0.66, 0.0296907745998587940765676015945),
+    (1.2, 0.690287787894954428805285900421),
+]
+
+
+def test_unequal_snr_cdf_just_above_its_support_minimum():
+    gs, expected = np.array(DIFF_FLOOR_ORACLE).T
+    got = dist.unequal_snr_cqi_cdf(gs, 1.0, 0.5, 1.0, 1.5)
+    assert np.all(got >= 0.0)
+    assert np.abs(got - expected).max() <= 2e-16
+
+
 def test_unequal_snr_equal_scale_reduction():
     gs = np.linspace(1.0, 5.0, 60)
     s = 0.8
@@ -541,6 +583,8 @@ _ARRAY_LAWS = {  # law -> (extra parameters, support floor)
     "closest_to_destination_cqi_cdf": ((1.5, 1.0), 1.0),
     "closest_to_destination_cqi_pdf": ((1.5, 1.0), 1.0),
     "unequal_snr_cqi_cdf": ((1.0, 0.5, 1.0, 1.5), 0.6),
+    "disc_point_metric_cdf": ((3.0, 1.0), 1.0),
+    "best_cqi_cdf_finite": ((0.5, 1.0, 3.0), 1.0),
     "ring_cqi_cdf": ((1.0, 1.5, 1.0), math.hypot(1.5, 1.0)),
     "exclusion_cqi_cdf": ((1.0, 1.5, 1.0), math.hypot(1.5, 1.0)),
 }
@@ -580,6 +624,9 @@ def test_best_laws_where_the_lens_area_overflows():
         assert dist.best_cqi_pdf(1e160, 1.0, 1.0) == 0.0
         assert dist.best_cqi_log_pdf(1e160, 1.0, 1.0) == -math.inf
         assert dist.exclusion_cqi_cdf(1e160, 1.0, 1.5, 1.0) == 1.0
+        for g in (1e100, 1e160):  # equal scales: the lens never becomes a disc
+            assert dist.unequal_snr_cqi_cdf(g, 1.0, 0.5, 0.8, 0.8) == 1.0
+        assert dist.unequal_snr_cqi_cdf(1e200, 1.0, 0.5, 1.0, 1.5) == 1.0
 
 
 def test_prob_midpoint_optimal_oracle_values_to_1e13():
@@ -615,3 +662,54 @@ def test_expect_needs_a_density():
     law = dist.best_cqi_law(1.0, 1.0)
     assert law.expect(np.ones_like) == pytest.approx(1.0, abs=1e-13)
     assert law.expect(np.ones_like, 1.5) == pytest.approx(law.cdf(1.5), abs=1e-13)
+
+
+def _edge_grid(floor, features, tail):
+    """Metric values 1 to 1e6 ulps above the floor, 1e-13 to 1e-3 relative on both
+    sides of each rim or kink, and the far tail."""
+    ulps = np.unique(np.round(np.logspace(0, 6, 25)))
+    rel = np.logspace(-13, -3, 21)
+    near = [f * (1.0 + sign * rel) for f in features for sign in (-1.0, 1.0)]
+    return np.unique(np.concatenate([[floor], floor + ulps * np.spacing(floor), *near,
+                                     features, tail * np.array([1.5, 2.0, 4.0, 16.0, 1e3]),
+                                     [math.inf]]))
+
+
+_EXCLUSION_STEP = pytest.mark.xfail(strict=True, reason=(
+    "exclusion_cqi_cdf reads -1.6e-15 some 1800 ulps above hypot(r, d) and steps down "
+    "by 7.5e-11 across g = r + d (lambda = 1, r = 1.5, d = 1)"))
+
+
+def _edge_case(law, params, floor, features, mass, marks=()):
+    return pytest.param(law, params, floor, features, mass, marks=marks,
+                        id=f"{law.__name__}{params}")
+
+
+_EDGE_LAWS = [  # law, parameters, floor, rims and kinks, total mass
+    _edge_case(dist.best_cqi_cdf, (1.0, 1.0), 1.0, [2.0], 1.0),
+    _edge_case(dist.best_cqi_cdf_finite, (0.05, 1.0, 1.5), 1.0, [2.5, math.hypot(1.5, 1.0)],
+               dist.best_cqi_law_finite(0.05, 1.0, 1.5).total_mass),
+    _edge_case(dist.best_cqi_cdf_finite, (1.0, 1.0, 10.0), 1.0,
+               [11.0, math.hypot(10.0, 1.0)], dist.best_cqi_law_finite(1.0, 1.0, 10.0).total_mass),
+    _edge_case(dist.disc_point_metric_cdf, (1.5, 1.0), 1.0, [2.5, math.hypot(1.5, 1.0)], 1.0),
+    _edge_case(dist.disc_point_metric_cdf, (6.0, 0.5), 0.5, [6.5, math.hypot(6.0, 0.5)], 1.0),
+    _edge_case(dist.midpoint_cqi_cdf, (1.0, 1.0), 1.0, [2.0], 1.0),
+    _edge_case(dist.closest_to_destination_cqi_cdf, (1.0, 1.0), 1.0, [2.0], 1.0),
+    # kink 2 d s1 s2 / |s1 - s2|, where one disc swallows the other
+    _edge_case(dist.unequal_snr_cqi_cdf, (1.0, 0.5, 1.0, 1.5), 0.6, [3.0], 1.0),
+    _edge_case(dist.unequal_snr_cqi_cdf, (4.0, 1.0, 0.8, 1.0), 2 * 0.8 / 1.8, [8.0], 1.0),
+    _edge_case(dist.ring_cqi_cdf, (1.0, 1.5, 1.0), math.hypot(1.5, 1.0), [2.5],
+               -math.expm1(-2.0 * 1.0 * math.pi * 1.5)),
+    _edge_case(dist.exclusion_cqi_cdf, (1.0, 1.5, 1.0), math.hypot(1.5, 1.0), [2.5], 1.0,
+               marks=_EXCLUSION_STEP),
+    _edge_case(dist.gaussian_cqi_cdf, (50.0, 1.0, 1.0), 1.0, [2.0], -math.expm1(-50.0)),
+]
+
+
+@pytest.mark.parametrize("law,params,floor,features,mass", _EDGE_LAWS)
+def test_cdf_keeps_its_shape_at_the_edges(law, params, floor, features, mass):
+    gs = _edge_grid(floor, features, max(features))
+    vals = law(gs, *params)
+    assert np.all((vals >= 0.0) & (vals <= mass))
+    drop = vals[:-1] - vals[1:]
+    assert np.all(drop <= 2.0 * np.spacing(vals[:-1]))
