@@ -251,8 +251,10 @@ def _cmd_simulate(args) -> int:
     out = args.out or os.path.join(_default_outdir(), "trials.csv")
     _write_atomic(lambda tmp: batch_to_csv(batch, tmp), out)
     finite = batch.gamma_opt[np.isfinite(batch.gamma_opt)]
+    best = (f"mean best metric {finite.mean():.6g}" if finite.size
+            else "no field had a relay")
     print(f"wrote {out}: {args.trials} trials, mean points "
-          f"{batch.counts.mean():.6g}, mean best metric {finite.mean():.6g}")
+          f"{batch.counts.mean():.6g}, {best}")
     return 0
 
 

@@ -23,7 +23,7 @@ from . import distributions as dist
 from . import metrics
 from .errors import ParameterError
 from .model import Fading, LinkBudget, PathLoss, leg_distances, snr_from_db
-from .montecarlo import MonteCarloConfig, empirical_cdf, run_trials
+from .montecarlo import MonteCarloConfig, empirical_cdf, feedback_counts, run_trials
 from .pointprocess import AnnulusUniform, sample
 
 __all__ = ["ExperimentConfig", "EXPERIMENTS", "run_experiment", "describe_experiments"]
@@ -117,10 +117,10 @@ def _exp_nfb_distribution(cfg: ExperimentConfig):
     rows = []
     for k, lam in enumerate(cfg.nfb_lambdas):
         mu = metrics.mean_feedback_load(t, lam, d)
-        batch = run_trials(MonteCarloConfig(lam, d, threshold=t), cfg.n_trials, cfg.seed + k)
-        kmax = max(int(batch.n_feedback.max()), int(stats.poisson.ppf(0.9999, mu)))
+        nfb = feedback_counts(MonteCarloConfig(lam, d, threshold=t), cfg.n_trials, cfg.seed + k)
+        kmax = max(int(nfb.max()), int(stats.poisson.ppf(0.9999, mu)))
         counts = np.arange(kmax + 1)
-        freqs = np.bincount(batch.n_feedback, minlength=counts.size) / cfg.n_trials
+        freqs = np.bincount(nfb, minlength=counts.size) / cfg.n_trials
         rows += _freq_rows(counts, f"lambda={lam:g}", stats.poisson.pmf(counts, mu), freqs,
                            cfg.n_trials)
     return rows
@@ -133,8 +133,8 @@ def _exp_feedback_load(cfg: ExperimentConfig):
     for lam in cfg.feedback_lambdas:
         for t in np.linspace(d, 4.0 * d, 25):
             mu = metrics.mean_feedback_load(float(t), lam, d)
-            nfb = run_trials(MonteCarloConfig(lam, d, threshold=float(t)),
-                             cfg.n_trials, cfg.seed + k).n_feedback
+            nfb = feedback_counts(MonteCarloConfig(lam, d, threshold=float(t)),
+                                  cfg.n_trials, cfg.seed + k)
             k += 1
             rows.append(_mean_row(t, f"load lambda={lam:g}", mu, nfb))
             rows.append(_freq_row(t, f"p-any-feedback lambda={lam:g}", -math.expm1(-mu),

@@ -6,16 +6,22 @@ stream): all randomness comes from Philox keyed by the master seed, with the
 the per-trial point counts in trial order, block 1 the radial uniforms for
 all points in trial order, block 2 the angle uniforms.
 
-``run_trials`` draws every count from block 0 first, then walks the trials
-in chunks of whole trials holding at most ``_CHUNK_POINTS`` points (a trial
-larger than that is a chunk of its own). Each chunk takes its next uniforms
-from two generators kept open on blocks 1 and 2 and goes to one
-``disc_batch_stats`` call, which evaluates the angle only for the relays
-that can attain a field's minimum or may sit on its feedback threshold, with
-the bits of evaluating every relay. Successive draws from one Philox
-generator give exactly the values of one large draw, so the output does not
-depend on the chunk size, and memory beyond the per-trial results is bounded
-by the chunk budget (or by the largest trial) for any ``n_trials``.
+``run_trials`` and ``feedback_counts`` share one walk of this stream. It
+draws every count from block 0 first, then takes the trials in chunks of
+whole trials holding at most ``_CHUNK_POINTS`` points (a trial larger than
+that is a chunk of its own). Each chunk takes its next uniforms from two
+generators kept open on blocks 1 and 2 and goes to one kernel call:
+``disc_batch_stats`` for every statistic, or ``disc_feedback_counts`` for the
+feedback count alone, which takes a cosine only for the relays near the
+threshold (see ``kernels``). Both give the bits of evaluating every relay,
+so ``feedback_counts`` returns ``run_trials(...).n_feedback`` exactly.
+Successive draws from one Philox generator give exactly the values of one
+large draw, so the output does not depend on the chunk size, and memory
+beyond the per-trial results is bounded by the chunk budget (or by the
+largest trial) for any ``n_trials``. A chunk's uniforms are drawn only
+after the previous chunk's are freed: holding them one chunk longer left
+12 MB more resident memory after a 100k-trial batch (lambda = 1, tau = 10),
+from heap fragmentation.
 
 Block 0 cannot be advanced to a trial: Poisson draws consume a variable
 number of words (1000 draws at mean 314 use 585 counter values), so the
@@ -34,11 +40,11 @@ import numpy as np
 from scipy import stats as _stats
 
 from .errors import ParameterError
-from .kernels import FieldStats, disc_batch_stats
+from .kernels import FieldStats, disc_batch_stats, disc_feedback_counts
 from .pointprocess import default_window_radius
 
 __all__ = ["MonteCarloConfig", "TrialBatch", "ComparisonReport",
-           "run_trials", "compare_to_analytic", "batch_to_csv",
+           "run_trials", "feedback_counts", "compare_to_analytic", "batch_to_csv",
            "empirical_cdf", "ks_statistic"]
 
 
@@ -118,42 +124,62 @@ def _chunks(offsets: np.ndarray):
         lo = hi
 
 
-def run_trials(config: MonteCarloConfig, n_trials: int, seed: int) -> TrialBatch:
-    """Sample ``n_trials`` homogeneous fields and reduce each one."""
+def _counts(config: MonteCarloConfig, n_trials: int, seed: int) -> np.ndarray:
+    """The point count of each trial, from block 0."""
     if not n_trials >= 1:
         raise ParameterError(f"n_trials must be >= 1, got {n_trials}")
-    lam = config.intensity
     tau = config.window_radius
-    d = config.half_distance
-    counts = _block_rng(seed, 0).poisson(lam * math.pi * tau * tau, size=n_trials)
-    offsets = np.zeros(n_trials + 1, dtype=np.int64)
+    counts = _block_rng(seed, 0).poisson(config.intensity * math.pi * tau * tau,
+                                         size=n_trials)
+    return counts.astype(np.int64)
+
+
+def _map_chunks(counts: np.ndarray, seed: int, kernel, *args) -> list:
+    """``kernel(u_radius, u_angle, local offsets, *args)`` of each chunk, in
+    order, each drawn after the previous chunk's uniforms are freed."""
+    offsets = np.zeros(counts.size + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
     radius_rng, angle_rng = _block_rng(seed, 1), _block_rng(seed, 2)
-
-    threshold = math.inf if config.threshold is None else config.threshold
     parts = []
     for lo, hi in _chunks(offsets):
         local = offsets[lo:hi + 1] - offsets[lo]
         m = int(local[-1])
-        parts.append(disc_batch_stats(radius_rng.random(m), angle_rng.random(m), local,
-                                      tau, d, threshold, config.scale_source,
-                                      config.scale_destination))
+        parts.append(kernel(radius_rng.random(m), angle_rng.random(m), local, *args))
+    return parts
+
+
+def run_trials(config: MonteCarloConfig, n_trials: int, seed: int) -> TrialBatch:
+    """Sample ``n_trials`` homogeneous fields and reduce each one."""
+    counts = _counts(config, n_trials, seed)
+    d = config.half_distance
+    threshold = math.inf if config.threshold is None else config.threshold
+    parts = _map_chunks(counts, seed, disc_batch_stats, config.window_radius, d, threshold,
+                        config.scale_source, config.scale_destination)
     # idx_opt and idx_mid index into their own chunk; only their equality is read
     st = FieldStats({k: np.concatenate([p[k] for p in parts]) for k in parts[0]})
 
     sufficient = st.gamma_mid <= np.hypot(d, st.psi_second)
     sufficient[counts == 0] = True  # vacuously certified, matches the 1-point case
     mid_is_opt = st.idx_mid == st.idx_opt  # both -1 on empty fields
-    n_fb = st.n_feedback if config.threshold is not None else counts.astype(np.int64)
+    n_fb = st.n_feedback if config.threshold is not None else counts.copy()
 
     return TrialBatch(
-        config=config, n_trials=n_trials, seed=int(seed),
-        counts=counts.astype(np.int64),
+        config=config, n_trials=n_trials, seed=int(seed), counts=counts,
         gamma_opt=st.gamma_opt, gamma_mid=st.gamma_mid, gamma_c2d=st.gamma_c2d,
         gamma_csrc=st.gamma_csrc, gamma_diff=st.gamma_diff,
         psi_mid=st.psi_mid, psi_second=st.psi_second,
         n_feedback=n_fb, sufficient=sufficient, mid_is_opt=mid_is_opt,
     )
+
+
+def feedback_counts(config: MonteCarloConfig, n_trials: int, seed: int) -> np.ndarray:
+    """``run_trials(config, n_trials, seed).n_feedback``, bit for bit, without
+    the other statistics; without a threshold, the point counts."""
+    counts = _counts(config, n_trials, seed)
+    if config.threshold is None:
+        return counts
+    return np.concatenate(_map_chunks(counts, seed, disc_feedback_counts, config.window_radius,
+                                      config.half_distance, config.threshold))
 
 
 def empirical_cdf(samples: np.ndarray, x) -> np.ndarray:

@@ -148,6 +148,15 @@ def test_simulate_writes_batch(tmp_path, capsys):
     assert lines[0].startswith("trial,")
 
 
+@pytest.mark.filterwarnings("error")
+def test_simulate_reports_a_batch_of_empty_fields(tmp_path, capsys):
+    out = tmp_path / "empty.csv"
+    assert main(["simulate", "--lambda", "1e-6", "--tau", "1", "--trials", "5",
+                 "--out", str(out)]) == 0
+    assert "mean points 0, no field had a relay" in capsys.readouterr().out
+    assert len(out.read_text().splitlines()) == 6
+
+
 def test_simulate_rejects_a_lone_per_hop_snr(tmp_path):
     # eval fills a missing hop from --snr-db, so simulate must not guess one
     for flag in ("--snr1-db", "--snr2-db"):

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import math
 from dataclasses import replace
 
@@ -7,7 +8,7 @@ import pytest
 from relaysim import metrics
 from relaysim.errors import ParameterError
 from relaysim.experiments import (EXPERIMENTS, ExperimentConfig, config_overrides,
-                                  describe_experiments, run_experiment)
+                                  describe_experiments, rows_to_csv, run_experiment)
 
 SMALL = ExperimentConfig(
     n_trials=1500, seed=3, lambdas=(0.5, 2.0), half_distances=(1.0,),
@@ -86,3 +87,22 @@ def test_feedback_rows_are_shared_with_fixed_load():
             part, fading = series.split("/")
             other = "all-feedback" if part == "all-feedback" else "selective"
             assert row[:2] == fixed[f"{kind} {other}/{fading}"][:2], (name, series)
+
+
+# SHA-256 of the feedback CSVs at 300 trials, recorded before feedback was
+# counted apart from the other statistics: the simulated feedback columns,
+# the analytic means and the row format.
+@pytest.mark.parametrize("name, seed, digest", [
+    ("feedback-load", 7041776,
+     "666bcd4ae13759fd1ca519582da9df449fb67b87b6b7f150144edef33b861b14"),
+    ("feedback-load", 3,
+     "b22985190e83d03b23fcb067e21ae5fedeed6334c7cdf484b02295023b436aac"),
+    ("nfb-distribution", 7041776,
+     "6fa6868bceb534be4e0e0beaa3add35cd0163b7d32b4829a10a5433c7c5260b4"),
+    ("nfb-distribution", 3,
+     "232f48dfe66d367ba2cee8eaa63bc883ef3e91e1b6523feff4539f0a6fa81d27"),
+])
+def test_feedback_csv_bytes_are_pinned(name, seed, digest, tmp_path):
+    path = tmp_path / f"{name}.csv"
+    rows_to_csv(run_experiment(name, ExperimentConfig(n_trials=300, seed=seed)), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest

@@ -9,7 +9,7 @@ import pytest
 from relaysim import distributions as dist
 from relaysim import metrics, model
 from relaysim.errors import ParameterError
-from relaysim.kernels import disc_batch_stats, field_stats
+from relaysim.kernels import disc_batch_stats, disc_feedback_counts, field_stats
 from relaysim.model import Fading, LinkBudget, NetworkGeometry, PathLoss, snr_from_db
 from relaysim.montecarlo import MonteCarloConfig
 from relaysim.policies import PolicyKind, select
@@ -46,6 +46,8 @@ ENTRY_POINTS = {
         [0.1, 0.5, 2.0], [0.0, 0.0, 0.0], [0, 3], 1.0, threshold=v),
     "disc_batch_stats.threshold": lambda v: disc_batch_stats(
         [0.1, 0.5, 0.9], [0.2, 0.4, 0.6], [0, 3], 3.0, 1.0, threshold=v),
+    "disc_feedback_counts.threshold": lambda v: disc_feedback_counts(
+        [0.1, 0.5, 0.9], [0.2, 0.4, 0.6], [0, 3], 3.0, 1.0, v),
 }
 
 

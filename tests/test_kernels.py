@@ -193,10 +193,17 @@ def test_disc_pruning_is_bit_identical_to_evaluating_every_point(tau, threshold,
             ref = _unpruned_disc(*args)
             monkeypatch.setattr(np, "cos", counted_cos)
             st = kernels.disc_batch_stats(*args)
+            n_stats_cos = len(cos_points)
+            n_feedback = kernels.disc_feedback_counts(*args[:6])
             monkeypatch.setattr(np, "cos", cos)
         assert set(st) == set(ref)
         for name in ref:
             assert np.array_equal(st[name], ref[name], equal_nan=True), (seed, name)
+        assert np.array_equal(n_feedback, ref["n_feedback"]), seed
+        # the counter takes a cosine for the band points alone
+        ua, ub = kernels._feedback_cuts(tau, d, (threshold * d) ** 2)
+        assert sum(cos_points[n_stats_cos:]) == np.count_nonzero((u1 > ua) & (u1 <= ub))
+        del cos_points[n_stats_cos:]
     if tau == 4.0 and threshold in (0.0, math.inf):  # the cosine of most points is skipped
         assert sum(cos_points) < 0.5 * 3 * 60 * 30
 
@@ -206,3 +213,53 @@ def test_disc_empty_batch():
                                   3.0, 1.0, 2.0)
     assert np.all(st.idx_mid == -1) and np.all(st.n_feedback == 0)
     assert np.all(np.isinf(st.gamma_diff)) and np.all(np.isinf(st.psi_second))
+
+
+def _always(tau, d, thr_sq, u):
+    """The counter's "always reports" predicate, in numpy and the kernel's order."""
+    norm_sq = (tau * tau) * np.float64(u)
+    c = (2.0 * d) * np.sqrt(norm_sq)
+    base = norm_sq + d * d
+    return bool(c < np.inf and base + c <= thr_sq)
+
+
+def _maybe(tau, d, thr_sq, u):
+    """The counter's "may report" predicate: base = r^2 + d^2 is not above T^2."""
+    return bool(not (tau * tau) * np.float64(u) + d * d > thr_sq)
+
+
+# T = d puts both cuts below 1e-15, where r^2 + d^2 rounds to d^2; T = 3 with
+# tau = 4 and d = 1 puts T^2 = 9 exactly on base(0.5) = 16 * 0.5 + 1.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflowing cases
+@pytest.mark.parametrize("tau, d, threshold", [
+    (4.0, 1.0, 1.0), (7.0, 0.5, 0.5), (4.0, 1.0, 3.0), (4.0, 1.0, 0.0), (10.0, 1.0, 2.5),
+    (1e200, 1.0, math.inf), (4.0, 5e307, math.inf),
+], ids=["T=d", "T=d-half", "T2-on-base", "T0", "T2.5", "overflowing-window",
+        "overflowing-distance"])
+def test_feedback_cuts_are_the_last_uniforms_that_satisfy_their_predicate(tau, d, threshold):
+    """Each cut satisfies its predicate and the next double does not, and the
+    counter built on the cuts matches evaluating every relay."""
+    thr_sq = threshold * threshold
+    cuts = kernels._feedback_cuts(tau, d, thr_sq)
+    assert cuts[0] <= cuts[1]
+    for cut, holds in zip(cuts, (_always, _maybe)):
+        if cut < 0:  # no uniform satisfies it
+            assert cut == -1.0 and not holds(tau, d, thr_sq, 0.0)
+            continue
+        assert 0.0 <= cut <= 1.0 and holds(tau, d, thr_sq, cut)
+        if cut < 1.0:
+            assert not holds(tau, d, thr_sq, np.nextafter(cut, 2))
+    if threshold == d:
+        assert 0.0 < cuts[0] < cuts[1] < 1e-15
+    if threshold == 3.0:
+        assert cuts[1] == 0.5
+    if threshold == 0.0:
+        assert cuts == (-1.0, -1.0)
+    if d == 5e307:  # d * d overflows; c = 2 d r overflows from u = 0.2019 on
+        assert 0.2 < cuts[0] < 0.21 and cuts[1] == 1.0
+    rng = np.random.default_rng(5)
+    offsets = np.array([0, 40, 40, 100, 101, 160])
+    u1, u2 = rng.random(160), rng.random(160)
+    u1[[0, 50, 100]] = (0.0, 1.0, max(cuts[0], 0.0))
+    ref = _unpruned_disc(u1, u2, offsets, tau, d, threshold, 1.0, 1.0)["n_feedback"]
+    assert np.array_equal(kernels.disc_feedback_counts(u1, u2, offsets, tau, d, threshold), ref)

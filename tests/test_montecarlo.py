@@ -10,7 +10,7 @@ from relaysim import metrics, montecarlo
 from relaysim.errors import ParameterError
 from relaysim.montecarlo import (ComparisonReport, MonteCarloConfig, TrialBatch,
                                  batch_to_csv, compare_to_analytic, empirical_cdf,
-                                 ks_statistic, run_trials)
+                                 feedback_counts, ks_statistic, run_trials)
 
 
 def test_reproducibility_bytes(tmp_path):
@@ -156,10 +156,13 @@ _BATCH_FIELDS = ("counts", "gamma_opt", "gamma_mid", "gamma_c2d", "gamma_csrc",
 
 @pytest.mark.parametrize("config", [
     MonteCarloConfig(1.0, 1.0, threshold=2.0),
+    MonteCarloConfig(1.0, 1.0, threshold=0.0),
+    MonteCarloConfig(1.0, 1.0, threshold=math.inf),
     MonteCarloConfig(0.5, 1.0, scale_source=1.7, scale_destination=0.6),
     MonteCarloConfig(0.02, 1.0, window_radius=3.0),  # most fields empty
-], ids=["threshold", "unequal-snr", "mostly-empty"])
+], ids=["threshold", "threshold-0", "threshold-inf", "unequal-snr", "mostly-empty"])
 def test_run_trials_identical_for_every_chunk_budget(config, monkeypatch):
+    """Every batch field, and ``feedback_counts``, match those of one chunk."""
     kernel = montecarlo.disc_batch_stats
     calls = []
 
@@ -171,6 +174,7 @@ def test_run_trials_identical_for_every_chunk_budget(config, monkeypatch):
     monkeypatch.setattr(montecarlo, "_CHUNK_POINTS", 1 << 40)
     whole = run_trials(config, 400, 9)
     assert len(calls) == 1
+    assert np.array_equal(feedback_counts(config, 400, 9), whole.n_feedback)
     if config.intensity < 0.1:
         assert np.mean(whole.counts == 0) > 0.5
     # 1 and 50 points are below most non-empty trials, which then get a chunk each
@@ -181,6 +185,7 @@ def test_run_trials_identical_for_every_chunk_budget(config, monkeypatch):
         assert len(calls) > 1 and sum(calls) == whole.counts.sum()
         for name in _BATCH_FIELDS:
             assert np.array_equal(getattr(batch, name), getattr(whole, name)), (budget, name)
+        assert np.array_equal(feedback_counts(config, 400, 9), whole.n_feedback), budget
 
 
 def test_run_trials_memory_is_bounded_by_the_chunk():
