@@ -163,20 +163,14 @@ def _feedback_rate_row(cfg: ExperimentConfig, lam, fading, batch, base, t, serie
     that leaves ``base`` unchanged, since an empty field already has rate 0.
     """
     d, snr, pl = cfg.half_distance, cfg.snr(), cfg.path_loss()
-    if math.isinf(t):
-        ana = metrics.average_rate_optimum(lam, d, snr, pl, fading).value
-    else:
-        ana = metrics.average_rate_feedback(t, lam, d, snr, pl, fading).value
+    ana = metrics.average_rate_feedback(t, lam, d, snr, pl, fading).value
     return _mean_row(lam, series, ana, np.where(batch.gamma_opt <= t, base, 0.0))
 
 
 def _feedback_outage_row(cfg: ExperimentConfig, lam, fading, batch, base, t, series):
     """Outage of threshold feedback at t against ``rho_feedback``; t = inf is all feedback."""
     d, snr, pl, rho = cfg.half_distance, cfg.snr(), cfg.path_loss(), cfg.rho_feedback
-    if math.isinf(t):
-        ana = metrics.outage(rho, lam, d, snr, pl, fading)
-    else:
-        ana = metrics.outage_feedback(t, rho, lam, d, snr, pl, fading)[0]
+    ana = metrics.outage_feedback(t, rho, lam, d, snr, pl, fading)[0]
     gated = np.where(batch.gamma_opt <= t, base, 0.0)
     return _freq_row(lam, series, ana, np.mean(gated <= rho), cfg.n_trials)
 

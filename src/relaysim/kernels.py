@@ -6,45 +6,41 @@ compute the squared distances of the points it reduces:
 ``field_stats(xs, ys, offsets, half_distance, ...)``
     general form for explicit coordinates; every point is reduced.
 
-``disc_batch_stats(u_radius, u_angle, offsets, window_radius, half_distance, ...)``
-    homogeneous-disc batches straight from the sampler's radial and angular
-    uniforms, with dist^2 = r^2 + d^2 +- 2 d r cos(angle). This arithmetic
-    fixes the bytes of ``run_trials`` output; going through xy would round
-    differently.
+``disc_batch_stats(norm_sq, u_angle, offsets, half_distance, ...)``
+    polar relays, each a squared norm r^2 in [0, inf] and an angle uniform u
+    in [0, 1], with dist^2 = r^2 + d^2 +- 2 d r cos(2 pi u). This arithmetic
+    fixes the bytes of ``run_trials`` output; xy would round differently.
 
-``disc_feedback_counts(u_radius, u_angle, offsets, window_radius, half_distance, threshold)``
+``disc_feedback_counts(norm_sq, u_angle, offsets, half_distance, threshold)``
     the feedback count of ``disc_batch_stats`` alone, from the one counter
-    both disc paths share.
+    both polar paths share.
 
-The disc front-end reduces only the relays that can attain a minimum. Every
-point gets its squared norm, ``base = r^2 + d^2`` and ``c = 2 d r``; the
-cosine, the distances and every argmin are evaluated on a candidate subset.
-IEEE rounding is monotone and |cos| <= 1, so the computed squared distances
-ds, dd to the source and the destination are at least ``base - c``, and
-their maximum sq lies between ``base`` and ``base + c``. The nearest relay's
-``base + c`` is thus at least every minimum a field reports, and a relay
-whose ``base - c`` exceeds it is strictly above each one: dropping it
-changes no minimum, and no tie, so the lowest index still wins and every
-bit equals that of evaluating all points. A NaN bound (an overflowing
-window) keeps the point.
+The polar front-end reduces only the relays that can attain a minimum. Every
+point gets ``base = r^2 + d^2`` and ``c = 2 d r``; the cosine, the distances
+and every argmin are evaluated on a candidate subset. IEEE rounding is
+monotone and |cos| <= 1, so the computed squared distances ds, dd to the
+source and the destination are at least ``base - c``, and their maximum sq
+lies between ``base`` and ``base + c``. The nearest relay's ``base + c`` is
+thus at least every minimum a field reports, and a relay whose ``base - c``
+exceeds it is strictly above each one: dropping it changes no minimum, and
+no tie, so the lowest index still wins and every bit equals that of
+evaluating all points. A NaN bound (an infinite r^2) keeps the point, and
+each field's first relay, the argmin of a NaN minimum, is always kept.
 
-Feedback (sq <= T^2) is counted in the radial uniform u. Each step from u
-to ``base + c`` and to ``base`` -- (tau tau) u, sqrt, + d d, (2 d) times --
-rounds monotonically, so in the kernel's own arithmetic "c is finite and
-base + c <= T^2" holds on a prefix of [0, 1] and "base > T^2" on a suffix.
-Two cut points per (tau, d, T^2), found once by bisection over the bit
-patterns of the doubles in [0, 1] and cached, split a field exactly: a relay
-with u <= ua has sq <= base + c <= T^2 and always reports; one with u > ub
-has sq >= base > T^2 (or NaN) and never does. Only the band ua < u <= ub
-gets a cosine, evaluated as in the full reduction. NaN arises only at
-u = 0 of an overflowing window (inf times 0): the first predicate fails
-there, as at every u > 0 where c = inf, and "base > T^2" fails there too,
-so that point falls in the band and is evaluated.
+Feedback (sq <= T^2) is counted in r^2 itself. Each step from r^2 to
+``base + c`` and to ``base`` -- sqrt, + d d, (2 d) times -- rounds
+monotonically, so in the kernel's own arithmetic "c is finite and
+base + c <= T^2" holds on a prefix of [0, inf] and "base > T^2" on a suffix.
+Two cut points per (d, T^2), found once by bisection over the bit patterns
+of the doubles in [0, inf] and cached, split a field exactly: a relay with
+r^2 <= na has sq <= base + c <= T^2 and always reports; one with r^2 > nb
+has sq >= base > T^2 (or NaN) and never does. Only the band na < r^2 <= nb
+gets a cosine, evaluated as in the full reduction.
 
 Input layout: all fields concatenated into flat 1-D arrays, trial t owning
 the slice ``offsets[t]:offsets[t+1]``. Argmin ties break toward the lowest
 in-field index; a NaN minimum takes the field's first index. Empty trials
-yield inf metrics, index -1 and zero feedback.
+yield inf metrics, index -1 and zero feedback. No input array is written.
 """
 from __future__ import annotations
 
@@ -59,8 +55,9 @@ from .errors import ParameterError
 __all__ = ["FieldStats", "field_stats", "disc_batch_stats", "disc_feedback_counts",
            "kernel_backend"]
 
-_MAX = float(np.finfo(np.float64).max)  # coordinates must be finite
-_ONE_BITS = struct.unpack("<q", struct.pack("<d", 1.0))[0]  # doubles in [0, 1] as int64
+_MAX = float(np.finfo(np.float64).max)
+_POLAR = ((0.0, math.inf), (0.0, 1.0))  # r^2 and the angle uniform
+_INF_BITS = struct.unpack("<q", struct.pack("<d", math.inf))[0]  # doubles in [0, inf] as int64
 
 # the float statistics in the order _reduce computes them
 _VALUES = ("gamma_opt", "psi_mid", "gamma_c2d", "gamma_csrc", "gamma_diff", "gamma_mid")
@@ -77,8 +74,9 @@ def kernel_backend() -> str:
     return "numpy"
 
 
-def _checked(a, b, offsets, threshold, low, high):
-    """Validated float64 inputs in [low, high], int64 offsets, squared threshold."""
+def _checked(a, b, offsets, threshold, bounds=((-_MAX, _MAX),) * 2):
+    """Validated float64 inputs, each within its (low, high) of ``bounds``
+    (finite by default), int64 offsets and the squared threshold."""
     if not threshold >= 0:
         raise ParameterError(f"threshold must be non-negative, got {threshold}")
     a = np.ascontiguousarray(a, dtype=np.float64)
@@ -91,9 +89,10 @@ def _checked(a, b, offsets, threshold, low, high):
         raise ParameterError(f"offsets must run from 0 to {a.size}")
     if (np.diff(offsets) < 0).any():
         raise ParameterError("offsets must be non-decreasing")
-    # a NaN minimum or maximum fails both comparisons
-    if a.size and not all(low <= v.min() and v.max() <= high for v in (a, b)):
-        raise ParameterError(f"inputs must lie in [{low:g}, {high:g}], NaN excluded")
+    for v, (low, high) in zip((a, b), bounds):
+        # a NaN minimum or maximum fails both comparisons
+        if v.size and not (low <= v.min() and v.max() <= high):
+            raise ParameterError(f"inputs must lie in [{low:g}, {high:g}], NaN excluded")
     thr = float(threshold)
     return a, b, offsets, thr * thr
 
@@ -157,7 +156,7 @@ def _per_trial(flags, offsets):
 def field_stats(xs, ys, offsets, half_distance, threshold=np.inf,
                 scale_source=1.0, scale_destination=1.0) -> FieldStats:
     """Reduce each field of relays at finite explicit coordinates ``(xs, ys)``."""
-    xs, ys, offsets, thr_sq = _checked(xs, ys, offsets, threshold, -_MAX, _MAX)
+    xs, ys, offsets, thr_sq = _checked(xs, ys, offsets, threshold)
     if xs.size == 0:
         return _empty(offsets.size - 1)
     d = float(half_distance)
@@ -183,13 +182,11 @@ def _distances(c, base, u_angle):
 
 
 def _last(holds):
-    """Largest double u in [0, 1] for which ``holds(u)``, or -1.0 when none
-    does; ``holds`` must be true on a prefix of [0, 1]."""
+    """Largest double x in [0, inf] for which ``holds(x)``, or -1.0 when none
+    does; ``holds`` must be true on a prefix of [0, inf]."""
     if not holds(0.0):
         return -1.0
-    if holds(1.0):
-        return 1.0
-    lo, hi = 0, _ONE_BITS  # holds at lo, fails at hi
+    lo, hi = 0, _INF_BITS + 1  # holds at lo; hi, the first NaN, is never tried
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if holds(_from_bits(mid)):
@@ -204,60 +201,56 @@ def _from_bits(bits):
 
 
 @functools.lru_cache(maxsize=512)
-def _feedback_cuts(tau, d, thr_sq):
-    """(ua, ub): the last radial uniform whose relay always reports, and the
-    last whose relay may report (see the module docstring)."""
-    def legs(u):
-        return _legs((tau * tau) * u, d, math.sqrt)
-
-    def always(u):
-        c, base = legs(u)
+def _feedback_cuts(d, thr_sq):
+    """(na, nb): the last r^2 whose relay always reports, and the last whose
+    relay may report (see the module docstring)."""
+    def always(norm_sq):
+        c, base = _legs(norm_sq, d, math.sqrt)
         return c < math.inf and base + c <= thr_sq
 
-    def maybe(u):
-        return not legs(u)[1] > thr_sq
+    def maybe(norm_sq):
+        return not _legs(norm_sq, d, math.sqrt)[1] > thr_sq
 
     return _last(always), _last(maybe)
 
 
-def _feedback(u1, u2, offsets, tau, d, thr_sq):
+def _feedback(norm_sq, u_angle, offsets, d, thr_sq):
     """Relays with sq <= thr_sq in each trial; the cosine only on the band."""
-    ua, ub = _feedback_cuts(tau, d, thr_sq)
-    if ua >= 1.0:
+    na, nb = _feedback_cuts(d, thr_sq)
+    report = norm_sq <= na
+    if report.all():
         return np.diff(offsets)
-    report = u1 <= ua
-    band = np.flatnonzero((u1 <= ub) & ~report)
+    band = np.flatnonzero((norm_sq <= nb) & ~report)
     if band.size:
-        ds_sq, dd_sq = _distances(*_legs((tau * tau) * u1[band], d), u2[band])
+        ds_sq, dd_sq = _distances(*_legs(norm_sq[band], d), u_angle[band])
         report[band] = np.maximum(ds_sq, dd_sq) <= thr_sq
     return _per_trial(report, offsets)
 
 
-def disc_feedback_counts(u_radius, u_angle, offsets, window_radius, half_distance,
-                         threshold) -> np.ndarray:
+def disc_feedback_counts(norm_sq, u_angle, offsets, half_distance, threshold) -> np.ndarray:
     """``disc_batch_stats(...).n_feedback`` of the same inputs, bit for bit,
     without the other statistics."""
-    u1, u2, offsets, thr_sq = _checked(u_radius, u_angle, offsets, threshold, 0.0, 1.0)
-    return _feedback(u1, u2, offsets, float(window_radius), float(half_distance), thr_sq)
+    norm_sq, u_angle, offsets, thr_sq = _checked(norm_sq, u_angle, offsets, threshold, _POLAR)
+    return _feedback(norm_sq, u_angle, offsets, float(half_distance), thr_sq)
 
 
-def disc_batch_stats(u_radius, u_angle, offsets, window_radius, half_distance,
-                     threshold=np.inf, scale_source=1.0,
-                     scale_destination=1.0) -> FieldStats:
-    """Reduce each field of a disc batch given as inverse-cdf polar uniforms
-    in [0, 1]; the pruning bounds assume them finite."""
-    u1, u2, offsets, thr_sq = _checked(u_radius, u_angle, offsets, threshold, 0.0, 1.0)
-    if u1.size == 0:
+def disc_batch_stats(norm_sq, u_angle, offsets, half_distance, threshold=np.inf,
+                     scale_source=1.0, scale_destination=1.0) -> FieldStats:
+    """Reduce each field of a polar batch: every relay's squared norm in
+    [0, inf] and its angle uniform in [0, 1]."""
+    norm_sq, u_angle, offsets, thr_sq = _checked(norm_sq, u_angle, offsets, threshold, _POLAR)
+    if norm_sq.size == 0:
         return _empty(offsets.size - 1)
-    tau = float(window_radius)
     d = float(half_distance)
-    norm_sq = (tau * tau) * u1
     c, base = _legs(norm_sq, d)
     valid, starts, counts = _segments(offsets)
     c_near, base_near = _legs(np.minimum.reduceat(norm_sq, starts), d)
     # a relay above the nearest relay's base + c can attain no minimum
-    cand = np.flatnonzero(~(base - c > np.repeat(base_near + c_near, counts)))
-    ds_sq, dd_sq = _distances(c[cand], base[cand], u2[cand])
-    out = _reduce(ds_sq, dd_sq, cand, norm_sq, valid, starts, scale_source, scale_destination)
-    out["n_feedback"] = _feedback(u1, u2, offsets, tau, d, thr_sq)
+    keep = ~(base - c > np.repeat(base_near + c_near, counts))
+    keep[starts] = True  # where a minimum is NaN, the field's first relay is its argmin
+    cand = np.flatnonzero(keep)
+    ds_sq, dd_sq = _distances(c[cand], base[cand], u_angle[cand])
+    out = _reduce(ds_sq, dd_sq, cand, norm_sq.copy(), valid, starts, scale_source,
+                  scale_destination)
+    out["n_feedback"] = _feedback(norm_sq, u_angle, offsets, d, thr_sq)
     return out

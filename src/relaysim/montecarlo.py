@@ -4,24 +4,25 @@ Stream layout (fixed, so a split execution can reproduce the serial
 stream): all randomness comes from Philox keyed by the master seed, with the
 128-bit counter partitioned into blocks of 2^64 counter values. Block 0 holds
 the per-trial point counts in trial order, block 1 the radial uniforms for
-all points in trial order, block 2 the angle uniforms.
+all points in trial order, block 2 the angle uniforms. Counts and squared
+norms are drawn as ``DiscHomogeneous(intensity, window_radius)`` draws them.
 
 ``run_trials`` and ``feedback_counts`` share one walk of this stream. It
 draws every count from block 0 first, then takes the trials in chunks of
 whole trials holding at most ``_CHUNK_POINTS`` points (a trial larger than
-that is a chunk of its own). Each chunk takes its next uniforms from two
-generators kept open on blocks 1 and 2 and goes to one kernel call:
-``disc_batch_stats`` for every statistic, or ``disc_feedback_counts`` for the
-feedback count alone, which takes a cosine only for the relays near the
-threshold (see ``kernels``). Both give the bits of evaluating every relay,
-so ``feedback_counts`` returns ``run_trials(...).n_feedback`` exactly.
-Successive draws from one Philox generator give exactly the values of one
-large draw, so the output does not depend on the chunk size, and memory
-beyond the per-trial results is bounded by the chunk budget (or by the
-largest trial) for any ``n_trials``. A chunk's uniforms are drawn only
-after the previous chunk's are freed: holding them one chunk longer left
-12 MB more resident memory after a 100k-trial batch (lambda = 1, tau = 10),
-from heap fragmentation.
+that is a chunk of its own). Each chunk takes its next squared norms and
+angle uniforms from two generators kept open on blocks 1 and 2 and goes to
+one kernel call: ``disc_batch_stats`` for every statistic, or
+``disc_feedback_counts`` for the feedback count alone, which takes a cosine
+only for the relays near the threshold (see ``kernels``). Both give the bits
+of evaluating every relay, so ``feedback_counts`` returns
+``run_trials(...).n_feedback`` exactly. Successive draws from one Philox
+generator give exactly the values of one large draw, so the output does not
+depend on the chunk size, and memory beyond the per-trial results is bounded
+by the chunk budget (or by the largest trial) for any ``n_trials``. A
+chunk's draws are made only after the previous chunk's are freed: holding
+them one chunk longer left 12 MB more resident memory after a 100k-trial
+batch (lambda = 1, tau = 10), from heap fragmentation.
 
 Block 0 cannot be advanced to a trial: Poisson draws consume a variable
 number of words (1000 draws at mean 314 use 585 counter values), so the
@@ -41,7 +42,7 @@ from scipy import stats as _stats
 
 from .errors import ParameterError
 from .kernels import FieldStats, disc_batch_stats, disc_feedback_counts
-from .pointprocess import default_window_radius
+from .pointprocess import DiscHomogeneous, default_window_radius
 
 __all__ = ["MonteCarloConfig", "TrialBatch", "ComparisonReport",
            "run_trials", "feedback_counts", "compare_to_analytic", "batch_to_csv",
@@ -72,6 +73,7 @@ class MonteCarloConfig:
                                default_window_radius(self.intensity, self.half_distance))
         if not self.window_radius > 0:
             raise ParameterError("window_radius must be positive")
+        DiscHomogeneous(self.intensity, self.window_radius)  # rejects what numpy cannot draw
         if self.threshold is not None and not self.threshold >= 0:
             raise ParameterError("threshold must be non-negative")
         if not (self.scale_source > 0 and self.scale_destination > 0):
@@ -124,19 +126,17 @@ def _chunks(offsets: np.ndarray):
         lo = hi
 
 
-def _counts(config: MonteCarloConfig, n_trials: int, seed: int) -> np.ndarray:
-    """The point count of each trial, from block 0."""
+def _counts(config: MonteCarloConfig, n_trials: int, seed: int):
+    """The field every trial samples, and the point count of each trial from block 0."""
     if not n_trials >= 1:
         raise ParameterError(f"n_trials must be >= 1, got {n_trials}")
-    tau = config.window_radius
-    counts = _block_rng(seed, 0).poisson(config.intensity * math.pi * tau * tau,
-                                         size=n_trials)
-    return counts.astype(np.int64)
+    disc = DiscHomogeneous(config.intensity, config.window_radius)
+    return disc, _block_rng(seed, 0).poisson(disc.mean_count, size=n_trials).astype(np.int64)
 
 
-def _map_chunks(counts: np.ndarray, seed: int, kernel, *args) -> list:
-    """``kernel(u_radius, u_angle, local offsets, *args)`` of each chunk, in
-    order, each drawn after the previous chunk's uniforms are freed."""
+def _map_chunks(disc: DiscHomogeneous, counts: np.ndarray, seed: int, kernel, *args) -> list:
+    """``kernel(norm_sq, u_angle, local offsets, *args)`` of each chunk, in
+    order, each drawn after the previous chunk's draws are freed."""
     offsets = np.zeros(counts.size + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
     radius_rng, angle_rng = _block_rng(seed, 1), _block_rng(seed, 2)
@@ -144,16 +144,16 @@ def _map_chunks(counts: np.ndarray, seed: int, kernel, *args) -> list:
     for lo, hi in _chunks(offsets):
         local = offsets[lo:hi + 1] - offsets[lo]
         m = int(local[-1])
-        parts.append(kernel(radius_rng.random(m), angle_rng.random(m), local, *args))
+        parts.append(kernel(disc.draw_norm_sq(radius_rng, m), angle_rng.random(m), local, *args))
     return parts
 
 
 def run_trials(config: MonteCarloConfig, n_trials: int, seed: int) -> TrialBatch:
     """Sample ``n_trials`` homogeneous fields and reduce each one."""
-    counts = _counts(config, n_trials, seed)
+    disc, counts = _counts(config, n_trials, seed)
     d = config.half_distance
     threshold = math.inf if config.threshold is None else config.threshold
-    parts = _map_chunks(counts, seed, disc_batch_stats, config.window_radius, d, threshold,
+    parts = _map_chunks(disc, counts, seed, disc_batch_stats, d, threshold,
                         config.scale_source, config.scale_destination)
     # idx_opt and idx_mid index into their own chunk; only their equality is read
     st = FieldStats({k: np.concatenate([p[k] for p in parts]) for k in parts[0]})
@@ -175,10 +175,10 @@ def run_trials(config: MonteCarloConfig, n_trials: int, seed: int) -> TrialBatch
 def feedback_counts(config: MonteCarloConfig, n_trials: int, seed: int) -> np.ndarray:
     """``run_trials(config, n_trials, seed).n_feedback``, bit for bit, without
     the other statistics; without a threshold, the point counts."""
-    counts = _counts(config, n_trials, seed)
+    disc, counts = _counts(config, n_trials, seed)
     if config.threshold is None:
         return counts
-    return np.concatenate(_map_chunks(counts, seed, disc_feedback_counts, config.window_radius,
+    return np.concatenate(_map_chunks(disc, counts, seed, disc_feedback_counts,
                                       config.half_distance, config.threshold))
 
 

@@ -4,11 +4,12 @@ Reproducibility contract
 ------------------------
 Every sampler draws from ``numpy.random.Generator(numpy.random.Philox(key=seed))``,
 a counter-based 64-bit generator with a documented, platform-stable stream.
-Draw order is fixed per variant: first the point count (one Poisson draw,
-when the count is random), then one uniform per point for the radial
-coordinate (mapped through the inverse cdf - no rejection), then one uniform
-per point for the angle. Identical ``(spec, seed)`` therefore yields an
-identical ``RelayField`` everywhere.
+Each spec states once how it draws its point count (one Poisson draw, when
+it is random) and its squared norms r^2 (one uniform per point through the
+inverse cdf - no rejection; the ring, all at one radius, draws none), and
+``sample`` draws the count, then r^2, then one uniform per point for the
+angle. Identical ``(spec, seed)`` therefore yields an identical
+``RelayField`` everywhere; ``run_trials`` draws through ``DiscHomogeneous``.
 """
 from __future__ import annotations
 
@@ -33,9 +34,33 @@ __all__ = [
     "default_window_radius",
 ]
 
+# numpy's Poisson sampler raises "lam value too large" above this mean
+_MAX_MEAN_COUNT = np.iinfo(np.int64).max - 10.0 * math.sqrt(np.iinfo(np.int64).max)
+_LAST_UNIFORM = 1.0 - 2.0 ** -53  # the largest double Generator.random returns
+
+
+def _check_sampleable(mean_count, largest_norm_sq):
+    """Reject a spec whose mean count numpy cannot draw or whose r^2 overflows."""
+    if not mean_count <= _MAX_MEAN_COUNT:
+        raise ParameterError(f"mean count {mean_count:g} is above numpy's {_MAX_MEAN_COUNT:g}")
+    if not largest_norm_sq < math.inf:
+        raise ParameterError("the squared norm of a relay overflows")
+
+
+def _area_uniform_norm_sq(inner, outer, u):
+    """r^2 of points uniform on the annulus between two radii."""
+    return inner * inner + (outer * outer - inner * inner) * u
+
+
+class _PoissonCount:
+    """A spec whose point count is Poisson with mean ``mean_count``."""
+
+    def draw_count(self, rng: np.random.Generator) -> int:
+        return rng.poisson(self.mean_count)
+
 
 @dataclass(frozen=True)
-class DiscHomogeneous:
+class DiscHomogeneous(_PoissonCount):
     """Homogeneous Poisson field of the given intensity, clipped to a disc."""
 
     intensity: float
@@ -46,14 +71,19 @@ class DiscHomogeneous:
             raise ParameterError(f"intensity must be positive, got {self.intensity}")
         if not self.radius > 0:
             raise ParameterError(f"radius must be positive, got {self.radius}")
+        _check_sampleable(self.mean_count, self.radius * self.radius)
 
     @property
     def mean_count(self) -> float:
-        return self.intensity * math.pi * self.radius ** 2
+        return self.intensity * math.pi * self.radius * self.radius
+
+    def draw_norm_sq(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """Squared norms of ``n`` points, one radial uniform each from ``rng``."""
+        return (self.radius * self.radius) * rng.random(n)
 
 
 @dataclass(frozen=True)
-class DiscWithExclusion:
+class DiscWithExclusion(_PoissonCount):
     """Homogeneous Poisson field on a disc minus a central exclusion disc."""
 
     intensity: float
@@ -66,14 +96,19 @@ class DiscWithExclusion:
         if not 0 <= self.exclusion_radius < self.radius:
             raise ParameterError(
                 f"need 0 <= exclusion_radius < radius, got {self.exclusion_radius}, {self.radius}")
+        _check_sampleable(self.mean_count, self.radius * self.radius)
 
     @property
     def mean_count(self) -> float:
-        return self.intensity * math.pi * (self.radius ** 2 - self.exclusion_radius ** 2)
+        r0 = self.exclusion_radius
+        return self.intensity * math.pi * (self.radius * self.radius - r0 * r0)
+
+    def draw_norm_sq(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        return _area_uniform_norm_sq(self.exclusion_radius, self.radius, rng.random(n))
 
 
 @dataclass(frozen=True)
-class CircleHomogeneous:
+class CircleHomogeneous(_PoissonCount):
     """Poisson number of points spread uniformly on a circle line."""
 
     intensity: float
@@ -82,14 +117,19 @@ class CircleHomogeneous:
     def __post_init__(self):
         if not self.intensity > 0 or not self.radius > 0:
             raise ParameterError("intensity and radius must be positive")
+        _check_sampleable(self.mean_count, self.radius * self.radius)
 
     @property
     def mean_count(self) -> float:
         return 2.0 * math.pi * self.intensity * self.radius
 
+    def draw_norm_sq(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """Every point at the one radius: no uniform is drawn."""
+        return np.full(n, self.radius * self.radius)
+
 
 @dataclass(frozen=True)
-class GaussianCluster:
+class GaussianCluster(_PoissonCount):
     """Poisson cluster around the origin with Gaussian radial fall-off.
 
     Radial law Rayleigh(spread); mean point count ``mean_count``.
@@ -101,6 +141,11 @@ class GaussianCluster:
     def __post_init__(self):
         if not self.mean_count > 0 or not self.spread > 0:
             raise ParameterError("mean_count and spread must be positive")
+        _check_sampleable(self.mean_count,
+                          -2.0 * self.spread * self.spread * math.log1p(-_LAST_UNIFORM))
+
+    def draw_norm_sq(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        return (-2.0 * self.spread * self.spread) * np.log1p(-rng.random(n))
 
 
 @dataclass(frozen=True)
@@ -118,6 +163,13 @@ class AnnulusUniform:
                 f"{self.inner_radius}, {self.outer_radius}")
         if not self.count >= 0:
             raise ParameterError(f"count must be non-negative, got {self.count}")
+        _check_sampleable(0.0, self.outer_radius * self.outer_radius)
+
+    def draw_count(self, rng: np.random.Generator) -> int:
+        return self.count
+
+    def draw_norm_sq(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        return _area_uniform_norm_sq(self.inner_radius, self.outer_radius, rng.random(n))
 
 
 ProcessSpec = Union[DiscHomogeneous, DiscWithExclusion, CircleHomogeneous,
@@ -155,48 +207,22 @@ def _polar_points(radii: np.ndarray, angles: np.ndarray) -> np.ndarray:
 def sample(spec: ProcessSpec, seed: int) -> RelayField:
     """Draw one realization of ``spec`` from its dedicated Philox stream."""
     rng = _generator(seed)
-    if isinstance(spec, DiscHomogeneous):
-        n = rng.poisson(spec.mean_count)
-        radii = spec.radius * np.sqrt(rng.random(n))
-        angles = 2.0 * math.pi * rng.random(n)
-        pts = _polar_points(radii, angles)
-    elif isinstance(spec, DiscWithExclusion):
-        n = rng.poisson(spec.mean_count)
-        r2 = spec.exclusion_radius ** 2 + (spec.radius ** 2 - spec.exclusion_radius ** 2) * rng.random(n)
-        angles = 2.0 * math.pi * rng.random(n)
-        pts = _polar_points(np.sqrt(r2), angles)
-    elif isinstance(spec, CircleHomogeneous):
-        n = rng.poisson(spec.mean_count)
-        angles = 2.0 * math.pi * rng.random(n)
-        pts = _polar_points(np.full(n, float(spec.radius)), angles)
-    elif isinstance(spec, GaussianCluster):
-        n = rng.poisson(spec.mean_count)
-        radii = spec.spread * np.sqrt(-2.0 * np.log1p(-rng.random(n)))
-        angles = 2.0 * math.pi * rng.random(n)
-        pts = _polar_points(radii, angles)
-    elif isinstance(spec, AnnulusUniform):
-        r2 = spec.inner_radius ** 2 + (spec.outer_radius ** 2 - spec.inner_radius ** 2) * rng.random(spec.count)
-        angles = 2.0 * math.pi * rng.random(spec.count)
-        pts = _polar_points(np.sqrt(r2), angles)
-    else:
-        raise ParameterError(f"unknown process spec {spec!r}")
-    return RelayField(pts, spec, int(seed))
+    n = spec.draw_count(rng)
+    radii = np.sqrt(spec.draw_norm_sq(rng, n))  # drawn before the angles
+    return RelayField(_polar_points(radii, 2.0 * math.pi * rng.random(n)), spec, int(seed))
 
 
 def sample_half_disc(intensity: float, radius: float, side: str, seed: int) -> RelayField:
     """Homogeneous Poisson points on the left or right half of a disc."""
-    if not intensity > 0 or not radius > 0:
-        raise ParameterError("intensity and radius must be positive")
+    spec = DiscHomogeneous(intensity, radius)
     if side not in ("left", "right"):
         raise ParameterError(f"side must be 'left' or 'right', got {side!r}")
     rng = _generator(seed)
-    n = rng.poisson(intensity * math.pi * radius ** 2 / 2.0)
-    radii = radius * np.sqrt(rng.random(n))
+    n = rng.poisson(spec.mean_count / 2.0)
+    radii = np.sqrt(spec.draw_norm_sq(rng, n))
     base = math.pi / 2.0 if side == "left" else -math.pi / 2.0
     angles = base + math.pi * rng.random(n)
-    pts = _polar_points(radii, angles)
-    spec = DiscHomogeneous(intensity, radius)
-    return RelayField(pts, spec, int(seed))
+    return RelayField(_polar_points(radii, angles), spec, int(seed))
 
 
 def default_window_radius(intensity: float, half_distance: float) -> float:

@@ -203,6 +203,15 @@ def test_simulate_nan_threshold_is_usage_error(tmp_path):
     assert not (tmp_path / "t.csv").exists()
 
 
+@pytest.mark.parametrize("flags", [("--tau", "1e10"), ("--lambda", "1e-310")],
+                         ids=["mean-count", "squared-window"])
+def test_simulate_a_field_numpy_cannot_draw_is_usage_error(tmp_path, flags):
+    res = run_cli("simulate", "--trials", "5", *flags, "--out", str(tmp_path / "t.csv"))
+    assert res.returncode == 2
+    assert res.stderr.startswith("error: ") and "Traceback" not in res.stderr
+    assert not (tmp_path / "t.csv").exists()
+
+
 def test_eval_mu_infinite_threshold_prints_inf(capsys):
     assert main(["eval", "mu", "--lambda", "1", "--d", "1", "--T", "inf"]) == 0
     assert capsys.readouterr().out.strip() == "inf"

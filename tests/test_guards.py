@@ -12,6 +12,8 @@ from relaysim.errors import ParameterError
 from relaysim.kernels import disc_batch_stats, disc_feedback_counts, field_stats
 from relaysim.model import Fading, LinkBudget, NetworkGeometry, PathLoss, snr_from_db
 from relaysim.montecarlo import MonteCarloConfig
+from relaysim.pointprocess import (AnnulusUniform, CircleHomogeneous, DiscHomogeneous,
+                                   DiscWithExclusion, GaussianCluster, _generator)
 from relaysim.policies import PolicyKind, select
 
 PL = PathLoss.power_law(4.0)
@@ -45,9 +47,9 @@ ENTRY_POINTS = {
     "field_stats.threshold": lambda v: field_stats(
         [0.1, 0.5, 2.0], [0.0, 0.0, 0.0], [0, 3], 1.0, threshold=v),
     "disc_batch_stats.threshold": lambda v: disc_batch_stats(
-        [0.1, 0.5, 0.9], [0.2, 0.4, 0.6], [0, 3], 3.0, 1.0, threshold=v),
+        [0.9, 4.5, 8.1], [0.2, 0.4, 0.6], [0, 3], 1.0, threshold=v),
     "disc_feedback_counts.threshold": lambda v: disc_feedback_counts(
-        [0.1, 0.5, 0.9], [0.2, 0.4, 0.6], [0, 3], 3.0, 1.0, v),
+        [0.9, 4.5, 8.1], [0.2, 0.4, 0.6], [0, 3], 1.0, v),
 }
 
 
@@ -56,6 +58,45 @@ ENTRY_POINTS = {
 def test_nan_or_negative_parameter_raises(entry, value):
     with pytest.raises(ParameterError):
         ENTRY_POINTS[entry](value)
+
+
+# numpy draws no Poisson count above this mean ("lam value too large")
+_MAX_MEAN = np.iinfo(np.int64).max - 10.0 * math.sqrt(np.iinfo(np.int64).max)
+_ABOVE = float(np.nextafter(_MAX_MEAN, math.inf))
+
+UNDRAWABLE = {
+    "DiscHomogeneous.mean_count": lambda: DiscHomogeneous(_ABOVE / math.pi, 1.0),
+    "DiscHomogeneous.radius": lambda: DiscHomogeneous(1.0, 1e200),
+    "DiscHomogeneous.radius_squared": lambda: DiscHomogeneous(1e-300, 1e155),
+    "DiscWithExclusion.mean_count": lambda: DiscWithExclusion(1.0, 1.0, 1e10),
+    "DiscWithExclusion.radius_squared": lambda: DiscWithExclusion(1e-300, 1.0, 1e155),
+    "CircleHomogeneous.mean_count": lambda: CircleHomogeneous(_ABOVE, 1.0),
+    "CircleHomogeneous.radius_squared": lambda: CircleHomogeneous(1e-300, 1e155),
+    "GaussianCluster.mean_count": lambda: GaussianCluster(_ABOVE, 1.0),
+    "GaussianCluster.spread_squared": lambda: GaussianCluster(30.0, 1.6e153),
+    "AnnulusUniform.radius_squared": lambda: AnnulusUniform(0.0, 1e155, 10),
+    "MonteCarloConfig.window_radius": lambda: MonteCarloConfig(1.0, 1.0, window_radius=1e10),
+    "MonteCarloConfig.intensity": lambda: MonteCarloConfig(1e30, 1.0, window_radius=1.0),
+    "MonteCarloConfig.default_window": lambda: MonteCarloConfig(1e-310, 1.0),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(UNDRAWABLE))
+def test_a_field_numpy_cannot_draw_raises(entry):
+    """A mean count numpy cannot draw, or squared norms that overflow, are
+    rejected where the spec or the config is made."""
+    with pytest.raises(ParameterError):
+        UNDRAWABLE[entry]()
+
+
+def test_the_largest_mean_count_is_the_largest_numpy_draws():
+    rng = _generator(0)
+    rng.poisson(_MAX_MEAN)  # one count, not a field
+    with pytest.raises(ValueError, match="lam value too large"):
+        rng.poisson(_ABOVE)
+    GaussianCluster(_MAX_MEAN, 1.0)
+    with pytest.raises(ParameterError):
+        GaussianCluster(_ABOVE, 1.0)
 
 
 def _public_functions(module):

@@ -31,7 +31,7 @@ def _disc_entry(seed):
     _, _, u1, u2, offsets = _random_batch(seed)
     r = tau * np.sqrt(u1)
     xs, ys = r * np.cos(2 * math.pi * u2), r * np.sin(2 * math.pi * u2)
-    st = kernels.disc_batch_stats(u1, u2, offsets, tau, 1.0, 2.5, 1.0, 1.4)
+    st = kernels.disc_batch_stats((tau * tau) * u1, u2, offsets, 1.0, 2.5, 1.0, 1.4)
     return xs, ys, offsets, st
 
 
@@ -95,7 +95,7 @@ def test_malformed_input_raises_parameter_error(xs, ys, offsets):
     with pytest.raises(ParameterError):
         kernels.field_stats(xs, ys, offsets, 1.0)
     with pytest.raises(ParameterError):
-        kernels.disc_batch_stats(xs, ys, offsets, 3.0, 1.0)
+        kernels.disc_batch_stats(xs, ys, offsets, 1.0)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -107,14 +107,35 @@ def test_non_finite_coordinates_raise(bad, which):
         kernels.field_stats(*xy, [0, 3], 1.0)
 
 
-@pytest.mark.parametrize("bad", [math.nan, -1e-300, np.nextafter(1.0, 2.0), math.inf])
-@pytest.mark.parametrize("which", [0, 1], ids=["radius", "angle"])
-def test_disc_uniforms_outside_the_unit_interval_raise(bad, which):
-    u = [np.array([0.0, 0.5, 1.0]), np.array([0.25, 0.5, 0.75])]
-    kernels.disc_batch_stats(*u, [0, 3], 3.0, 1.0)  # both ends of [0, 1] are valid
-    u[which][1] = bad
-    with pytest.raises(ParameterError):
-        kernels.disc_batch_stats(*u, [0, 3], 3.0, 1.0)
+@pytest.mark.parametrize("which, bad", [
+    (0, math.nan), (0, -1e-300), (0, -math.inf),
+    (1, math.nan), (1, -1e-300), (1, np.nextafter(1.0, 2.0)), (1, math.inf),
+], ids=["norm-nan", "norm-negative", "norm-minus-inf",
+        "angle-nan", "angle-negative", "angle-above-one", "angle-inf"])
+def test_polar_inputs_outside_their_range_raise(which, bad):
+    polar = [np.array([0.0, 0.5, math.inf]), np.array([0.0, 0.5, 1.0])]
+    with np.errstate(invalid="ignore"):  # inf - inf at the infinite norm
+        kernels.disc_batch_stats(*polar, [0, 3], 1.0)  # both ends of each range are valid
+    polar[which][1] = bad
+    for kernel in (kernels.disc_batch_stats, kernels.disc_feedback_counts):
+        with pytest.raises(ParameterError):
+            kernel(*polar, [0, 3], 1.0, 2.0)
+
+
+def test_kernels_leave_their_inputs_unchanged():
+    xs, ys, u1, u2, offsets = _random_batch(6, n_trials=50)
+    norm_sq = 16.0 * u1
+    norm_sq[::7] = math.inf
+    inputs = (xs, ys, norm_sq, u2, offsets)
+    before = [a.copy() for a in inputs]
+    for a in inputs:
+        a.flags.writeable = False  # a write raises
+    with np.errstate(invalid="ignore"):  # inf - inf at the infinite norms
+        kernels.field_stats(xs, ys, offsets, 1.0, 2.5)
+        kernels.disc_batch_stats(norm_sq, u2, offsets, 1.0, 2.5)
+        kernels.disc_feedback_counts(norm_sq, u2, offsets, 1.0, 2.5)
+    for a, b in zip(inputs, before):
+        assert np.array_equal(a, b)
 
 
 def test_field_stats_peak_memory_per_point():
@@ -129,10 +150,9 @@ def test_field_stats_peak_memory_per_point():
     assert peak <= 140 * xs.size
 
 
-def _unpruned_disc(u1, u2, offsets, tau, d, threshold, scale_source, scale_destination):
+def _unpruned_disc(norm_sq, u2, offsets, d, threshold, scale_source, scale_destination):
     """Every statistic of ``disc_batch_stats`` with every point evaluated, one
     field at a time, in the kernel's arithmetic order."""
-    norm_sq = (tau * tau) * u1
     cross = (2.0 * d) * np.sqrt(norm_sq) * np.cos((2.0 * math.pi) * u2)
     base = norm_sq + d * d
     ds, dd = base + cross, base - cross
@@ -167,11 +187,11 @@ def _unpruned_disc(u1, u2, offsets, tau, d, threshold, scale_source, scale_desti
     return out
 
 
-@pytest.mark.parametrize("tau", [4.0, 1e200], ids=["window", "overflowing-window"])
+@pytest.mark.parametrize("infinite", [False, True], ids=["window", "infinite-norms"])
 @pytest.mark.parametrize("threshold", [0.0, 1.0, 3.0, math.inf], ids=["T0", "Td", "T3d", "Tinf"])
 @pytest.mark.parametrize("scales", [(1.0, 1.0), (1.0, 1.4)], ids=["equal", "unequal"])
 @pytest.mark.parametrize("ties", [False, True], ids=["uniform", "rounded"])
-def test_disc_pruning_is_bit_identical_to_evaluating_every_point(tau, threshold, scales,
+def test_disc_pruning_is_bit_identical_to_evaluating_every_point(infinite, threshold, scales,
                                                                  ties, monkeypatch):
     d = 1.0  # rounded uniforms then put points exactly on base = T^2 and on sq = T^2
     cos, cos_points = np.cos, []
@@ -188,78 +208,86 @@ def test_disc_pruning_is_bit_identical_to_evaluating_every_point(tau, threshold,
         u1, u2 = rng.random(offsets[-1]), rng.random(offsets[-1])
         if ties:  # repeated norms, angles and whole points
             u1, u2 = np.round(u1 * 16) / 16, np.round(u2 * 8) / 8
-        args = (u1, u2, offsets, tau, d, threshold * d, *scales)
-        with np.errstate(invalid="ignore"):  # the overflowing window gives inf - inf
+        norm_sq = 16.0 * u1  # a disc of radius 4
+        if infinite:  # the first three trials wholly, half of the others' relays
+            norm_sq[(u1 > 0.5) | (np.arange(u1.size) < offsets[3])] = np.inf
+        args = (norm_sq, u2, offsets, d, threshold * d, *scales)
+        with np.errstate(invalid="ignore"):  # an infinite norm gives inf - inf
             ref = _unpruned_disc(*args)
             monkeypatch.setattr(np, "cos", counted_cos)
             st = kernels.disc_batch_stats(*args)
             n_stats_cos = len(cos_points)
-            n_feedback = kernels.disc_feedback_counts(*args[:6])
+            n_feedback = kernels.disc_feedback_counts(*args[:5])
             monkeypatch.setattr(np, "cos", cos)
         assert set(st) == set(ref)
         for name in ref:
             assert np.array_equal(st[name], ref[name], equal_nan=True), (seed, name)
         assert np.array_equal(n_feedback, ref["n_feedback"]), seed
         # the counter takes a cosine for the band points alone
-        ua, ub = kernels._feedback_cuts(tau, d, (threshold * d) ** 2)
-        assert sum(cos_points[n_stats_cos:]) == np.count_nonzero((u1 > ua) & (u1 <= ub))
+        na, nb = kernels._feedback_cuts(d, (threshold * d) ** 2)
+        assert sum(cos_points[n_stats_cos:]) == np.count_nonzero((norm_sq > na) & (norm_sq <= nb))
         del cos_points[n_stats_cos:]
-    if tau == 4.0 and threshold in (0.0, math.inf):  # the cosine of most points is skipped
+    if not infinite and threshold in (0.0, math.inf):  # the cosine of most points is skipped
         assert sum(cos_points) < 0.5 * 3 * 60 * 30
 
 
 def test_disc_empty_batch():
     st = kernels.disc_batch_stats(np.empty(0), np.empty(0), np.zeros(3, dtype=np.int64),
-                                  3.0, 1.0, 2.0)
+                                  1.0, 2.0)
     assert np.all(st.idx_mid == -1) and np.all(st.n_feedback == 0)
     assert np.all(np.isinf(st.gamma_diff)) and np.all(np.isinf(st.psi_second))
 
 
-def _always(tau, d, thr_sq, u):
+def _always(d, thr_sq, norm_sq):
     """The counter's "always reports" predicate, in numpy and the kernel's order."""
-    norm_sq = (tau * tau) * np.float64(u)
+    norm_sq = np.float64(norm_sq)
     c = (2.0 * d) * np.sqrt(norm_sq)
     base = norm_sq + d * d
     return bool(c < np.inf and base + c <= thr_sq)
 
 
-def _maybe(tau, d, thr_sq, u):
+def _maybe(d, thr_sq, norm_sq):
     """The counter's "may report" predicate: base = r^2 + d^2 is not above T^2."""
-    return bool(not (tau * tau) * np.float64(u) + d * d > thr_sq)
+    return bool(not np.float64(norm_sq) + d * d > thr_sq)
 
 
 # T = d puts both cuts below 1e-15, where r^2 + d^2 rounds to d^2; T = 3 with
-# tau = 4 and d = 1 puts T^2 = 9 exactly on base(0.5) = 16 * 0.5 + 1.
+# d = 1 puts T^2 = 9 exactly on base(8) = 8 + 1.
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflowing cases
-@pytest.mark.parametrize("tau, d, threshold", [
-    (4.0, 1.0, 1.0), (7.0, 0.5, 0.5), (4.0, 1.0, 3.0), (4.0, 1.0, 0.0), (10.0, 1.0, 2.5),
-    (1e200, 1.0, math.inf), (4.0, 5e307, math.inf),
-], ids=["T=d", "T=d-half", "T2-on-base", "T0", "T2.5", "overflowing-window",
+@pytest.mark.parametrize("d, threshold", [
+    (1.0, 1.0), (0.5, 0.5), (1.0, 3.0), (1.0, 0.0), (1.0, 2.5),
+    (1.0, math.inf), (5e307, math.inf),
+], ids=["T=d", "T=d-half", "T2-on-base", "T0", "T2.5", "infinite-norm",
         "overflowing-distance"])
-def test_feedback_cuts_are_the_last_uniforms_that_satisfy_their_predicate(tau, d, threshold):
+def test_feedback_cuts_are_the_last_norms_that_satisfy_their_predicate(d, threshold):
     """Each cut satisfies its predicate and the next double does not, and the
     counter built on the cuts matches evaluating every relay."""
     thr_sq = threshold * threshold
-    cuts = kernels._feedback_cuts(tau, d, thr_sq)
+    cuts = kernels._feedback_cuts(d, thr_sq)
     assert cuts[0] <= cuts[1]
     for cut, holds in zip(cuts, (_always, _maybe)):
-        if cut < 0:  # no uniform satisfies it
-            assert cut == -1.0 and not holds(tau, d, thr_sq, 0.0)
+        if cut < 0:  # no squared norm satisfies it
+            assert cut == -1.0 and not holds(d, thr_sq, 0.0)
             continue
-        assert 0.0 <= cut <= 1.0 and holds(tau, d, thr_sq, cut)
-        if cut < 1.0:
-            assert not holds(tau, d, thr_sq, np.nextafter(cut, 2))
+        assert 0.0 <= cut <= math.inf and holds(d, thr_sq, cut)
+        if cut < math.inf:
+            assert not holds(d, thr_sq, np.nextafter(cut, math.inf))
     if threshold == d:
         assert 0.0 < cuts[0] < cuts[1] < 1e-15
     if threshold == 3.0:
-        assert cuts[1] == 0.5
+        assert cuts[1] == 8.0
     if threshold == 0.0:
         assert cuts == (-1.0, -1.0)
-    if d == 5e307:  # d * d overflows; c = 2 d r overflows from u = 0.2019 on
-        assert 0.2 < cuts[0] < 0.21 and cuts[1] == 1.0
+    if threshold == math.inf and d == 1.0:  # every finite norm reports, an infinite one never
+        assert cuts == (kernels._MAX, math.inf)
+    if d == 5e307:  # d * d overflows; c = 2 d r overflows from r^2 = 3.2317 on
+        assert 3.23 < cuts[0] < 3.24 and cuts[1] == math.inf
     rng = np.random.default_rng(5)
     offsets = np.array([0, 40, 40, 100, 101, 160])
-    u1, u2 = rng.random(160), rng.random(160)
-    u1[[0, 50, 100]] = (0.0, 1.0, max(cuts[0], 0.0))
-    ref = _unpruned_disc(u1, u2, offsets, tau, d, threshold, 1.0, 1.0)["n_feedback"]
-    assert np.array_equal(kernels.disc_feedback_counts(u1, u2, offsets, tau, d, threshold), ref)
+    norm_sq, u2 = 16.0 * rng.random(160), rng.random(160)
+    at_cuts = [max(cut, 0.0) for cut in cuts]
+    norm_sq[[0, 50, 100, 101, 150, 151]] = (0.0, math.inf, at_cuts[0],
+                                           np.nextafter(at_cuts[0], math.inf), at_cuts[1],
+                                           np.nextafter(at_cuts[1], math.inf))
+    ref = _unpruned_disc(norm_sq, u2, offsets, d, threshold, 1.0, 1.0)["n_feedback"]
+    assert np.array_equal(kernels.disc_feedback_counts(norm_sq, u2, offsets, d, threshold), ref)

@@ -164,6 +164,21 @@ def test_outage_feedback_large_threshold_is_all_feedback():
                                       abs=1e-9)
 
 
+@pytest.mark.parametrize("pl", [PL, PathLoss.shifted_power_law(4.0),
+                                PathLoss.tabulated([0.0, 1.0, 2.0, 10.0], [1.0, 0.5, 0.1, 1e-4])],
+                         ids=["power-law", "shifted", "tabulated"])
+@pytest.mark.parametrize("fading", list(Fading), ids=lambda f: f.value)
+@pytest.mark.parametrize("d", [0.5, 1.0])
+def test_infinite_threshold_feedback_equals_all_feedback_bit_for_bit(pl, fading, d):
+    """The experiments report all feedback as threshold feedback at T = inf."""
+    for lam in (0.1, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0):
+        assert (metrics.average_rate_feedback(math.inf, lam, d, SNR, pl, fading).value
+                == metrics.average_rate_optimum(lam, d, SNR, pl, fading).value)
+        for rho in (0.0, 0.3, 0.5, 3.0):
+            assert (metrics.outage_feedback(math.inf, rho, lam, d, SNR, pl, fading)[0]
+                    == metrics.outage(rho, lam, d, SNR, pl, fading))
+
+
 def test_any_feedback_probability_matches_simulation():
     lam, t = 0.5, 2.0
     batch = run_trials(MonteCarloConfig(lam, 1.0, threshold=t), 50_000, 23)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -8,8 +9,8 @@ from relaysim.errors import ParameterError
 from relaysim.model import NetworkGeometry, selection_metric
 from relaysim.pointprocess import (AnnulusUniform, CircleHomogeneous,
                                    DiscHomogeneous, DiscWithExclusion,
-                                   GaussianCluster, default_window_radius, sample,
-                                   sample_half_disc)
+                                   GaussianCluster, _generator, default_window_radius,
+                                   sample, sample_half_disc)
 
 
 def test_determinism():
@@ -142,6 +143,32 @@ def test_half_disc_union_matches_full_disc_best_metric():
     ks = np.abs(np.searchsorted(a, grid, side="right") / n
                 - np.searchsorted(b, grid, side="right") / n).max()
     assert ks < 0.02
+
+
+@pytest.mark.parametrize("draw, digest", [
+    (lambda: sample(DiscHomogeneous(2.0, 6.0), 20201),
+     "deef2e5f687301677af584bc9360c6156bc3572bb22e0500c3959262df6c98cf"),
+    (lambda: sample(DiscWithExclusion(2.0, 1.5, 6.0), 20201),
+     "ee9fff3f5c3cbe23a2ed02daf4c68bdc963a70dd58fbd4e0d2708673c39fcc80"),
+    (lambda: sample(CircleHomogeneous(2.0, 3.0), 20201),
+     "4ec208be596e5c1ddadf580f5a8c3eb7e3389c2309417d2e22950f68ae4885dd"),
+    (lambda: sample(GaussianCluster(200.0, 1.5), 20201),
+     "89a25a36ec3ec60afd6655687f812ddb8085cdcc74720c60d62b3b5c02d7e77d"),
+    (lambda: sample(AnnulusUniform(1.0, 6.0, 200), 20201),
+     "f65612c777246d6fa9457f1dd705dfcf54f0d7e5752c5029ebb95b8636c3a41d"),
+    (lambda: sample_half_disc(2.0, 6.0, "left", 20201),
+     "47cad4b9f03cf52b3e646bf23eca57483424568d45e7a338a337804f45a6e716"),
+    (lambda: sample_half_disc(2.0, 6.0, "right", 20201),
+     "00412ebb625d288222ca9761c9c99fb2e75616f997cb414965a1351ca5e799f4"),
+], ids=["disc", "exclusion", "ring", "gaussian", "annulus", "half-left", "half-right"])
+def test_sampled_points_are_pinned(draw, digest):
+    assert hashlib.sha256(draw().points.tobytes()).hexdigest() == digest
+
+
+def test_an_empty_exclusion_zone_maps_uniforms_as_the_disc_does():
+    disc = DiscHomogeneous(2.0, 6.0).draw_norm_sq(_generator(3), 1000)
+    for spec in (DiscWithExclusion(2.0, 0.0, 6.0), AnnulusUniform(0.0, 6.0, 1000)):
+        assert np.array_equal(spec.draw_norm_sq(_generator(3), 1000), disc)
 
 
 def test_csv_dump(tmp_path):
