@@ -7,12 +7,16 @@ defective (total mass < 1), the missing mass being the no-relay event.
 
 Every law takes a scalar or an array of metric values; NaN gives 0.
 
-Numerical notes: arcsec(x) is evaluated as arccos(1/x) and arccsc(x) as
-arcsin(1/x); scaled erfc avoids overflow in the sufficiency probability.
-Each planar area is written once: a lens is two segments with half-angles from
-atan2 (x - sin x from its series below 0.5), and ``_strip_area`` serves the annulus
-law and the mid-point exponent. The window law is the annulus law at inner radius
-0, which computes the lens near its floor and the sliver outside near its rim.
+Numerical notes: scaled erfc avoids overflow in the sufficiency probability.
+Each planar area is written once. ``_lens_area`` is the lens of two discs, two
+segments with half-angles from atan2 (x - sin x from its series below 0.5): the
+best-CQI law and its density read it at equal radii, the unequal-SNR law at
+unequal ones. ``_lens_outside_disc`` is the equal-radius lens outside a centred
+disc: the mid-point displacement exponent up to the disc's rim, the lens less the
+disc beyond it. The exclusion law reads it, and so does the annulus law up to
+hypot(tau, d), past which ``_strip_area`` gives the sliver outside the outer disc;
+``_strip_area`` also serves the mid-point exponent. The window law is the annulus
+law at inner radius 0, and the exclusion law at radius 0 is the best-CQI law.
 The mid-point and closest-to-destination laws integrate over psi, the
 selected relay's distance from the policy's centre, with one fixed 64-node
 Gauss-Legendre rule for all metric values at once. Each integral stops
@@ -99,14 +103,6 @@ def _on_support(gamma, floor: float, fn, at_inf: float = 0.0):
     return _vectorized(gamma, masked)
 
 
-def _lens_shape(x: np.ndarray) -> np.ndarray:
-    # area of {metric <= gamma} equals 2 d^2 * _lens_shape(gamma/d); zero at x=1
-    xs = np.maximum(x, 1.0)
-    inv = 1.0 / xs
-    with np.errstate(over="ignore"):  # factored to overflow to inf, never to inf - inf
-        return xs * (xs * np.arccos(inv) - np.sqrt((1.0 - inv) * (1.0 + inv)))
-
-
 def _segment(r, alpha):
     """Area r^2 (2 alpha - sin 2 alpha)/2 of the circular segment of half-angle alpha;
     below 0.5, x - sin x is summed from its series instead of cancelling."""
@@ -138,6 +134,18 @@ def _strip_area(r2, y):
     return 2.0 * y * rem + 2.0 * r2 * np.arctan2(y, rem)
 
 
+def _lens_outside_disc(g, psi: float, d: float):
+    """Area of {metric <= g} outside the centred disc of radius psi, for g >= hypot(psi, d):
+    up to the rim psi + d, the mid-point displacement exponent at the angle where the
+    lens boundary meets the circle; beyond it, the whole lens less the disc."""
+    out = _lens_area(2.0 * d, g, g) - math.pi * psi * psi
+    near = g < psi + d
+    x = g[near]
+    out[near] = midpoint_displacement_exponent(psi, np.arccos(np.clip(
+        ((x - psi) * (x + psi) - d * d) / (2.0 * d * psi), -1.0, 1.0)), d)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # best (optimum-policy) CQI over an unbounded homogeneous Poisson field
 
@@ -145,17 +153,16 @@ def best_cqi_cdf(gamma, intensity: float, half_distance: float):
     """cdf of the minimal selection metric; support starts at the half distance."""
     _check_positive(intensity=intensity, half_distance=half_distance)
     d, lam = half_distance, intensity
-    return _on_support(gamma, d, lambda g: -np.expm1(-2.0 * lam * d * d * _lens_shape(g / d)),
-                       1.0)
+    return _on_support(gamma, d, lambda g: -np.expm1(-lam * _lens_area(2.0 * d, g, g)), 1.0)
 
 
 def best_cqi_pdf(gamma, intensity: float, half_distance: float):
     _check_positive(intensity=intensity, half_distance=half_distance)
     d, lam = half_distance, intensity
 
-    def fn(g):
-        x = g / d
-        return 4.0 * lam * g * np.arccos(1.0 / x) * np.exp(-2.0 * lam * d * d * _lens_shape(x))
+    def fn(g):  # atan2 gives the lens half-angle arccos(d/g) without cancelling near d
+        return (4.0 * lam * g * np.arctan2(np.sqrt(g - d) * np.sqrt(g + d), d)
+                * np.exp(-lam * _lens_area(2.0 * d, g, g)))
 
     return _on_support(gamma, d, fn)
 
@@ -170,9 +177,9 @@ def best_cqi_log_pdf(gamma, intensity: float, half_distance: float):
     def fn(g):
         out = np.full_like(g, -np.inf)
         on = (g > d) & np.isfinite(g)
-        x = g[on] / d
-        out[on] = (np.log(4.0 * lam * g[on] * np.arccos(1.0 / x))
-                   - 2.0 * lam * d * d * _lens_shape(x))
+        x = g[on]
+        out[on] = (np.log(4.0 * lam * x * np.arctan2(np.sqrt(x - d) * np.sqrt(x + d), d))
+                   - lam * _lens_area(2.0 * d, x, x))
         return out
 
     return _vectorized(gamma, fn)
@@ -190,8 +197,8 @@ def best_cqi_mean(intensity: float, half_distance: float) -> float:
 def _annulus_metric_split(tv, psi: float, tau: float, d: float):
     """(P(metric <= t), P(metric > t)) for a point uniform on the annulus between
     the radii psi and tau. Each branch computes one side without cancelling and
-    takes the other as one minus it: the ccdf next to the hole, the lens less the
-    hole up to hypot(tau, d), and the sliver outside the disc beyond it."""
+    takes the other as one minus it: the region of the lens outside the hole up to
+    hypot(tau, d), and the sliver outside the disc beyond it."""
     area2 = tau * tau - psi * psi
 
     def p_term(x, y):
@@ -200,22 +207,15 @@ def _annulus_metric_split(tv, psi: float, tau: float, d: float):
     below, above = np.zeros_like(tv), np.zeros_like(tv)
     above[tv < math.hypot(psi, d)] = 1.0
     below[tv >= tau + d] = 1.0
-    near = (tv >= math.hypot(psi, d)) & (tv < psi + d)
-    x = tv[near]
-    a = np.arccos(np.clip((x * x - psi * psi - d * d) / (2.0 * d * psi), -1.0, 1.0))
-    above[near] = ((tau * tau - x * x) / area2
-                   + (2.0 * a * (x * x - psi * psi) + d * d * np.sin(2.0 * a)) / (math.pi * area2)
-                   + p_term(x, d) - p_term(x, d * np.sin(a)))
-    mid = (tv >= psi + d) & (tv < math.hypot(tau, d))
-    x = tv[mid]
-    below[mid] = (_lens_area(2.0 * d, x, x) - math.pi * psi * psi) / (math.pi * area2)
+    inner = (tv >= math.hypot(psi, d)) & (tv < math.hypot(tau, d))
+    below[inner] = _lens_outside_disc(tv[inner], psi, d) / (math.pi * area2)
     far = (tv >= math.hypot(tau, d)) & (tv < tau + d)
     x = tv[far]
     b = np.arccos(np.clip((x * x - tau * tau - d * d) / (2.0 * d * tau), -1.0, 1.0))
     above[far] = ((2.0 * b * (tau * tau - x * x) - d * d * np.sin(2.0 * b)) / (math.pi * area2)
                   + p_term(x, d * np.sin(b)))
-    below[near | far] = 1.0 - above[near | far]
-    above[mid] = 1.0 - below[mid]
+    below[far] = 1.0 - above[far]
+    above[inner] = 1.0 - below[inner]
     return below, above
 
 
@@ -241,8 +241,7 @@ def annulus_metric_ccdf(t, inner_radius: float, outer_radius: float,
                         half_distance: float):
     """P(metric > t) for a point uniform on the annulus between the two radii.
 
-    Requires outer_radius >= sqrt(inner^2 + 2 d inner) so the five-branch
-    closed form applies.
+    Requires outer_radius >= sqrt(inner^2 + 2 d inner) so the closed form applies.
     """
     d, psi, tau = half_distance, inner_radius, outer_radius
     _check_positive(outer_radius=outer_radius, half_distance=half_distance)
@@ -372,7 +371,9 @@ def prob_sufficient(intensity: float, half_distance: float) -> float:
 
 def midpoint_displacement_exponent(psi, theta, half_distance: float):
     """Area-type exponent P(psi, theta) controlling how likely a relay beats
-    the mid-point selection from norm psi and angle theta in [0, pi/2] (arrays broadcast)."""
+    the mid-point selection from norm psi and angle theta in [0, pi/2] (arrays broadcast):
+    the area of {metric <= s} outside the centred disc of radius psi, where
+    s^2 = psi^2 + 2 d psi cos(theta) + d^2 is the metric at that point."""
     d = half_distance
     s2 = psi * psi + 2.0 * d * psi * np.cos(theta) + d * d
     return ((s2 - psi * psi) * (math.pi - 2.0 * theta)
@@ -522,25 +523,8 @@ def exclusion_cqi_cdf(gamma, intensity: float, exclusion_radius: float,
     if not exclusion_radius >= 0:
         raise ParameterError("exclusion_radius must be non-negative")
     lam, r, d = intensity, exclusion_radius, half_distance
-    if r == 0.0:
-        return best_cqi_cdf(gamma, intensity, half_distance)
-
-    def fn(g_all):
-        g = np.minimum(g_all, r + d)  # the inner branch; it would overflow at huge g
-        x = g / d
-        cos_star = np.clip((g * g - d * d - r * r) / (2.0 * d * r), -1.0, 1.0)
-        b = np.sqrt(np.maximum((d + r - g) * (d + r + g) * (g + d - r) * (g + r - d),
-                               0.0)) / (2.0 * d * r)
-        # arccsc((g/d)/b) = arcsin(b d / g); b <= g/d always holds here
-        i_term = (x * x * (np.arccos(1.0 / x) + np.arcsin(np.minimum(1.0, b / x))
-                           - np.arccos(cos_star))
-                  + b * (np.sqrt(np.maximum(x * x - b * b, 0.0)) - cos_star)
-                  - np.sqrt(x * x - 1.0))
-        return -np.expm1(np.where(
-            g_all > r + d, -2.0 * lam * d * d * _lens_shape(g_all / d) + lam * math.pi * r * r,
-            -2.0 * lam * d * d * i_term + 2.0 * lam * r * r * np.arcsin(cos_star)))
-
-    return _on_support(gamma, math.hypot(r, d), fn, 1.0)
+    return _on_support(gamma, math.hypot(r, d),
+                       lambda g: -np.expm1(-lam * _lens_outside_disc(g, r, d)), 1.0)
 
 
 def ring_cqi_cdf(gamma, intensity: float, ring_radius: float, half_distance: float):

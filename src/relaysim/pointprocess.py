@@ -14,6 +14,7 @@ angle. Identical ``(spec, seed)`` therefore yields an identical
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Union
 
@@ -39,12 +40,16 @@ _MAX_MEAN_COUNT = np.iinfo(np.int64).max - 10.0 * math.sqrt(np.iinfo(np.int64).m
 _LAST_UNIFORM = 1.0 - 2.0 ** -53  # the largest double Generator.random returns
 
 
-def _check_sampleable(mean_count, largest_norm_sq):
-    """Reject a spec whose mean count numpy cannot draw or whose r^2 overflows."""
+def _check_sampleable(mean_count, scale_sq, largest_uniform_map=1.0):
+    """Reject a spec whose mean count numpy cannot draw, or whose r^2 maps overflow or
+    underflow: scale_sq is the squared outer scale (radius^2, or 2 sigma^2), and the
+    largest r^2 is scale_sq times largest_uniform_map."""
     if not mean_count <= _MAX_MEAN_COUNT:
         raise ParameterError(f"mean count {mean_count:g} is above numpy's {_MAX_MEAN_COUNT:g}")
-    if not largest_norm_sq < math.inf:
+    if not scale_sq * largest_uniform_map < math.inf:
         raise ParameterError("the squared norm of a relay overflows")
+    if not scale_sq >= sys.float_info.min:
+        raise ParameterError("the squared norm of a relay underflows")
 
 
 def _area_uniform_norm_sq(inner, outer, u):
@@ -141,8 +146,8 @@ class GaussianCluster(_PoissonCount):
     def __post_init__(self):
         if not self.mean_count > 0 or not self.spread > 0:
             raise ParameterError("mean_count and spread must be positive")
-        _check_sampleable(self.mean_count,
-                          -2.0 * self.spread * self.spread * math.log1p(-_LAST_UNIFORM))
+        _check_sampleable(self.mean_count, 2.0 * self.spread * self.spread,
+                          -math.log1p(-_LAST_UNIFORM))
 
     def draw_norm_sq(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return (-2.0 * self.spread * self.spread) * np.log1p(-rng.random(n))

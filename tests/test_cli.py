@@ -203,8 +203,9 @@ def test_simulate_nan_threshold_is_usage_error(tmp_path):
     assert not (tmp_path / "t.csv").exists()
 
 
-@pytest.mark.parametrize("flags", [("--tau", "1e10"), ("--lambda", "1e-310")],
-                         ids=["mean-count", "squared-window"])
+@pytest.mark.parametrize("flags", [("--tau", "1e10"), ("--lambda", "1e-310"),
+                                   ("--tau", "1e-160")],
+                         ids=["mean-count", "squared-window", "squared-window-underflow"])
 def test_simulate_a_field_numpy_cannot_draw_is_usage_error(tmp_path, flags):
     res = run_cli("simulate", "--trials", "5", *flags, "--out", str(tmp_path / "t.csv"))
     assert res.returncode == 2

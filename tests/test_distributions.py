@@ -284,8 +284,8 @@ def test_isotropic_pdf_consistent_with_cdf():
 
 def test_exclusion_example():
     gs = np.linspace(0.5, 6.0, 120)
-    assert np.abs(dist.exclusion_cqi_cdf(gs, 1.0, 0.0, 1.0)
-                  - dist.best_cqi_cdf(gs, 1.0, 1.0)).max() <= 1e-10
+    assert np.array_equal(dist.exclusion_cqi_cdf(gs, 1.0, 0.0, 1.0),
+                          dist.best_cqi_cdf(gs, 1.0, 1.0))
     r = 2.0
     assert dist.exclusion_cqi_cdf(math.hypot(r, 1.0), 1.0, r, 1.0) == 0.0
     # against the rotation-invariant master formula
@@ -487,14 +487,35 @@ def test_tail_exponent_trend():
     assert gaps[-1] / (math.pi * lam) < 0.04
 
 
-def test_lens_shape_properties():
-    # the exponent's shape factor vanishes at 1, increases, and ~ (pi/2) x^2
-    from relaysim.distributions import _lens_shape
-    assert _lens_shape(np.asarray(1.0)) == 0.0
-    xs = np.linspace(1.0, 50.0, 200)
-    vals = _lens_shape(xs)
+def test_best_cqi_lens_properties():
+    # the best-CQI exponent |lens| vanishes at d, increases, and grows like pi gamma^2
+    from relaysim.distributions import _lens_area
+    d = 0.7
+    assert _lens_area(2.0 * d, np.asarray(d), np.asarray(d)) == 0.0
+    gs = np.linspace(d, 50.0 * d, 200)
+    vals = _lens_area(2.0 * d, gs, gs)
     assert np.all(np.diff(vals) > 0)
-    assert vals[-1] / xs[-1] ** 2 == pytest.approx(math.pi / 2, rel=0.06)
+    assert vals[-1] / gs[-1] ** 2 == pytest.approx(math.pi, rel=0.06)
+
+
+# 50-digit mpmath at lambda = d = 1: (gamma, cdf, pdf, lambda |lens|)
+BEST_CQI_ORACLE = [
+    (1.000000000001, 3.771739075143379376904484e-18, 5.657105692725941292633907e-6, 3.77e-18),
+    (1.000000001, 1.192569736427694460644868e-13, 1.788854457048353026705138e-4, 1.19e-13),
+    (1.000001, 3.771237478684185878904831e-9, 5.656857527757150191666558e-3, 3.77e-9),
+    (1.001, 1.192915753724520844570772e-4, 1.789684096208798659727495e-1, 1.19e-4),
+    (1.5, 7.874846462009704475441379e-1, 1.072440036570138793285612, 1.55),
+    (3.0, 9.999999317723045332093863e-1, 1.007826291099652655823991e-6, 16.5),
+]
+
+
+@pytest.mark.parametrize("gamma,cdf,pdf,exponent", BEST_CQI_ORACLE,
+                         ids=[f"gamma={row[0]!r}" for row in BEST_CQI_ORACLE])
+def test_best_cqi_law_matches_mpmath_up_to_the_floor(gamma, cdf, pdf, exponent):
+    assert dist.best_cqi_cdf(gamma, 1.0, 1.0) == pytest.approx(cdf, rel=1e-15, abs=0.0)
+    # exp(-lambda |lens|) turns a relative error e in |lens| into lambda |lens| e
+    assert dist.best_cqi_pdf(gamma, 1.0, 1.0) == pytest.approx(
+        pdf, rel=1e-15 * max(1.0, exponent), abs=0.0)
 
 
 def test_log_pdf_matches_pdf_where_representable():
@@ -578,6 +599,8 @@ def test_benchmark_cdfs_reach_one_where_the_metric_squared_overflows():
 
 
 _ARRAY_LAWS = {  # law -> (extra parameters, support floor)
+    "best_cqi_cdf": ((1.5, 1.0), 1.0),
+    "best_cqi_pdf": ((1.5, 1.0), 1.0),
     "midpoint_cqi_cdf": ((1.5, 1.0), 1.0),
     "midpoint_cqi_pdf": ((1.5, 1.0), 1.0),
     "closest_to_destination_cqi_cdf": ((1.5, 1.0), 1.0),
@@ -675,14 +698,8 @@ def _edge_grid(floor, features, tail):
                                      [math.inf]]))
 
 
-_EXCLUSION_STEP = pytest.mark.xfail(strict=True, reason=(
-    "exclusion_cqi_cdf reads -1.6e-15 some 1800 ulps above hypot(r, d) and steps down "
-    "by 7.6e-11 across g = r + d (lambda = 1, r = 1.5, d = 1)"))
-
-
-def _edge_case(law, params, floor, features, mass, marks=()):
-    return pytest.param(law, params, floor, features, mass, marks=marks,
-                        id=f"{law.__name__}{params}")
+def _edge_case(law, params, floor, features, mass):
+    return pytest.param(law, params, floor, features, mass, id=f"{law.__name__}{params}")
 
 
 _EDGE_LAWS = [  # law, parameters, floor, rims and kinks, total mass
@@ -702,8 +719,8 @@ _EDGE_LAWS = [  # law, parameters, floor, rims and kinks, total mass
                dist.unequal_snr_support_min(1.0, 0.8, 1.0), [8.0], 1.0),
     _edge_case(dist.ring_cqi_cdf, (1.0, 1.5, 1.0), math.hypot(1.5, 1.0), [2.5],
                -math.expm1(-2.0 * 1.0 * math.pi * 1.5)),
-    _edge_case(dist.exclusion_cqi_cdf, (1.0, 1.5, 1.0), math.hypot(1.5, 1.0), [2.5], 1.0,
-               marks=_EXCLUSION_STEP),
+    *(_edge_case(dist.exclusion_cqi_cdf, (1.0, r, d), math.hypot(r, d), [r + d], 1.0)
+      for r, d in ((0.01, 1.0), (0.3, 1.0), (1.5, 1.0), (20.0, 1.0), (5.0, 0.5))),
     _edge_case(dist.gaussian_cqi_cdf, (50.0, 1.0, 1.0), 1.0, [2.0], -math.expm1(-50.0)),
 ]
 
@@ -715,3 +732,14 @@ def test_cdf_keeps_its_shape_at_the_edges(law, params, floor, features, mass):
     assert np.all((vals >= 0.0) & (vals <= mass))
     drop = vals[:-1] - vals[1:]
     assert np.all(drop <= 2.0 * np.spacing(vals[:-1]))
+
+
+@pytest.mark.parametrize("psi,tau,d", [(2.0, 10.0, 1.0), (5.0, 10.0, 1.0), (0.3, 3.0, 1.0)])
+def test_annulus_ccdf_keeps_its_shape_at_the_edges(psi, tau, d):
+    # the floor hypot(psi, d), the hole's rim psi + d, and the disc's hypot(tau, d) and tau + d
+    features = [psi + d, math.hypot(tau, d), tau + d]
+    gs = _edge_grid(math.hypot(psi, d), features, tau + d)
+    vals = dist.annulus_metric_ccdf(gs, psi, tau, d)
+    assert np.all((vals >= 0.0) & (vals <= 1.0))
+    rise = vals[1:] - vals[:-1]
+    assert np.all(rise <= 2.0 * np.spacing(vals[:-1]))

@@ -78,13 +78,20 @@ UNDRAWABLE = {
     "MonteCarloConfig.window_radius": lambda: MonteCarloConfig(1.0, 1.0, window_radius=1e10),
     "MonteCarloConfig.intensity": lambda: MonteCarloConfig(1e30, 1.0, window_radius=1.0),
     "MonteCarloConfig.default_window": lambda: MonteCarloConfig(1e-310, 1.0),
+    # r^2 maps that underflow: the squared radius, or 2 sigma^2, below the least normal
+    "DiscHomogeneous.radius_underflow": lambda: DiscHomogeneous(1.0, 1e-160),
+    "DiscWithExclusion.radius_underflow": lambda: DiscWithExclusion(1.0, 0.0, 1e-160),
+    "CircleHomogeneous.radius_underflow": lambda: CircleHomogeneous(1e160, 1e-160),
+    "GaussianCluster.spread_underflow": lambda: GaussianCluster(5.0, 1e-170),
+    "AnnulusUniform.radius_underflow": lambda: AnnulusUniform(0.0, 1e-160, 10),
+    "MonteCarloConfig.window_underflow": lambda: MonteCarloConfig(1.0, 1.0, window_radius=1e-160),
 }
 
 
 @pytest.mark.parametrize("entry", sorted(UNDRAWABLE))
 def test_a_field_numpy_cannot_draw_raises(entry):
-    """A mean count numpy cannot draw, or squared norms that overflow, are
-    rejected where the spec or the config is made."""
+    """A mean count numpy cannot draw, or squared norms that overflow or underflow,
+    are rejected where the spec or the config is made."""
     with pytest.raises(ParameterError):
         UNDRAWABLE[entry]()
 
