@@ -17,13 +17,13 @@ import math
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
-from scipy import stats
 
 from . import distributions as dist
 from . import metrics
 from .errors import ParameterError
 from .model import Fading, LinkBudget, PathLoss, leg_distances, snr_from_db
 from .montecarlo import MonteCarloConfig, empirical_cdf, feedback_counts, run_trials
+from .numerics import poisson_pmf, poisson_ppf
 from .pointprocess import AnnulusUniform, sample
 
 __all__ = ["ExperimentConfig", "EXPERIMENTS", "run_experiment", "describe_experiments"]
@@ -118,10 +118,10 @@ def _exp_nfb_distribution(cfg: ExperimentConfig):
     for k, lam in enumerate(cfg.nfb_lambdas):
         mu = metrics.mean_feedback_load(t, lam, d)
         nfb = feedback_counts(MonteCarloConfig(lam, d, threshold=t), cfg.n_trials, cfg.seed + k)
-        kmax = max(int(nfb.max()), int(stats.poisson.ppf(0.9999, mu)))
+        kmax = max(int(nfb.max()), int(poisson_ppf(0.9999, mu)))
         counts = np.arange(kmax + 1)
         freqs = np.bincount(nfb, minlength=counts.size) / cfg.n_trials
-        rows += _freq_rows(counts, f"lambda={lam:g}", stats.poisson.pmf(counts, mu), freqs,
+        rows += _freq_rows(counts, f"lambda={lam:g}", poisson_pmf(counts, mu), freqs,
                            cfg.n_trials)
     return rows
 

@@ -38,10 +38,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats as _stats
 
 from .errors import ParameterError
 from .kernels import FieldStats, disc_batch_stats, disc_feedback_counts
+from .numerics import chi2_sf, poisson_cdf, poisson_pmf, poisson_sf
 from .pointprocess import DiscHomogeneous, default_window_radius
 
 __all__ = ["MonteCarloConfig", "TrialBatch", "ComparisonReport",
@@ -237,8 +237,8 @@ def _poisson_chi2(samples: np.ndarray, mean: float, min_expected: float = 5.0):
     n = samples.size
     kmax = int(samples.max())
     observed = np.bincount(samples, minlength=kmax + 1).astype(float)
-    expected = n * _stats.poisson.pmf(np.arange(kmax + 1), mean)
-    expected = np.append(expected, n * _stats.poisson.sf(kmax, mean))
+    expected = n * poisson_pmf(np.arange(kmax + 1), mean)
+    expected = np.append(expected, n * poisson_sf(kmax, mean))
     observed = np.append(observed, 0.0)
     # pool adjacent cells until each expected count is large enough
     obs_bins, exp_bins = [], []
@@ -258,7 +258,7 @@ def _poisson_chi2(samples: np.ndarray, mean: float, min_expected: float = 5.0):
             obs_bins, exp_bins = [o_acc], [e_acc]
     chi2 = float(np.sum((np.array(obs_bins) - np.array(exp_bins)) ** 2 / np.array(exp_bins)))
     dof = max(len(obs_bins) - 1, 1)
-    return float(_stats.chi2.sf(chi2, dof))
+    return float(chi2_sf(chi2, dof))
 
 
 def compare_to_analytic(batch: TrialBatch, evaluator, quantity: str = "gamma_opt",
@@ -276,11 +276,10 @@ def compare_to_analytic(batch: TrialBatch, evaluator, quantity: str = "gamma_opt
         mean = float(evaluator)
         samples = batch.n_feedback
         pvalue = _poisson_chi2(samples, mean)
-        ks = ks_statistic(samples.astype(float),
-                          lambda x: _stats.poisson.cdf(np.floor(x), mean))
+        ks = ks_statistic(samples.astype(float), lambda x: poisson_cdf(x, mean))
         kgrid = np.arange(0, max(int(samples.max()) + 1, 2))
         emp = empirical_cdf(samples.astype(float), kgrid)
-        ana = _stats.poisson.cdf(kgrid, mean)
+        ana = poisson_cdf(kgrid, mean)
         grid = [(float(k), float(a), float(e)) for k, a, e in zip(kgrid, ana, emp)]
         mae = float(np.mean(np.abs(ana - emp)))
         return ComparisonReport("n_feedback", samples.size, ks, pvalue, mae, grid,
@@ -307,7 +306,7 @@ def compare_to_analytic(batch: TrialBatch, evaluator, quantity: str = "gamma_opt
     expected = samples.size * np.diff(cum)
     keep = expected > 0
     chi2 = float(np.sum((observed[keep] - expected[keep]) ** 2 / expected[keep]))
-    pvalue = float(_stats.chi2.sf(chi2, max(int(keep.sum()) - 1, 1)))
+    pvalue = float(chi2_sf(chi2, max(int(keep.sum()) - 1, 1)))
     return ComparisonReport(quantity, samples.size, ks, pvalue, mae, grid, threshold)
 
 

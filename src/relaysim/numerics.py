@@ -1,13 +1,18 @@
-"""Special functions, adaptive quadrature and monotone root searches.
+"""Special functions, Poisson and chi-square tails, adaptive quadrature and
+monotone root searches.
 
-The exponential integral E1 is scipy's ``exp1``. Its overflow-safe product
-e^x E1(x) takes scalars or arrays: the direct product up to x = 600, the
-asymptotic series above. Quadrature delegates to QUADPACK's adaptive
-Gauss-Kronrod scheme with semi-infinite intervals mapped through
-t -> a + t/(1-t); only the laws that take a caller's scalar callable use it.
-``solve_monotone`` bisects a given bracket; ``solve_above_floor`` finds that
-bracket at the root's own scale for ``s_star``, ``threshold_for_load`` and
-``CqiLaw.quantile``.
+The module imports only ``scipy.special``; ``scipy.integrate`` is imported by
+the first adaptive quadrature. The exponential integral E1 is ``exp1``. Its
+overflow-safe product e^x E1(x) takes scalars or arrays: the direct product
+up to x = 600, the asymptotic series above. The Poisson pmf, cdf, sf and ppf
+and the chi-square sf are the ``scipy.special`` expressions that
+``scipy.stats`` evaluates, bit for bit for k >= 0, mu >= 0 and 0 < q < 1,
+without the import time of ``scipy.stats``. Quadrature delegates to
+QUADPACK's adaptive Gauss-Kronrod scheme with semi-infinite intervals mapped
+through t -> a + t/(1-t); only the laws that take a caller's scalar callable
+use it. ``solve_monotone`` bisects a given bracket; ``solve_above_floor``
+finds that bracket at the root's own scale for ``s_star``,
+``threshold_for_load`` and ``CqiLaw.quantile``.
 """
 from __future__ import annotations
 
@@ -15,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 from scipy import special as _sp
 
 from .errors import BracketError, NumericError, ParameterError
@@ -25,6 +29,11 @@ __all__ = [
     "exp_integral_e1",
     "f_exp_e1",
     "erfc_scaled",
+    "poisson_pmf",
+    "poisson_cdf",
+    "poisson_sf",
+    "poisson_ppf",
+    "chi2_sf",
     "quad_adaptive",
     "solve_monotone",
     "solve_above_floor",
@@ -69,6 +78,33 @@ def erfc_scaled(x):
     return _sp.erfcx(x)
 
 
+def poisson_pmf(k, mu):
+    """P(N = k) for N ~ Poisson(mu), integer k >= 0."""
+    return np.exp(_sp.xlogy(k, mu) - _sp.gammaln(k + 1) - mu)
+
+
+def poisson_cdf(k, mu):
+    """P(N <= k) for N ~ Poisson(mu), k >= 0 (floored)."""
+    return _sp.pdtr(np.floor(k), mu)
+
+
+def poisson_sf(k, mu):
+    """P(N > k) for N ~ Poisson(mu), integer k >= 0."""
+    return _sp.pdtrc(k, mu)
+
+
+def poisson_ppf(q, mu):
+    """The least k with P(N <= k) >= q for N ~ Poisson(mu), 0 < q < 1."""
+    v = np.ceil(_sp.pdtrik(q, mu))
+    below = np.maximum(v - 1, 0)
+    return np.where(_sp.pdtr(below, mu) >= q, below, v)
+
+
+def chi2_sf(x, dof):
+    """P(X > x) for X chi-square with dof degrees of freedom."""
+    return _sp.chdtrc(dof, x)
+
+
 @dataclass(frozen=True)
 class QuadratureResult:
     value: float
@@ -92,6 +128,10 @@ def quad_adaptive(f, a: float, b: float, tol: float = 1e-9,
         return quad_adaptive(h, 0.0, 1.0, tol=tol, limit=limit)
     if not b >= a:
         raise ParameterError(f"need b >= a, got [{a}, {b}]")
+    # imported on first use, so that the runs that never get here (every Monte
+    # Carlo batch and named experiment) do not pay its import time
+    from scipy import integrate
+
     with np.errstate(all="ignore"):
         value, abserr, info = integrate.quad(
             f, a, b, epsabs=tol, epsrel=max(1e-12, tol), limit=limit, full_output=1)[:3]

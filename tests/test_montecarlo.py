@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from relaysim import distributions as dist
 from relaysim import metrics, montecarlo
@@ -107,6 +108,52 @@ def test_compare_feedback_counts_poisson():
     rep = compare_to_analytic(batch, mu, "n_feedback")
     assert rep.chi2_pvalue > 0.01
     assert rep.ks_statistic < 0.01
+
+
+def test_feedback_report_equals_scipy_stats_values():
+    mu = 1.7
+    batch = run_trials(MonteCarloConfig(0.5, 1.0, threshold=2.0), 3_000, 11)
+    rep = compare_to_analytic(batch, mu, "n_feedback")
+    s = batch.n_feedback
+    n = s.size
+    k = np.arange(s.max() + 1)
+    srt = np.sort(s)
+    ks = np.max(np.abs(np.searchsorted(srt, srt, side="right") / n
+                       - stats.poisson.cdf(srt, mu)))
+    assert rep.ks_statistic == ks
+    ana = stats.poisson.cdf(k, mu)
+    emp = (s[:, None] <= k).sum(axis=0) / n
+    assert rep.grid == [(float(x), float(a), float(e)) for x, a, e in zip(k, ana, emp)]
+    assert rep.mean_abs_error == float(np.mean(np.abs(ana - emp)))
+    # left-to-right pooling of the cells (tail included) until each expects 5 counts
+    cells = zip(np.append(np.bincount(s), 0.0),
+                n * np.append(stats.poisson.pmf(k, mu), stats.poisson.sf(k[-1], mu)))
+    bins, o_acc, e_acc = [], 0.0, 0.0
+    for o, e in cells:
+        o_acc, e_acc = o_acc + o, e_acc + e
+        if e_acc >= 5.0:
+            bins.append([o_acc, e_acc])
+            o_acc = e_acc = 0.0
+    bins[-1][0] += o_acc
+    bins[-1][1] += e_acc
+    obs, exp = np.array(bins).T
+    chi2 = np.sum((obs - exp) ** 2 / exp)
+    assert len(bins) > 2
+    assert rep.chi2_pvalue == float(stats.chi2.sf(chi2, len(bins) - 1))
+
+
+def test_metric_report_pvalue_equals_scipy_stats_value():
+    law = dist.best_cqi_law(1.0, 1.0)
+    batch = run_trials(MonteCarloConfig(1.0, 1.0), 3_000, 12)
+    rep = compare_to_analytic(batch, law, "gamma_opt")
+    s = batch.gamma_opt
+    finite = np.sort(s[np.isfinite(s)])
+    edges = np.quantile(finite, np.linspace(0.0, 1.0, 21))[1:-1]
+    observed = np.diff(np.concatenate(
+        ([0], np.searchsorted(finite, edges, side="right"), [s.size])))
+    expected = s.size * np.diff(np.concatenate(([0.0], law.cdf(edges), [1.0])))
+    chi2 = np.sum((observed - expected) ** 2 / expected)
+    assert rep.chi2_pvalue == float(stats.chi2.sf(chi2, 19))
 
 
 def test_threshold_conditional_law_truncates():

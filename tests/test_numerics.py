@@ -1,15 +1,19 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special as sp
+from scipy import stats
 
 from relaysim import metrics
 from relaysim.errors import BracketError, NumericError, ParameterError
-from relaysim.numerics import (QuadratureResult, erfc_scaled, exp_integral_e1,
-                               f_exp_e1, quad_adaptive, solve_above_floor, solve_monotone)
+from relaysim.numerics import (QuadratureResult, chi2_sf, erfc_scaled, exp_integral_e1,
+                               f_exp_e1, poisson_cdf, poisson_pmf, poisson_ppf, poisson_sf,
+                               quad_adaptive, solve_above_floor, solve_monotone)
 
 # frozen from a 30-digit series/continued-fraction computation done before the build
 E1_TABLE = {
@@ -179,3 +183,48 @@ def test_f_exp_e1_non_increasing_across_branch_switch():
 def test_f_exp_e1_array_domain_error(bad):
     with pytest.raises(ParameterError):
         f_exp_e1(np.array(bad))
+
+
+@pytest.mark.parametrize("mu", [0.0, 1e-300, 1e-12, 0.3, 5.0, 300.0])
+def test_poisson_helpers_equal_scipy_stats_bit_for_bit(mu):
+    k = np.arange(401)
+    assert np.array_equal(poisson_pmf(k, mu), stats.poisson.pmf(k, mu))
+    assert np.array_equal(poisson_cdf(k, mu), stats.poisson.cdf(k, mu))
+    assert np.array_equal(poisson_sf(k, mu), stats.poisson.sf(k, mu))
+    # q at the law's own cdf values is where the inverse can overshoot an integer
+    q = np.concatenate(([0.5, 0.9999], stats.poisson.cdf(k[:60], mu)))
+    q = q[(q > 0) & (q < 1)]
+    assert np.array_equal(poisson_ppf(q, mu), stats.poisson.ppf(q, mu))
+
+
+def test_poisson_ppf_steps_down_where_the_inverse_overshoots():
+    q = float(stats.poisson.cdf(1, 0.3))
+    assert math.ceil(sp.pdtrik(q, 0.3)) == 2
+    assert poisson_ppf(q, 0.3) == stats.poisson.ppf(q, 0.3) == 1.0
+
+
+@pytest.mark.parametrize("dof", [1, 2, 7, 30])
+def test_chi2_sf_equals_scipy_stats_bit_for_bit(dof):
+    x = np.concatenate(([0.0], np.logspace(-3, 3, 400)))
+    assert np.array_equal(chi2_sf(x, dof), stats.chi2.sf(x, dof))
+
+
+IMPORT_PROBE = """
+import math, sys
+import relaysim, relaysim.cli
+print(sorted(m for m in ("scipy.stats", "scipy.integrate") if m in sys.modules))
+from relaysim.numerics import quad_adaptive
+value = quad_adaptive(lambda x: math.exp(-x) * x, 0.0, math.inf).value
+print("scipy.integrate" in sys.modules, value.hex())
+"""
+
+
+def test_import_loads_neither_scipy_stats_nor_integrate_before_a_quadrature():
+    """A fresh interpreter: relaysim alone must not pull in scipy.stats or
+    scipy.integrate, and the first quadrature loads the latter."""
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE],
+                          capture_output=True, text=True, check=True)
+    before, after = proc.stdout.splitlines()
+    assert before == "[]"
+    value = quad_adaptive(lambda x: math.exp(-x) * x, 0.0, math.inf).value
+    assert after == f"True {value.hex()}"
