@@ -105,13 +105,13 @@ def _on_support(gamma, floor: float, fn, at_inf: float = 0.0):
 
 def _segment(r, alpha):
     """Area r^2 (2 alpha - sin 2 alpha)/2 of the circular segment of half-angle alpha;
-    below 0.5, x - sin x is summed from its series instead of cancelling."""
+    below 1, x - sin x is summed from its series instead of cancelling."""
     x = 2.0 * alpha
     xx = x * x
     series = np.ones_like(x)
-    for den in (272.0, 210.0, 156.0, 110.0, 72.0, 42.0, 20.0):  # (2k)(2k + 1), Horner
-        series = 1.0 - xx / den * series
-    return 0.5 * r * r * np.where(x < 0.5, x * xx / 6.0 * series, x - np.sin(x))
+    for k in range(11, 1, -1):  # Horner over the terms (2k)(2k + 1), k = 2 .. 11
+        series = 1.0 - xx / (2 * k * (2 * k + 1)) * series
+    return 0.5 * r * r * np.where(x < 1.0, x * xx / 6.0 * series, x - np.sin(x))
 
 
 def _lens_area(s: float, r1: np.ndarray, r2: np.ndarray) -> np.ndarray:

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+import threading
+from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
@@ -183,11 +184,16 @@ ProcessSpec = Union[DiscHomogeneous, DiscWithExclusion, CircleHomogeneous,
 
 @dataclass(frozen=True)
 class RelayField:
-    """One realization: an (n, 2) float array plus its generating spec/seed."""
+    """One realization: an (n, 2) float array plus its generating spec/seed.
+
+    ``sample`` makes ``points`` read-only, so quantities derived from it can be
+    kept in ``derived`` (``policies.select`` keeps each half-distance's geometry).
+    """
 
     points: np.ndarray
     spec: object
     seed: int
+    derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -201,12 +207,29 @@ class RelayField:
                 fh.write(f"{x:.17g},{y:.17g}\n")
 
 
+_per_thread = threading.local()  # each thread's own Philox and the Generator over it
+
+
 def _generator(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    """The stream of ``Generator(Philox(key=seed))``, from the calling thread's
+    Philox reset to key [seed, 0] and counter 0; constructing a Philox would
+    first draw an unused seed from OS entropy. Valid until the thread's next call."""
+    key = int(np.uint64(seed))  # rejects what Philox(key=np.uint64(seed)) rejects
+    try:
+        bits, rng = _per_thread.philox
+    except AttributeError:
+        bits = np.random.Philox(key=key)
+        rng = np.random.Generator(bits)
+        _per_thread.philox = bits, rng
+    bits.state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": [key, 0]},
+                  "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return rng
 
 
-def _polar_points(radii: np.ndarray, angles: np.ndarray) -> np.ndarray:
-    return np.column_stack((radii * np.cos(angles), radii * np.sin(angles)))
+def _polar_field(radii: np.ndarray, angles: np.ndarray, spec, seed) -> RelayField:
+    points = np.column_stack((radii * np.cos(angles), radii * np.sin(angles)))
+    points.flags.writeable = False
+    return RelayField(points, spec, int(seed))
 
 
 def sample(spec: ProcessSpec, seed: int) -> RelayField:
@@ -214,7 +237,7 @@ def sample(spec: ProcessSpec, seed: int) -> RelayField:
     rng = _generator(seed)
     n = spec.draw_count(rng)
     radii = np.sqrt(spec.draw_norm_sq(rng, n))  # drawn before the angles
-    return RelayField(_polar_points(radii, 2.0 * math.pi * rng.random(n)), spec, int(seed))
+    return _polar_field(radii, 2.0 * math.pi * rng.random(n), spec, seed)
 
 
 def sample_half_disc(intensity: float, radius: float, side: str, seed: int) -> RelayField:
@@ -227,7 +250,7 @@ def sample_half_disc(intensity: float, radius: float, side: str, seed: int) -> R
     radii = np.sqrt(spec.draw_norm_sq(rng, n))
     base = math.pi / 2.0 if side == "left" else -math.pi / 2.0
     angles = base + math.pi * rng.random(n)
-    return RelayField(_polar_points(radii, angles), spec, int(seed))
+    return _polar_field(radii, angles, spec, seed)
 
 
 def default_window_radius(intensity: float, half_distance: float) -> float:

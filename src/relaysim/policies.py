@@ -8,11 +8,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import EmptyFieldError, ParameterError
 from .model import LinkBudget, NetworkGeometry, Point2, leg_distances
+from .pointprocess import RelayField
 
 __all__ = ["PolicyKind", "PolicyOutcome", "select", "sufficient_condition_holds"]
 
@@ -42,6 +44,32 @@ class PolicyOutcome:
     second_nearest_norm: float | None = None
 
 
+class _Geometry(NamedTuple):
+    """What every policy reads of one field at one half-distance."""
+
+    points: np.ndarray
+    ds: np.ndarray  # distances to the source
+    dd: np.ndarray  # distances to the destination
+    metric: np.ndarray  # max(ds, dd)
+    norm: np.ndarray  # distances to the mid-point
+    second: float | None  # the second-smallest norm, when there are two relays
+
+
+def _geometry(field, d: float) -> _Geometry:
+    """The geometry of a RelayField or an (n, 2) array at half-distance ``d``; a
+    RelayField (read-only points) keeps it in ``derived``, so it is computed once."""
+    derived = field.derived if isinstance(field, RelayField) else {}
+    if d not in derived:
+        points = np.asarray(field.points if hasattr(field, "points") else field, dtype=float)
+        if points.ndim != 2 or (points.size and points.shape[1] != 2):
+            raise ParameterError("field must be an (n, 2) array of positions")
+        ds, dd = leg_distances(points[:, 0], points[:, 1], d)
+        norm = np.hypot(points[:, 0], points[:, 1])
+        second = float(np.partition(norm, 1)[1]) if points.shape[0] >= 2 else None
+        derived[d] = _Geometry(points, ds, dd, np.maximum(ds, dd), norm, second)
+    return derived[d]
+
+
 def select(field, kind: PolicyKind, geometry: NetworkGeometry,
            budget: LinkBudget | None = None, threshold: float | None = None,
            path_loss_exponent: float | None = None) -> PolicyOutcome:
@@ -51,11 +79,8 @@ def select(field, kind: PolicyKind, geometry: NetworkGeometry,
     no reporter returns an absent selection instead (the source stays silent).
     Metric ties go to the lowest field index.
     """
-    points = np.asarray(field.points if hasattr(field, "points") else field, dtype=float)
-    if points.ndim != 2 or (points.size and points.shape[1] != 2):
-        raise ParameterError("field must be an (n, 2) array of positions")
+    points, ds, dd, metric, norm, second = _geometry(field, geometry.half_distance)
     n = points.shape[0]
-    d = geometry.half_distance
 
     if kind is PolicyKind.THRESHOLD_FEEDBACK:
         if threshold is None or not threshold >= 0:
@@ -65,31 +90,26 @@ def select(field, kind: PolicyKind, geometry: NetworkGeometry,
     elif n == 0:
         raise EmptyFieldError(f"policy {kind.value} needs at least one relay")
 
-    ds, dd = leg_distances(points[:, 0], points[:, 1], d)
-    metric = np.maximum(ds, dd)
-    norm = np.hypot(points[:, 0], points[:, 1])
-    second = float(np.partition(norm, 1)[1]) if n >= 2 else None
-
     if kind is PolicyKind.OPTIMUM:
-        i = int(np.argmin(metric))
+        i = int(metric.argmin())
     elif kind is PolicyKind.MID_POINT:
-        i = int(np.argmin(norm))
+        i = int(norm.argmin())
     elif kind is PolicyKind.CLOSEST_TO_DESTINATION:
-        i = int(np.argmin(dd))
+        i = int(dd.argmin())
     elif kind is PolicyKind.CLOSEST_TO_SOURCE:
-        i = int(np.argmin(ds))
+        i = int(ds.argmin())
     elif kind is PolicyKind.THRESHOLD_FEEDBACK:
         reporters = metric <= threshold
         n_fb = int(reporters.sum())
         if n_fb == 0:
             return PolicyOutcome(None, None, 0, second)
-        i = int(np.argmin(metric))  # the best relay always reports
+        i = int(metric.argmin())  # the best relay always reports
         return PolicyOutcome(Point2(*points[i]), float(metric[i]), n_fb, second)
     elif kind is PolicyKind.OPTIMUM_DIFF_SNR:
         if budget is None or path_loss_exponent is None:
             raise ParameterError("diff-SNR selection needs a budget and path-loss exponent")
         s1, s2 = budget.effective_scales(path_loss_exponent)
-        i = int(np.argmin(np.maximum(s1 * ds, s2 * dd)))
+        i = int(np.maximum(s1 * ds, s2 * dd).argmin())
         return PolicyOutcome(Point2(*points[i]),
                              float(max(s1 * ds[i], s2 * dd[i])), n, second)
     else:
@@ -105,15 +125,10 @@ def sufficient_condition_holds(field, geometry: NetworkGeometry) -> bool:
     the hyperplane bound built from the second-closest relay's norm. A single
     relay is trivially optimal.
     """
-    points = np.asarray(field.points if hasattr(field, "points") else field, dtype=float)
-    n = points.shape[0]
-    if n == 0:
-        raise EmptyFieldError("sufficiency check needs at least one relay")
-    if n == 1:
-        return True
     d = geometry.half_distance
-    norm = np.hypot(points[:, 0], points[:, 1])
-    order = np.partition(norm, 1)
-    i = int(np.argmin(norm))
-    s_mid = max(leg_distances(points[i, 0], points[i, 1], d))
-    return s_mid <= np.hypot(d, order[1])
+    g = _geometry(field, d)
+    if g.points.shape[0] == 0:
+        raise EmptyFieldError("sufficiency check needs at least one relay")
+    if g.second is None:
+        return True
+    return g.metric[g.norm.argmin()] <= np.hypot(d, g.second)

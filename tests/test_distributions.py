@@ -498,6 +498,24 @@ def test_best_cqi_lens_properties():
     assert vals[-1] / gs[-1] ** 2 == pytest.approx(math.pi, rel=0.06)
 
 
+def test_equal_lens_area_to_a_few_ulps_of_mpmath():
+    # 2 g^2 acos(1/g) - 2 sqrt(g^2 - 1) at 50 digits. At gamma = 1.0354 the
+    # segment angle x = 2 alpha lies just above 0.5, where x - sin x cancels
+    # unless its series is summed; elsewhere the sum of two rounded segments
+    # and the rounded atan2 and sqrt inside them leave up to about 3 ulps.
+    mpmath = pytest.importorskip("mpmath")
+    from relaysim.distributions import _lens_area
+    gs = np.concatenate(([1.0354], np.random.default_rng(16).uniform(1.001, 10.0, 400)))
+    got = _lens_area(2.0, gs, gs)
+    with mpmath.workdps(50):
+        exact = [2 * g * g * mpmath.acos(1 / g) - 2 * mpmath.sqrt(g * g - 1)
+                 for g in map(mpmath.mpf, gs)]
+        ulps = np.array([abs(mpmath.mpf(v) - e) / np.spacing(float(e))
+                         for v, e in zip(got, exact)], dtype=float)
+    assert ulps[0] <= 1.0
+    assert ulps.max() <= 4.0
+
+
 # 50-digit mpmath at lambda = d = 1: (gamma, cdf, pdf, lambda |lens|)
 BEST_CQI_ORACLE = [
     (1.000000000001, 3.771739075143379376904484e-18, 5.657105692725941292633907e-6, 3.77e-18),

@@ -1,12 +1,15 @@
 import hashlib
 import math
+import re
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from relaysim.errors import ParameterError
-from relaysim.model import NetworkGeometry, selection_metric
+from relaysim.kernels import field_stats
 from relaysim.pointprocess import (AnnulusUniform, CircleHomogeneous,
                                    DiscHomogeneous, DiscWithExclusion,
                                    GaussianCluster, _generator, default_window_radius,
@@ -123,22 +126,24 @@ def test_half_disc_sides_and_mean():
 def test_half_disc_union_matches_full_disc_best_metric():
     # min metric over left+right halves must follow the same law as the
     # full-disc field: two-sided independence of the split
-    geom = NetworkGeometry(1.0)
-    tau, lam, n = 6.0, 1.0, 100_000
+    tau, lam, n, block = 6.0, 1.0, 100_000, 10_000
     full_spec = DiscHomogeneous(lam, tau)
 
-    def best(points):
-        return selection_metric(points, geom).min() if points.size else np.inf
+    def best(points, per_trial):
+        """Smallest metric of each run of ``per_trial`` fields (inf when all are empty)."""
+        sizes = np.array([p.shape[0] for p in points]).reshape(-1, per_trial).sum(axis=1)
+        xy = np.concatenate(points)
+        return field_stats(xy[:, 0], xy[:, 1], np.concatenate(([0], np.cumsum(sizes))),
+                           1.0).gamma_opt
 
-    union_best = np.empty(n)
-    full_best = np.empty(n)
-    for k in range(n):
-        u = np.vstack([sample_half_disc(lam, tau, "left", 2 * k).points,
-                       sample_half_disc(lam, tau, "right", 2 * k + 1).points])
-        union_best[k] = best(u)
-        full_best[k] = best(sample(full_spec, 10_000_000 + k).points)
-    a = np.sort(union_best)
-    b = np.sort(full_best)
+    union_best, full_best = [], []
+    for start in range(0, n, block):  # one reduction per side of each block of trials
+        ks = range(start, start + block)
+        union_best.append(best([sample_half_disc(lam, tau, side, 2 * k + j).points
+                                for k in ks for j, side in enumerate(("left", "right"))], 2))
+        full_best.append(best([sample(full_spec, 10_000_000 + k).points for k in ks], 1))
+    a = np.sort(np.concatenate(union_best))
+    b = np.sort(np.concatenate(full_best))
     grid = np.concatenate([a, b])
     ks = np.abs(np.searchsorted(a, grid, side="right") / n
                 - np.searchsorted(b, grid, side="right") / n).max()
@@ -185,3 +190,50 @@ def test_csv_dump(tmp_path):
 def test_default_window_radius():
     assert default_window_radius(1.0, 1.0) == 6.0
     assert default_window_radius(0.25, 0.5) == 12.0
+
+
+def test_sampled_points_are_read_only():
+    for f in (sample(DiscHomogeneous(1.0, 3.0), 5), sample_half_disc(1.0, 3.0, "left", 5)):
+        with pytest.raises(ValueError):
+            f.points[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("seed", [0, 2 ** 63, 2 ** 64 - 1])
+def test_sample_draws_the_stream_of_a_fresh_philox(seed):
+    spec = GaussianCluster(30.0, 1.5)
+    sample(spec, 12345)  # the stream must not carry over from an earlier call
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    n = spec.draw_count(rng)
+    radii = np.sqrt(spec.draw_norm_sq(rng, n))
+    angles = 2.0 * math.pi * rng.random(n)
+    want = np.column_stack((radii * np.cos(angles), radii * np.sin(angles)))
+    assert np.array_equal(sample(spec, seed).points, want)
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64, None])
+def test_sample_rejects_the_seeds_uint64_rejects(seed):
+    with pytest.raises(Exception) as want:
+        np.uint64(seed)
+    with pytest.raises(want.type, match=re.escape(str(want.value))):
+        sample(DiscHomogeneous(1.0, 3.0), seed)
+
+
+def test_threads_sampling_interleaved_seeds_match_sequential_calls():
+    meet = threading.Barrier(2, timeout=30)
+
+    class Meeting(DiscHomogeneous):
+        """Holds each thread inside ``sample``, between its count and its norms,
+        until the other thread gets there too."""
+
+        def draw_norm_sq(self, rng, n):
+            meet.wait()
+            return super().draw_norm_sq(rng, n)
+
+    seeds = (range(0, 60, 2), range(1, 60, 2))
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        runs = [pool.submit(lambda ss: [sample(Meeting(1.0, 4.0), s).points for s in ss], ss)
+                for ss in seeds]
+        got = [run.result() for run in runs]
+    for ss, points in zip(seeds, got):
+        for s, p in zip(ss, points, strict=True):
+            assert np.array_equal(p, sample(DiscHomogeneous(1.0, 4.0), s).points)

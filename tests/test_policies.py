@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from relaysim.errors import EmptyFieldError, ParameterError
+from relaysim.kernels import field_stats
 from relaysim.model import LinkBudget, NetworkGeometry, selection_metric
 from relaysim.policies import (PolicyKind, PolicyOutcome, select,
                                sufficient_condition_holds)
-from relaysim.pointprocess import DiscHomogeneous, sample
+from relaysim.pointprocess import (AnnulusUniform, CircleHomogeneous, DiscHomogeneous,
+                                   DiscWithExclusion, GaussianCluster, sample)
 
 GEOM = NetworkGeometry(1.0)
 
@@ -146,3 +148,53 @@ def test_outcome_gamma_matches_metric():
         if f.n >= 2:
             norms = np.hypot(f.points[:, 0], f.points[:, 1])
             assert out.second_nearest_norm == pytest.approx(np.partition(norms, 1)[1])
+
+
+BUDGET = LinkBudget(snr=3.0, snr_relay=3.0, snr_destination=10.0)
+ARGS = dict(budget=BUDGET, threshold=3.0, path_loss_exponent=4.0)
+
+
+def _outcomes(field, geometry=GEOM):
+    return [select(field, kind, geometry, **ARGS) for kind in PolicyKind]
+
+
+def test_select_on_a_field_agrees_with_field_stats():
+    # field_stats reduces squared distances, select hypot: equal to a few ulps
+    fields = [sample(spec, seed) for spec in (
+        DiscHomogeneous(1.0, 4.0), DiscWithExclusion(1.0, 1.0, 4.0),
+        CircleHomogeneous(1.0, 4.0), GaussianCluster(30.0, 1.5))
+        for seed in range(40)]
+    fields += [sample(AnnulusUniform(0.5, 3.0, count), 7) for count in (0, 1)]
+    pts = np.concatenate([f.points for f in fields])
+    offsets = np.concatenate(([0], np.cumsum([f.n for f in fields])))
+    st = field_stats(pts[:, 0], pts[:, 1], offsets, 1.0, 3.0,
+                     *BUDGET.effective_scales(4.0))
+    K = PolicyKind
+    for t, f in enumerate(fields):
+        if f.n == 0:
+            assert select(f, K.THRESHOLD_FEEDBACK, GEOM, **ARGS) == PolicyOutcome(None, None, 0)
+            continue
+        got = dict(zip(K, _outcomes(f)))
+        # circle relays all sit at one norm up to rounding: check the norm chosen
+        assert got[K.MID_POINT].selected.norm() == pytest.approx(st.psi_mid[t], rel=1e-15)
+        assert got[K.OPTIMUM].selected == tuple(pts[st.idx_opt[t]])  # a batch index
+        want = {K.OPTIMUM: st.gamma_opt[t], K.CLOSEST_TO_DESTINATION: st.gamma_c2d[t],
+                K.CLOSEST_TO_SOURCE: st.gamma_csrc[t], K.OPTIMUM_DIFF_SNR: st.gamma_diff[t],
+                K.MID_POINT: selection_metric(got[K.MID_POINT].selected, GEOM),
+                K.THRESHOLD_FEEDBACK: st.gamma_opt[t] if st.n_feedback[t] else None}
+        for kind, out in got.items():
+            assert out.n_feedback == (st.n_feedback[t] if kind is K.THRESHOLD_FEEDBACK else f.n)
+            assert out.gamma == (None if want[kind] is None
+                                 else pytest.approx(want[kind], rel=1e-15))
+            assert out.second_nearest_norm == (
+                None if f.n == 1 else pytest.approx(st.psi_second[t], rel=1e-15))
+
+
+def test_select_keeps_one_geometry_per_half_distance():
+    f = sample(DiscHomogeneous(1.0, 4.0), 3)
+    fresh = {d: _outcomes(np.array(f.points), NetworkGeometry(d)) for d in (1.0, 0.5)}
+    for d in (1.0, 0.5, 1.0):
+        assert _outcomes(f, NetworkGeometry(d)) == fresh[d]
+        assert sufficient_condition_holds(f, NetworkGeometry(d)) == (
+            sufficient_condition_holds(np.array(f.points), NetworkGeometry(d)))
+    assert sorted(f.derived) == [0.5, 1.0]
