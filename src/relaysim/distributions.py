@@ -9,7 +9,7 @@ Every law takes a scalar or an array of metric values; NaN gives 0.
 
 Numerical notes: scaled erfc avoids overflow in the sufficiency probability.
 Each planar area is written once. ``_lens_area`` is the lens of two discs, two
-segments with half-angles from atan2 (x - sin x from its series below 0.5): the
+segments with half-angles from atan2 (x - sin x from its series below 1): the
 best-CQI law and its density read it at equal radii, the unequal-SNR law at
 unequal ones. ``_lens_outside_disc`` is the equal-radius lens outside a centred
 disc: the mid-point displacement exponent up to the disc's rim, the lens less the
@@ -51,7 +51,8 @@ import numpy as np
 from .errors import ParameterError, UnsupportedOperationError
 from .model import NetworkGeometry, PathLoss, diff_metric_minimum
 # perfbench traces quad_adaptive and solve_monotone by rebinding these module names
-from .numerics import erfc_scaled, quad_adaptive, solve_above_floor, solve_monotone  # noqa: F401
+from .numerics import (erfc_scaled, quad_adaptive, solve_above_floor,  # noqa: F401
+                       solve_monotone, vectorized)
 
 __all__ = [
     "best_cqi_cdf", "best_cqi_pdf", "best_cqi_log_pdf", "best_cqi_mean",
@@ -86,12 +87,6 @@ def _check_positive(**kwargs):
             raise ParameterError(f"{name} must be positive, got {v}")
 
 
-def _vectorized(gamma, fn):
-    g = np.asarray(gamma, dtype=float)
-    out = fn(np.atleast_1d(g).astype(float))
-    return float(out[0]) if g.ndim == 0 else out.reshape(g.shape)
-
-
 def _on_support(gamma, floor: float, fn, at_inf: float = 0.0):
     """fn on the finite metric values above floor; at_inf at +inf, else 0."""
     def masked(g):
@@ -100,7 +95,7 @@ def _on_support(gamma, floor: float, fn, at_inf: float = 0.0):
         out[on] = fn(g[on])
         return out
 
-    return _vectorized(gamma, masked)
+    return vectorized(gamma, masked)
 
 
 def _segment(r, alpha):
@@ -134,15 +129,28 @@ def _strip_area(r2, y):
     return 2.0 * y * rem + 2.0 * r2 * np.arctan2(y, rem)
 
 
+def _crossing_cosine(g, psi: float, d: float):
+    """Cosine, clipped to [-1, 1], of the angle at which the circle of radius psi
+    meets the circle of radius g about a point d from its centre, measured from the
+    direction away from that point. About the mid-point, with the source d away,
+    the second circle bounds {metric <= g}."""
+    return np.clip(((g - psi) * (g + psi) - d * d) / (2.0 * d * psi), -1.0, 1.0)
+
+
+def _lens_half_angle(g, d: float):
+    """arccos(d/g), the half-angle of the equal lens at each of its centres, from
+    atan2 so that it does not cancel near g = d."""
+    return np.arctan2(np.sqrt(g - d) * np.sqrt(g + d), d)
+
+
 def _lens_outside_disc(g, psi: float, d: float):
     """Area of {metric <= g} outside the centred disc of radius psi, for g >= hypot(psi, d):
     up to the rim psi + d, the mid-point displacement exponent at the angle where the
     lens boundary meets the circle; beyond it, the whole lens less the disc."""
     out = _lens_area(2.0 * d, g, g) - math.pi * psi * psi
     near = g < psi + d
-    x = g[near]
-    out[near] = midpoint_displacement_exponent(psi, np.arccos(np.clip(
-        ((x - psi) * (x + psi) - d * d) / (2.0 * d * psi), -1.0, 1.0)), d)
+    out[near] = midpoint_displacement_exponent(
+        psi, np.arccos(_crossing_cosine(g[near], psi, d)), d)
     return out
 
 
@@ -160,8 +168,8 @@ def best_cqi_pdf(gamma, intensity: float, half_distance: float):
     _check_positive(intensity=intensity, half_distance=half_distance)
     d, lam = half_distance, intensity
 
-    def fn(g):  # atan2 gives the lens half-angle arccos(d/g) without cancelling near d
-        return (4.0 * lam * g * np.arctan2(np.sqrt(g - d) * np.sqrt(g + d), d)
+    def fn(g):
+        return (4.0 * lam * g * _lens_half_angle(g, d)
                 * np.exp(-lam * _lens_area(2.0 * d, g, g)))
 
     return _on_support(gamma, d, fn)
@@ -178,11 +186,11 @@ def best_cqi_log_pdf(gamma, intensity: float, half_distance: float):
         out = np.full_like(g, -np.inf)
         on = (g > d) & np.isfinite(g)
         x = g[on]
-        out[on] = (np.log(4.0 * lam * x * np.arctan2(np.sqrt(x - d) * np.sqrt(x + d), d))
+        out[on] = (np.log(4.0 * lam * x * _lens_half_angle(x, d))
                    - lam * _lens_area(2.0 * d, x, x))
         return out
 
-    return _vectorized(gamma, fn)
+    return vectorized(gamma, fn)
 
 
 def best_cqi_mean(intensity: float, half_distance: float) -> float:
@@ -211,7 +219,7 @@ def _annulus_metric_split(tv, psi: float, tau: float, d: float):
     below[inner] = _lens_outside_disc(tv[inner], psi, d) / (math.pi * area2)
     far = (tv >= math.hypot(tau, d)) & (tv < tau + d)
     x = tv[far]
-    b = np.arccos(np.clip((x * x - tau * tau - d * d) / (2.0 * d * tau), -1.0, 1.0))
+    b = np.arccos(_crossing_cosine(x, tau, d))
     above[far] = ((2.0 * b * (tau * tau - x * x) - d * d * np.sin(2.0 * b)) / (math.pi * area2)
                   + p_term(x, d * np.sin(b)))
     below[far] = 1.0 - above[far]
@@ -233,7 +241,7 @@ def best_cqi_cdf_finite(gamma, intensity: float, half_distance: float,
     no-relay mass exp(-intensity * pi * window_radius^2)."""
     _check_positive(intensity=intensity)
     exponent = intensity * math.pi * window_radius * window_radius
-    return _vectorized(gamma, lambda g: -np.expm1(
+    return vectorized(gamma, lambda g: -np.expm1(
         -exponent * disc_point_metric_cdf(g, window_radius, half_distance)))
 
 
@@ -251,7 +259,7 @@ def annulus_metric_ccdf(t, inner_radius: float, outer_radius: float,
         raise ParameterError(
             f"need outer_radius >= sqrt(inner^2 + 2 d inner) = "
             f"{math.sqrt(psi * psi + 2 * d * psi):g}, got {tau}")
-    return _vectorized(t, lambda tv: _annulus_metric_split(tv, psi, tau, d)[1])
+    return vectorized(t, lambda tv: _annulus_metric_split(tv, psi, tau, d)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -259,16 +267,13 @@ def annulus_metric_ccdf(t, inner_radius: float, outer_radius: float,
 
 def nearest_neighbor_pdf(psi, intensity: float):
     """Distance from the origin to the nearest point of the Poisson field."""
-    p = np.asarray(psi, dtype=float)
-    out = np.where(p >= 0, 2.0 * intensity * math.pi * p
-                   * np.exp(-intensity * math.pi * p * p), 0.0)
-    return float(out) if out.ndim == 0 else out
+    return vectorized(psi, lambda p: np.where(
+        p >= 0, 2.0 * intensity * math.pi * p * np.exp(-intensity * math.pi * p * p), 0.0))
 
 
 def nearest_neighbor_cdf(psi, intensity: float):
-    p = np.asarray(psi, dtype=float)
-    out = np.where(p >= 0, -np.expm1(-intensity * math.pi * p * p), 0.0)
-    return float(out) if out.ndim == 0 else out
+    return vectorized(psi, lambda p: np.where(
+        p >= 0, -np.expm1(-intensity * math.pi * p * p), 0.0))
 
 
 def _gauss_legendre(integrand, top, *rows):
@@ -316,8 +321,7 @@ def midpoint_cqi_cdf(gamma, intensity: float, half_distance: float):
     lam, d = intensity, half_distance
 
     def fraction(psi, g):
-        return (2.0 / math.pi) * np.arcsin(np.clip(
-            ((g - psi) * (g + psi) - d * d) / (2.0 * d * psi), -1.0, 1.0))
+        return (2.0 / math.pi) * np.arcsin(_crossing_cosine(g, psi, d))
 
     return _on_support(gamma, d, lambda g: _nn_angle_cdf(
         g, lam, nearest_neighbor_cdf(g - d, lam), g - d, np.sqrt((g - d) * (g + d)),
@@ -336,9 +340,8 @@ def closest_to_destination_cqi_cdf(gamma, intensity: float, half_distance: float
     _check_positive(intensity=intensity, half_distance=half_distance)
     lam, d = intensity, half_distance
 
-    def fraction(psi, g):
-        return (1.0 / math.pi) * np.arccos(np.clip(
-            ((psi - g) * (psi + g) + 4.0 * d * d) / (4.0 * d * psi), -1.0, 1.0))
+    def fraction(psi, g):  # the source lies 2d from the destination
+        return (1.0 / math.pi) * np.arccos(-_crossing_cosine(g, psi, 2.0 * d))
 
     return _on_support(gamma, d, lambda g: _nn_angle_cdf(
         g, lam, nearest_neighbor_cdf(g - 2.0 * d, lam), np.abs(g - 2.0 * d), g, fraction), 1.0)
@@ -349,7 +352,7 @@ def closest_to_destination_cqi_pdf(gamma, intensity: float, half_distance: float
     lam, d = intensity, half_distance
 
     def fn(g):
-        atom = np.arccos(np.minimum(1.0, d / g)) * np.exp(-lam * math.pi * g * g)
+        atom = _lens_half_angle(g, d) * np.exp(-lam * math.pi * g * g)
         return 2.0 * lam * g * (atom + _sqrt_shift_integral(
             lam, (g - 2.0 * d) ** 2, 4.0 * d * (g - d), 8.0 * d * g))
 
@@ -413,7 +416,7 @@ def received_snr_cdf(s, law: "CqiLaw", snr: float, path_loss: PathLoss):
         out[rest] = 1.0 - below
         return out
 
-    return _vectorized(s, fn)
+    return vectorized(s, fn)
 
 
 def received_snr_pdf(s, law: "CqiLaw", snr: float, path_loss: PathLoss):
@@ -433,7 +436,7 @@ def received_snr_pdf(s, law: "CqiLaw", snr: float, path_loss: PathLoss):
         out[inside] = law.pdf(x) / (snr * np.abs(path_loss.gain_derivative(x)))
         return out
 
-    return _vectorized(s, fn)
+    return vectorized(s, fn)
 
 
 def best_received_snr_cdf(s, intensity, half_distance, snr, path_loss):
@@ -480,7 +483,7 @@ def isotropic_best_cqi_cdf(gamma, mean_measure: Callable[[float], float],
         q = quad_adaptive(f, 0.0, math.pi / 2.0, tol=_ISOTROPIC_TOL)
         return -math.expm1(-(2.0 / math.pi) * q.value)
 
-    return _vectorized(gamma, lambda gs: np.array([one(v) for v in gs]))
+    return vectorized(gamma, lambda gs: np.array([one(v) for v in gs]))
 
 
 def isotropic_best_cqi_pdf(gamma, radial_intensity: Callable[[float], float],
@@ -513,7 +516,7 @@ def isotropic_best_cqi_pdf(gamma, radial_intensity: Callable[[float], float],
         surv = 1.0 - isotropic_best_cqi_cdf(g, mean_measure, d)
         return 4.0 * pre * surv
 
-    return _vectorized(gamma, lambda gs: np.array([one(v) for v in gs]))
+    return vectorized(gamma, lambda gs: np.array([one(v) for v in gs]))
 
 
 def exclusion_cqi_cdf(gamma, intensity: float, exclusion_radius: float,
@@ -533,8 +536,8 @@ def ring_cqi_cdf(gamma, intensity: float, ring_radius: float, half_distance: flo
     lam, r, d = intensity, ring_radius, half_distance
     cap = -math.expm1(-2.0 * lam * math.pi * r)
     return _on_support(gamma, math.hypot(r, d), lambda g: np.where(
-        g > r + d, cap, -np.expm1(-4.0 * lam * r * np.arcsin(np.clip(
-            (g * g - d * d - r * r) / (2.0 * d * r), -1.0, 1.0)))), cap)
+        g > r + d, cap, -np.expm1(-4.0 * lam * r * np.arcsin(_crossing_cosine(g, r, d)))),
+        cap)
 
 
 def gaussian_cqi_cdf(gamma, mean_count: float, spread: float, half_distance: float):

@@ -19,7 +19,8 @@ from . import distributions as dist
 from .errors import ParameterError
 from .model import Fading, PathLoss
 # perfbench traces quad_adaptive and solve_monotone by rebinding these module names
-from .numerics import f_exp_e1, quad_adaptive, solve_above_floor, solve_monotone  # noqa: F401
+from .numerics import (f_exp_e1, quad_adaptive, solve_above_floor,  # noqa: F401
+                       solve_monotone, vectorized)
 
 __all__ = [
     "RateResult", "OutageRegime",
@@ -42,7 +43,7 @@ class RateResult:
     fading: Fading
 
     def __float__(self) -> float:
-        return self.value
+        return float(self.value)
 
 
 class OutageRegime(Enum):
@@ -54,15 +55,15 @@ class OutageRegime(Enum):
 def _rate_from_link_snr(link_snr, fading: Fading):
     """Half-duplex rate at each link SNR; 0 where the SNR is not positive, inf
     where it is infinite."""
-    s = np.asarray(link_snr, dtype=float)
-    on = s > 0  # off it, the stand-ins 0 and 1 keep log2 and E1 arguments valid
-    if fading is Fading.NONE:
-        rate = 0.5 * np.log2(1.0 + np.where(on, s, 0.0))
-    else:
+    def rate(s):
+        on = s > 0  # off it, the stand-ins 0 and 1 keep log2 and E1 arguments valid
+        if fading is Fading.NONE:
+            return 0.5 * np.log2(1.0 + np.where(on, s, 0.0))
         finite = on & (s < math.inf)  # e^x E1(x) -> inf as x = 1/s -> 0
-        rate = np.where(finite, f_exp_e1(1.0 / np.where(finite, s, 1.0)) / (2.0 * _LN2),
+        return np.where(finite, f_exp_e1(1.0 / np.where(finite, s, 1.0)) / (2.0 * _LN2),
                         np.where(on, math.inf, 0.0))
-    return float(rate) if rate.ndim == 0 else rate
+
+    return vectorized(link_snr, rate)
 
 
 def _link_snr_for_rate(target_rate: float, fading: Fading) -> float:
@@ -134,34 +135,25 @@ def outage(target_rate: float, intensity: float, half_distance: float,
 # selective threshold feedback
 
 def _check_half_distance(d):
-    if not d > 0:  # the load divides by d; the threshold search steps by d
+    if not d > 0:  # the threshold search steps by d
         raise ParameterError(f"half_distance must be positive, got {d}")
 
 
 def mean_feedback_load(threshold: float, intensity: float, half_distance: float) -> float:
     """Mean number of relays whose metric clears the feedback threshold.
 
-    The count itself is Poisson with this mean.
+    The count itself is Poisson with this mean: intensity times the area of the
+    lens of the discs of radius ``threshold`` about the source and the destination.
     """
     if not threshold >= 0:
         raise ParameterError(f"threshold must be non-negative, got {threshold}")
     _check_half_distance(half_distance)
-    d, lam, t = half_distance, intensity, threshold
+    d, t = half_distance, threshold
     if t <= d:
         return 0.0
     if t == math.inf:  # every relay reports
         return math.inf
-    # 2 lam (t^2 atan(root/d) - d root), with neither t^2 nor t^2 - d^2 formed:
-    # no overflow below the float range
-    root = math.sqrt(t - d) * math.sqrt(t + d)
-    x = root / d
-    if x < 0.125:
-        # near the floor the two terms cancel; with y = -x^2 the load is
-        # (4/3) lam root^3/d * sum_k 3 y^k / ((2k+1)(2k+3)), summed to x^14
-        y = -x * x
-        series = sum(3.0 * y ** k / ((2 * k + 1) * (2 * k + 3)) for k in range(8))
-        return 4.0 * lam * root * x * x * d / 3.0 * series
-    return 2.0 * lam * t * (t * math.atan(x) - d * (root / t))
+    return intensity * float(dist._lens_area(2.0 * d, t, t))
 
 
 def threshold_for_load(load: float, intensity: float, half_distance: float) -> float:

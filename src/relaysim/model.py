@@ -7,6 +7,7 @@ is ``max(|x - source|, |x - destination|)`` - smaller is better.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -15,6 +16,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import ParameterError, UnsupportedOperationError
+from .numerics import vectorized
 
 __all__ = [
     "Point2",
@@ -155,12 +157,19 @@ class PathLoss:
     ``gain_inverse`` is the generalized inverse inf{x >= 0 : G(x) <= s}; it
     satisfies G(G^-1(s)) <= s on the range of G and returns +inf when no x
     qualifies. ``gain_derivative`` is only available for the smooth variants.
+    Each is given as a map of float arrays and called under ``vectorized``.
     """
 
     name: str
     gain: Callable = field(repr=False)
     gain_inverse: Callable = field(repr=False)
     _derivative: Callable | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        for attr in ("gain", "gain_inverse", "_derivative"):
+            fn = getattr(self, attr)
+            if fn is not None:
+                object.__setattr__(self, attr, functools.partial(vectorized, fn=fn))
 
     @property
     def smooth(self) -> bool:
@@ -180,23 +189,15 @@ class PathLoss:
         a = float(exponent)
 
         def gain(x):
-            x = np.asarray(x, dtype=float)
             with np.errstate(divide="ignore"):
-                out = np.where(x > 0, x ** -a, np.inf)
-            return float(out) if out.ndim == 0 else out
+                return np.where(x > 0, x ** -a, np.inf)
 
         def inverse(s):
-            s = np.asarray(s, dtype=float)
             with np.errstate(divide="ignore"):
-                out = np.where(s > 0, s ** (-1.0 / a), np.inf)
-            return float(out) if out.ndim == 0 else out
+                return np.where(s > 0, s ** (-1.0 / a), np.inf)
 
-        def derivative(x):
-            x = np.asarray(x, dtype=float)
-            out = -a * x ** (-a - 1.0)
-            return float(out) if out.ndim == 0 else out
-
-        return PathLoss(f"power-law(alpha={a:g})", gain, inverse, derivative)
+        return PathLoss(f"power-law(alpha={a:g})", gain, inverse,
+                        lambda x: -a * x ** (-a - 1.0))
 
     @staticmethod
     def shifted_power_law(exponent: float) -> "PathLoss":
@@ -205,24 +206,13 @@ class PathLoss:
             raise ParameterError("exponent must be positive")
         a = float(exponent)
 
-        def gain(x):
-            x = np.asarray(x, dtype=float)
-            out = 1.0 / (1.0 + x ** a)
-            return float(out) if out.ndim == 0 else out
-
         def inverse(s):
-            s = np.asarray(s, dtype=float)
             with np.errstate(divide="ignore"):
-                out = np.where(s >= 1.0, 0.0,
-                               np.where(s > 0, ((1.0 - s) / s) ** (1.0 / a), np.inf))
-            return float(out) if out.ndim == 0 else out
+                return np.where(s >= 1.0, 0.0,
+                                np.where(s > 0, ((1.0 - s) / s) ** (1.0 / a), np.inf))
 
-        def derivative(x):
-            x = np.asarray(x, dtype=float)
-            out = -a * x ** (a - 1.0) / (1.0 + x ** a) ** 2
-            return float(out) if out.ndim == 0 else out
-
-        return PathLoss(f"shifted-power-law(alpha={a:g})", gain, inverse, derivative)
+        return PathLoss(f"shifted-power-law(alpha={a:g})", lambda x: 1.0 / (1.0 + x ** a),
+                        inverse, lambda x: -a * x ** (a - 1.0) / (1.0 + x ** a) ** 2)
 
     @staticmethod
     def tabulated(distances, gains) -> "PathLoss":
@@ -245,21 +235,18 @@ class PathLoss:
             raise ParameterError("distances must be non-negative")
 
         def gain(x):
-            x = np.asarray(x, dtype=float)
-            out = np.interp(x, xs, gs)
-            return float(out) if out.ndim == 0 else out
+            return np.interp(x, xs, gs)
 
         def inverse(s):
-            s = np.asarray(s, dtype=float)
             # the first row with G <= s ends the segment the crossing lies on
             j = np.clip(np.searchsorted(-gs, -s), 1, xs.size - 1)
             x0, g0, x1 = xs[j - 1], gs[j - 1], xs[j]
             with np.errstate(divide="ignore", invalid="ignore"):  # off the table's range
                 x = np.minimum(x0 + (x1 - x0) * ((g0 - s) / (g0 - gs[j])), x1)
-            x = np.atleast_1d(np.where(s >= gs[0], 0.0, np.where(s < gs[-1], np.inf, x)))
+            x = np.where(s >= gs[0], 0.0, np.where(s < gs[-1], np.inf, x))
             # rounding can leave G(x) a few ulps above s; G(x1) = gs[j] <= s exactly
             while (high := (gain(x) > s) & (x < math.inf)).any():
                 x[high] = np.nextafter(x[high], math.inf)
-            return float(x[0]) if s.ndim == 0 else x
+            return x
 
         return PathLoss("tabulated", gain, inverse)

@@ -7,7 +7,8 @@ overflow-safe product e^x E1(x) takes scalars or arrays: the direct product
 up to x = 600, the asymptotic series above. The Poisson pmf, cdf, sf and ppf
 and the chi-square sf are the ``scipy.special`` expressions that
 ``scipy.stats`` evaluates, bit for bit for k >= 0, mu >= 0 and 0 < q < 1,
-without the import time of ``scipy.stats``. Quadrature delegates to
+without the import time of ``scipy.stats``. ``vectorized`` is the package's
+one scalar/array rule. Quadrature delegates to
 QUADPACK's adaptive Gauss-Kronrod scheme with semi-infinite intervals mapped
 through t -> a + t/(1-t); only the laws that take a caller's scalar callable
 use it. ``solve_monotone`` bisects a given bracket; ``solve_above_floor``
@@ -45,6 +46,14 @@ __all__ = [
 _ASYMPTOTIC_FROM = 600.0
 
 
+def vectorized(x, fn):
+    """fn applied to x as a float array of at least one dimension; fn returns an
+    array of its argument's shape. A float for scalar x, else an array of x's shape."""
+    xa = np.asarray(x, dtype=float)
+    out = fn(np.atleast_1d(xa).astype(float))  # a copy: fn may write into its argument
+    return float(out[0]) if xa.ndim == 0 else out.reshape(xa.shape)
+
+
 def exp_integral_e1(x: float) -> float:
     """E1(x) = integral_1^inf e^(-t x)/t dt for x > 0."""
     if not x > 0:
@@ -57,20 +66,21 @@ def f_exp_e1(x):
 
     Strictly decreasing from +inf to 0 on (0, inf); every x must be positive.
     """
-    xa = np.asarray(x, dtype=float)
-    if not (xa > 0).all():
-        raise ParameterError(f"f(x) = e^x E1(x) requires x > 0, got {x}")
-    near = np.minimum(xa, _ASYMPTOTIC_FROM)
-    out = np.exp(near) * _sp.exp1(near)
-    far = xa > _ASYMPTOTIC_FROM
-    if far.any():
-        y = 1.0 / xa[far]
-        series = 1.0
-        for k in range(8, 0, -1):
-            series = 1.0 - k * y * series
-        out = np.asarray(out)
-        out[far] = y * series
-    return float(out) if out.ndim == 0 else out
+    def fn(xa):
+        if not (xa > 0).all():
+            raise ParameterError(f"f(x) = e^x E1(x) requires x > 0, got {x}")
+        near = np.minimum(xa, _ASYMPTOTIC_FROM)
+        out = np.exp(near) * _sp.exp1(near)
+        far = xa > _ASYMPTOTIC_FROM
+        if far.any():
+            y = 1.0 / xa[far]
+            series = 1.0
+            for k in range(8, 0, -1):
+                series = 1.0 - k * y * series
+            out[far] = y * series
+        return out
+
+    return vectorized(x, fn)
 
 
 def erfc_scaled(x):

@@ -182,18 +182,19 @@ ProcessSpec = Union[DiscHomogeneous, DiscWithExclusion, CircleHomogeneous,
                     GaussianCluster, AnnulusUniform]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RelayField:
     """One realization: an (n, 2) float array plus its generating spec/seed.
 
     ``sample`` makes ``points`` read-only, so quantities derived from it can be
     kept in ``derived`` (``policies.select`` keeps each half-distance's geometry).
+    Equality is identity, so a field is hashable; compare ``points`` for values.
     """
 
     points: np.ndarray
     spec: object
     seed: int
-    derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    derived: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def n(self) -> int:

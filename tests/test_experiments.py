@@ -106,3 +106,49 @@ def test_feedback_csv_bytes_are_pinned(name, seed, digest, tmp_path):
     path = tmp_path / f"{name}.csv"
     rows_to_csv(run_experiment(name, ExperimentConfig(n_trials=300, seed=seed)), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+# SHA-256 of the x, series and simulated columns of every experiment's CSV at
+# 300 trials, recorded before the feedback load read the shared lens area.
+# These columns are what the seeded simulation produces; the analytic and
+# stderr columns are left out, since a formula rewritten to fewer ulps may
+# move their last printed digits.
+SIMULATED_COLUMN_DIGESTS = {
+    ("annulus-ccdf", 7041776): "4b0c2c4be1376abccfe0533b9664a04977ef8f2b0ee041082bbfdd3763d8f4e6",
+    ("diff-snr-cdf", 7041776): "7c166d72ef4252363ccdcf35c9a9c1eab399d9e54997f3ac84b30a580ca16f3c",
+    ("feedback-load", 7041776): "2e678a9b86716995cba725dde946a6281d98a1ccb7f630b0f7614ea12d5c3320",
+    ("finite-convergence", 7041776):
+        "7f89cb88c2e0b06d119db33bf2e7b7576aa9fc78e8b04611f53fa0fe45c5c654",
+    ("fixed-load", 7041776): "7d1977378de074ed723e426fb61815d5adca40b7fa24cad91833cabf2de1e1cf",
+    ("midpoint-optimality", 7041776):
+        "95343875472ff7e934fe71bef8c18965394d7ab45e49f4bc207bffe887dc32b1",
+    ("nfb-distribution", 7041776):
+        "037e919e190deaef464c5f4bcfd7f3bbf3c8eb9ab59afdf3db3ad3488a161fdb",
+    ("outage-and-rate", 7041776): "2702560fa8a280c0f52b93a51da4a50e559084c9fbc252a3bcb92234eccd2e98",
+    ("outage-feedback", 7041776): "c017caadcc062d5cbb396250713ab599146ae7193209f1b6f593ef3b42565b5e",
+    ("rate-feedback", 7041776): "1200625e862826da046b531a6998ede1d4697bf99f4c0a25b47a06e2eb7700d6",
+    ("annulus-ccdf", 3): "0025c7b8880335a108e6180e7c5420f69b7438d5956699b9893b10e776061533",
+    ("diff-snr-cdf", 3): "510522b1f31f4334d49b86eb22662a4caad8e32c3d2a0228bb7f2ea2a628239d",
+    ("feedback-load", 3): "4d6ae75659aad0e0548028a4db1e94522d0694c2224cdec40adabee7469b183b",
+    ("finite-convergence", 3): "a506b55ff22bd8648fd5abc23ab42bab67b49abf5b6899390745ab178e7dd68a",
+    ("fixed-load", 3): "7ae633b882e06cdc9065a21705898f36a3862633edd02d07f750e6bb8d9503a1",
+    ("midpoint-optimality", 3): "e8e25b72e6360bd6e2ae852362e1e555d524bd7b04b790332adcde0bd2b26222",
+    ("nfb-distribution", 3): "efa846207118f0b07947ad34d558bb4f5916cf68814c6a32a40e6abf9100f796",
+    ("outage-and-rate", 3): "cb4ee0ae9833e40cb93b4c8efb44c1f2be388bacbbaa3ad56f059bde693792b1",
+    ("outage-feedback", 3): "8b572e58d96eba59c248b7cbcecaa6abe482f09c3e6f156b13913a59c99c6cfd",
+    ("rate-feedback", 3): "6600ebe7aa8a8a06beba3d49feb594165d9ff136c229e93f2fe70d8f56913978",
+}
+
+
+def test_simulated_column_pins_cover_every_experiment():
+    assert {name for name, _ in SIMULATED_COLUMN_DIGESTS} == set(EXPERIMENTS)
+
+
+@pytest.mark.parametrize("name, seed", sorted(SIMULATED_COLUMN_DIGESTS))
+def test_simulated_columns_are_pinned(name, seed, tmp_path):
+    path = tmp_path / f"{name}.csv"
+    rows_to_csv(run_experiment(name, ExperimentConfig(n_trials=300, seed=seed)), path)
+    cells = [line.split(",") for line in path.read_text(encoding="utf-8").splitlines()]
+    assert {len(row) for row in cells} == {5}  # no series name holds a comma
+    kept = "".join(f"{x},{series},{simulated}\n" for x, series, _, simulated, _ in cells)
+    assert hashlib.sha256(kept.encode()).hexdigest() == SIMULATED_COLUMN_DIGESTS[name, seed]

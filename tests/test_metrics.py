@@ -231,6 +231,16 @@ def test_outage_decay_slope_diagnostics():
         metrics.outage_decay_slope("nope", 0.5, 1.0, SNR, PL, Fading.NONE)
 
 
+def test_rate_result_converts_to_a_python_float():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = float(metrics.RateResult(np.float64(1.25), Fading.NONE))
+    assert type(value) is float and value == 1.25
+    rates = metrics.conditional_rate(np.array([1.5, 2.0]), SNR, PL, Fading.NONE)
+    with pytest.raises(TypeError):
+        float(rates)
+
+
 def test_full_duplex_scaling():
     r = metrics.RateResult(1.03, Fading.NONE)
     assert metrics.full_duplex_rate(r).value == pytest.approx(2.06)
@@ -297,6 +307,40 @@ def test_feedback_load_past_the_float_range_is_infinite_not_nan():
 def test_feedback_load_keeps_relative_precision_at_the_floor(t, load):
     # 50-digit mpmath of 2 (t^2 atan(root) - root), root = sqrt(t^2 - 1), at the float t
     assert metrics.mean_feedback_load(t, 1.0, 1.0) == pytest.approx(load, rel=1e-13, abs=0)
+
+
+def _feedback_thresholds(d):
+    """Thresholds d (1 + 10^-k) for k = 1..15, 40 seeded interior points, 1e3 d and 1e100 d."""
+    near = d * (1.0 + 10.0 ** -np.arange(1.0, 16.0))
+    inner = d * np.random.default_rng(17).uniform(1.0, 10.0, 40)
+    return np.concatenate([near, inner, [1e3 * d, 1e100 * d]])
+
+
+@pytest.mark.parametrize("lam", [0.1, 1.0, 4.0])
+@pytest.mark.parametrize("d", [0.5, 1.0, 3.0])
+def test_mean_feedback_load_to_a_few_ulps_of_mpmath(lam, d):
+    # 2 lam (t^2 acos(d/t) - d sqrt(t^2 - d^2)) at 50 digits, at the float t.
+    # The load is lam times the equal lens, which holds 4 ulps on its own
+    # (test_equal_lens_area_to_a_few_ulps_of_mpmath); the product with lam and
+    # the lens's inputs scaled by d, exact only for powers of two, add up to
+    # about 1 ulp more, and 6 leaves 1 ulp of margin. The worst point reads 4.3.
+    mpmath = pytest.importorskip("mpmath")
+    ts = _feedback_thresholds(d)
+    got = [metrics.mean_feedback_load(float(t), lam, d) for t in ts]
+    with mpmath.workdps(50):
+        md, ml = mpmath.mpf(d), mpmath.mpf(lam)
+        exact = [2 * ml * (t * t * mpmath.acos(md / t) - md * mpmath.sqrt(t * t - md * md))
+                 for t in map(mpmath.mpf, ts)]
+        ulps = [float(abs(mpmath.mpf(v) - e) / np.spacing(float(e))) for v, e in zip(got, exact)]
+    assert max(ulps) <= 6.0
+
+
+@pytest.mark.parametrize("lam, d", [(0.1, 0.5), (1.0, 1.0), (4.0, 3.0)])
+def test_threshold_for_load_round_trip_at_near_floor_loads(lam, d):
+    for t in d * (1.0 + 10.0 ** -np.arange(1.0, 16.0)):
+        load = metrics.mean_feedback_load(float(t), lam, d)
+        back = metrics.threshold_for_load(load, lam, d)
+        assert metrics.mean_feedback_load(back, lam, d) == pytest.approx(load, rel=1e-9, abs=0)
 
 
 @pytest.mark.parametrize("fading", list(Fading))

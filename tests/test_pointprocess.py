@@ -198,6 +198,14 @@ def test_sampled_points_are_read_only():
             f.points[0, 0] = 0.0
 
 
+def test_fields_compare_by_identity_and_hash():
+    spec = DiscHomogeneous(1.0, 3.0)
+    a, b = sample(spec, 1), sample(spec, 1)
+    assert a.n > 1 and np.array_equal(a.points, b.points)
+    assert a == a and a != b
+    assert {a, b, a} == {a, b}
+
+
 @pytest.mark.parametrize("seed", [0, 2 ** 63, 2 ** 64 - 1])
 def test_sample_draws_the_stream_of_a_fresh_philox(seed):
     spec = GaussianCluster(30.0, 1.5)
