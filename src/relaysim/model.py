@@ -158,14 +158,20 @@ class PathLoss:
     satisfies G(G^-1(s)) <= s on the range of G and returns +inf when no x
     qualifies. ``gain_derivative`` is only available for the smooth variants.
     Each is given as a map of float arrays and called under ``vectorized``.
+    Two path losses are equal when their names and ``params`` are: the
+    constructor's exact parameters (the name rounds them), or by default the
+    maps themselves.
     """
 
     name: str
-    gain: Callable = field(repr=False)
-    gain_inverse: Callable = field(repr=False)
-    _derivative: Callable | None = field(default=None, repr=False)
+    gain: Callable = field(repr=False, compare=False)
+    gain_inverse: Callable = field(repr=False, compare=False)
+    _derivative: Callable | None = field(default=None, repr=False, compare=False)
+    params: tuple | None = field(default=None, repr=False)
 
     def __post_init__(self):
+        if self.params is None:
+            object.__setattr__(self, "params", (self.gain, self.gain_inverse, self._derivative))
         for attr in ("gain", "gain_inverse", "_derivative"):
             fn = getattr(self, attr)
             if fn is not None:
@@ -197,7 +203,7 @@ class PathLoss:
                 return np.where(s > 0, s ** (-1.0 / a), np.inf)
 
         return PathLoss(f"power-law(alpha={a:g})", gain, inverse,
-                        lambda x: -a * x ** (-a - 1.0))
+                        lambda x: -a * x ** (-a - 1.0), params=(a,))
 
     @staticmethod
     def shifted_power_law(exponent: float) -> "PathLoss":
@@ -212,7 +218,8 @@ class PathLoss:
                                 np.where(s > 0, ((1.0 - s) / s) ** (1.0 / a), np.inf))
 
         return PathLoss(f"shifted-power-law(alpha={a:g})", lambda x: 1.0 / (1.0 + x ** a),
-                        inverse, lambda x: -a * x ** (a - 1.0) / (1.0 + x ** a) ** 2)
+                        inverse, lambda x: -a * x ** (a - 1.0) / (1.0 + x ** a) ** 2,
+                        params=(a,))
 
     @staticmethod
     def tabulated(distances, gains) -> "PathLoss":
@@ -249,4 +256,4 @@ class PathLoss:
                 x[high] = np.nextafter(x[high], math.inf)
             return x
 
-        return PathLoss("tabulated", gain, inverse)
+        return PathLoss("tabulated", gain, inverse, params=(tuple(xs), tuple(gs)))

@@ -1,10 +1,13 @@
 """Special functions, Poisson and chi-square tails, adaptive quadrature and
 monotone root searches.
 
-The module imports only ``scipy.special``; ``scipy.integrate`` is imported by
-the first adaptive quadrature. The exponential integral E1 is ``exp1``. Its
-overflow-safe product e^x E1(x) takes scalars or arrays: the direct product
-up to x = 600, the asymptotic series above. The Poisson pmf, cdf, sf and ppf
+The module imports only numpy when it loads. ``scipy.special`` is imported by
+the first call of a helper that reads it (``exp_integral_e1``, ``f_exp_e1``,
+``erfc_scaled``, the Poisson pmf, cdf, sf and ppf and ``chi2_sf``), and
+``scipy.integrate`` by the first adaptive quadrature, so a Monte Carlo batch,
+field sampling and relay selection load neither. The exponential integral E1
+is ``exp1``. Its overflow-safe product e^x E1(x) takes scalars or arrays: the
+direct product up to x = 600, the asymptotic series above. The Poisson pmf, cdf, sf and ppf
 and the chi-square sf are the ``scipy.special`` expressions that
 ``scipy.stats`` evaluates, bit for bit for k >= 0, mu >= 0 and 0 < q < 1,
 without the import time of ``scipy.stats``. ``vectorized`` is the package's
@@ -21,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as _sp
 
 from .errors import BracketError, NumericError, ParameterError
 
@@ -44,6 +46,22 @@ __all__ = [
 # e^x E1(x) comes from the asymptotic series sum_k (-1)^k k!/x^(k+1), summed
 # to k = 8; its first omitted term is below 1e-19 relative there.
 _ASYMPTOTIC_FROM = 600.0
+
+
+class _SpecialOnFirstUse:
+    """Stands in for ``scipy.special`` until a helper first reads it; that read
+    imports the module and rebinds ``_sp`` to it, so later calls look up the
+    module itself."""
+
+    def __getattr__(self, name):
+        global _sp
+        from scipy import special
+
+        _sp = special
+        return getattr(special, name)
+
+
+_sp = _SpecialOnFirstUse()
 
 
 def vectorized(x, fn):

@@ -201,3 +201,23 @@ def test_tabulated_validation():
         PathLoss.tabulated([0, 1, 1], [1.0, 0.5, 0.2])  # not strictly increasing x
     with pytest.raises(ParameterError):
         PathLoss.tabulated([0, 1], [1.0, -0.1])
+
+
+def test_path_losses_compare_and_hash_by_constructor_parameters():
+    table = ([0.0, 1.0, 2.0], [1.0, 0.5, 0.0])
+    pairs = [(PathLoss.power_law(4.0), PathLoss.power_law(4)),
+             (PathLoss.shifted_power_law(3.5), PathLoss.shifted_power_law(3.5)),
+             (PathLoss.tabulated(*table), PathLoss.tabulated(np.array(table[0]), table[1]))]
+    for a, b in pairs:
+        assert a == b and hash(a) == hash(b)
+    # the name rounds the exponent to six digits; equality does not
+    near = PathLoss.power_law(4.0000001)
+    assert near.name == PathLoss.power_law(4.0).name and near != PathLoss.power_law(4.0)
+    assert PathLoss.power_law(4.0) != PathLoss.shifted_power_law(4.0)
+    assert PathLoss.tabulated(*table) != PathLoss.tabulated(table[0], [1.0, 0.4, 0.0])
+    assert PathLoss.tabulated(*table) != PathLoss.tabulated([0.0, 1.0, 3.0], table[1])
+    assert len({a for pair in pairs for a in pair}) == 3
+    # built from maps, a path loss is equal to one built from the same maps
+    gain, inverse = (lambda x: 1.0 / (1.0 + x)), (lambda s: 1.0 / s - 1.0)
+    assert PathLoss("custom", gain, inverse) == PathLoss("custom", gain, inverse)
+    assert PathLoss("custom", gain, inverse) != PathLoss("custom", gain, lambda s: 1.0 / s - 1.0)

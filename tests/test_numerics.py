@@ -210,21 +210,63 @@ def test_chi2_sf_equals_scipy_stats_bit_for_bit(dof):
 
 
 IMPORT_PROBE = """
-import math, sys
+import contextlib, io, math, os, sys, tempfile
 import relaysim, relaysim.cli
-print(sorted(m for m in ("scipy.stats", "scipy.integrate") if m in sys.modules))
-from relaysim.numerics import quad_adaptive
-value = quad_adaptive(lambda x: math.exp(-x) * x, 0.0, math.inf).value
+
+def loaded():
+    return sorted(m for m in ("numpy", "scipy.special", "scipy.stats", "scipy.integrate")
+                  if m in sys.modules)
+
+print(loaded())
+with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+    relaysim.cli.main(["simulate", "--lambda", "1", "--d", "1", "--tau", "10", "--trials",
+                       "1000", "--seed", "1", "--out", os.path.join(tmp, "trials.csv")])
+print(loaded())
+from relaysim import pointprocess, policies
+from relaysim.model import LinkBudget, NetworkGeometry, snr_from_db
+budget = LinkBudget(snr=snr_from_db(5.0), snr_relay=snr_from_db(5.0),
+                    snr_destination=snr_from_db(10.0))
+for spec in (pointprocess.DiscHomogeneous(1.0, 4.0),
+             pointprocess.DiscWithExclusion(1.0, 1.0, 4.0),
+             pointprocess.CircleHomogeneous(1.0, 4.0),
+             pointprocess.GaussianCluster(30.0, 1.5)):
+    for seed in range(20):
+        field = pointprocess.sample(spec, seed)
+        if field.n:
+            for kind in policies.PolicyKind:
+                policies.select(field, kind, NetworkGeometry(1.0), budget=budget,
+                                threshold=3.0, path_loss_exponent=4.0)
+print(loaded())
+import numpy as np
+from relaysim import numerics
+values = getattr(numerics, sys.argv[1])(*eval(sys.argv[2]))  # the first special function
+print(loaded(), numerics._sp is sys.modules["scipy.special"], [float(v).hex() for v in values])
+value = numerics.quad_adaptive(lambda x: math.exp(-x) * x, 0.0, math.inf).value
 print("scipy.integrate" in sys.modules, value.hex())
 """
 
+# (helper, its arguments as an expression over np, the direct scipy.special expression)
+SPECIAL_FIRST_CALLS = [
+    ("poisson_pmf", "np.arange(6), 2.5",
+     lambda k, mu: np.exp(sp.xlogy(k, mu) - sp.gammaln(k + 1) - mu)),
+    ("f_exp_e1", "np.array([1e-3, 0.5, 1.0, 10.0, 500.0]),",
+     lambda x: np.exp(x) * sp.exp1(x)),
+]
+
 
 def test_import_loads_neither_scipy_stats_nor_integrate_before_a_quadrature():
-    """A fresh interpreter: relaysim alone must not pull in scipy.stats or
-    scipy.integrate, and the first quadrature loads the latter."""
-    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE],
-                          capture_output=True, text=True, check=True)
-    before, after = proc.stdout.splitlines()
-    assert before == "[]"
-    value = quad_adaptive(lambda x: math.exp(-x) * x, 0.0, math.inf).value
-    assert after == f"True {value.hex()}"
+    """A fresh interpreter: importing relaysim, a Monte Carlo ``simulate`` and
+    sampling fields and selecting relays with every policy load numpy but no
+    scipy module; the first special-function call loads ``scipy.special``
+    with the values of the direct ``scipy.special`` expressions, and the
+    first quadrature loads ``scipy.integrate``."""
+    quad = quad_adaptive(lambda x: math.exp(-x) * x, 0.0, math.inf).value
+    for name, args, direct in SPECIAL_FIRST_CALLS:
+        proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, name, args],
+                              capture_output=True, text=True, check=True)
+        imported, simulated, selected, special, integrated = proc.stdout.splitlines()
+        assert imported == simulated == selected == "['numpy']", name
+        expected = [float(v).hex() for v in direct(*eval(args))]
+        # loaded, bound to the module itself (no stand-in left on the call path), bit-equal
+        assert special == f"['numpy', 'scipy.special'] True {expected}", name
+        assert integrated == f"True {quad.hex()}", name
