@@ -5,10 +5,12 @@ quantity to stdout, 12 significant digits), ``experiment`` (named figure
 datasets to CSV), ``list-experiments``. Exit codes: 0 success, 2 usage error,
 3 numerical failure.
 
-Config files are flat ``key = value`` lines (``#`` comments); keys use the
-long flag names with dashes or underscores. Flags given on the command line
-override file values. ``RELAYSIM_OUTPUT_DIR`` sets the default output
-directory.
+Config files are flat ``key = value`` lines (``#`` comments); keys are the
+knob names of ``ExperimentConfig`` (dashes read as underscores) or
+``out_dir``. Flags given on the command line override file values. File
+values and flag text are typed alike: comma lists become tuples, and the
+config checks each knob's shape. ``RELAYSIM_OUTPUT_DIR`` sets the default
+output directory.
 """
 from __future__ import annotations
 
@@ -17,6 +19,7 @@ import math
 import os
 import sys
 import tempfile
+from dataclasses import fields
 
 import numpy as np
 
@@ -32,12 +35,18 @@ from .montecarlo import MonteCarloConfig, batch_to_csv, run_trials
 USAGE_EXIT = 2
 NUMERIC_EXIT = 3
 
+# experiment flag -> the ExperimentConfig knob it sets
+_EXPERIMENT_FLAGS = {
+    "--trials": "n_trials", "--seed": "seed", "--lambdas": "lambdas",
+    "--d": "half_distance", "--alpha": "alpha", "--snr-db": "snr_db", "--rho": "rho",
+    "--thresholds": "thresholds", "--taus": "taus",
+}
+# eval quantities that need a feedback threshold
+_NEEDS_THRESHOLD = ("mu", "rate-feedback", "outage-feedback", "outage-regime")
+
 
 def _parse_scalar(text: str):
     t = text.strip()
-    low = t.lower()
-    if low in ("true", "false"):
-        return low == "true"
     if "," in t:
         return tuple(_parse_scalar(p) for p in t.split(",") if p.strip())
     try:
@@ -134,15 +143,9 @@ def _build_parser() -> argparse.ArgumentParser:
     ex.add_argument("name")
     ex.add_argument("--config", default=None, help="flat key=value config file")
     ex.add_argument("--out-dir", default=None)
-    ex.add_argument("--trials", dest="n_trials", type=int, default=None)
-    ex.add_argument("--seed", type=int, default=None)
-    ex.add_argument("--lambdas", default=None, help="comma list, e.g. 0.5,1,2")
-    ex.add_argument("--d", dest="half_distance", type=float, default=None)
-    ex.add_argument("--alpha", type=float, default=None)
-    ex.add_argument("--snr-db", dest="snr_db", type=float, default=None)
-    ex.add_argument("--rho", type=float, default=None)
-    ex.add_argument("--thresholds", default=None, help="comma list of T values")
-    ex.add_argument("--taus", default=None, help="comma list of window radii")
+    for flag, knob in _EXPERIMENT_FLAGS.items():
+        ex.add_argument(flag, dest=knob, type=_parse_scalar, default=None,
+                        help=f"sets the {knob} knob")
     ex.add_argument("--dry-run", action="store_true",
                     help="validate the config and print the plan, compute nothing")
 
@@ -166,6 +169,8 @@ def _eval_quantity(args) -> float:
     fading = Fading(args.fading)
     q = args.quantity
     threshold = args.threshold
+    if q in _NEEDS_THRESHOLD and threshold is None:
+        raise ParameterError(f"{q} needs --T")
 
     if q == "cdf-gamma-opt":
         return dist.best_cqi_cdf(args.gamma, lam, d)
@@ -203,32 +208,23 @@ def _eval_quantity(args) -> float:
     if q == "cdf-gamma-gaussian":
         return dist.gaussian_cqi_cdf(args.gamma, args.n, args.sigma, d)
     if q == "mu":
-        if threshold is None:
-            raise ParameterError("mu needs --T")
         return metrics.mean_feedback_load(threshold, lam, d)
     if q == "threshold-for-load":
         return metrics.threshold_for_load(args.mu0, lam, d)
     if q == "s-star":
         return metrics.s_star(args.rho)
     if q in ("rate", "rate-feedback"):
-        if q == "rate":
-            rate = metrics.average_rate(dist.policy_law(args.policy, lam, d), snr, pl, fading)
-        elif threshold is None:
-            raise ParameterError("rate-feedback needs --T")
-        else:
-            rate = metrics.average_rate_feedback(threshold, lam, d, snr, pl, fading)
+        rate = (metrics.average_rate(dist.policy_law(args.policy, lam, d), snr, pl, fading)
+                if q == "rate" else
+                metrics.average_rate_feedback(threshold, lam, d, snr, pl, fading))
         return (metrics.full_duplex_rate(rate) if args.full_duplex else rate).value
     if q == "outage":
         return metrics.outage(args.rho, lam, d, snr, pl, fading)
     if q == "outage-slope":
         return metrics.outage_decay_slope(args.policy, args.rho, d, snr, pl, fading)
     if q == "outage-feedback":
-        if threshold is None:
-            raise ParameterError("outage-feedback needs --T")
         return metrics.outage_feedback(threshold, args.rho, lam, d, snr, pl, fading)[0]
     if q == "outage-regime":
-        if threshold is None:
-            raise ParameterError("outage-regime needs --T")
         regime = metrics.outage_feedback(threshold, args.rho, lam, d, snr, pl, fading)[1]
         print(regime.value)
         return math.nan
@@ -266,31 +262,21 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    cfg = ExperimentConfig()
-    overrides = {}
-    if args.config:
-        overrides.update(parse_config_file(args.config))
-    for key in ("n_trials", "seed", "half_distance", "alpha", "snr_db", "rho"):
-        v = getattr(args, key, None)
-        if v is not None:
-            overrides[key] = v
-    for key in ("lambdas", "thresholds", "taus"):
-        v = getattr(args, key, None)
-        if v is not None:
-            parsed = _parse_scalar(v) if isinstance(v, str) else v
-            overrides[key] = parsed if isinstance(parsed, tuple) else (parsed,)
+    overrides = parse_config_file(args.config) if args.config else {}
+    for knob in _EXPERIMENT_FLAGS.values():
+        if getattr(args, knob) is not None:
+            overrides[knob] = getattr(args, knob)
     out_dir = args.out_dir or overrides.pop("out_dir", None) or _default_outdir()
     name = args.name
     if name not in EXPERIMENTS:
         print(f"error: unknown experiment {name!r}; run list-experiments", file=sys.stderr)
         return USAGE_EXIT
-    cfg = config_overrides(cfg, **overrides)
+    cfg = config_overrides(ExperimentConfig(), **overrides)
     if args.dry_run:
         print(f"experiment {name}: {EXPERIMENTS[name][1]}")
         print(f"output: {os.path.join(out_dir, name + '.csv')}")
-        for f in ("n_trials", "seed", "lambdas", "half_distance", "alpha",
-                  "snr_db", "rho", "thresholds", "taus"):
-            print(f"  {f} = {getattr(cfg, f)}")
+        for f in fields(cfg):
+            print(f"  {f.name} = {getattr(cfg, f.name)}")
         return 0
     rows = run_experiment(name, cfg)
     path = os.path.join(out_dir, name + ".csv")

@@ -48,7 +48,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ParameterError, UnsupportedOperationError
+from .errors import NumericError, ParameterError, UnsupportedOperationError
 from .model import NetworkGeometry, PathLoss, diff_metric_minimum
 # perfbench traces quad_adaptive and solve_monotone by rebinding these module names
 from .numerics import (erfc_scaled, quad_adaptive, solve_above_floor,  # noqa: F401
@@ -394,9 +394,18 @@ def nearest_to_midpoint_mean(intensity: float, half_distance: float, weight) -> 
 
 
 def prob_midpoint_optimal(intensity: float, half_distance: float) -> float:
-    """Probability that the mid-point policy picks the overall best relay."""
-    return nearest_to_midpoint_mean(intensity, half_distance, lambda psi, theta: np.exp(
+    """Probability that the mid-point policy picks the overall best relay.
+
+    At large intensity the cancellation in ``midpoint_displacement_exponent``
+    drives the value out of [0, 1] (near 1e16 at d = 1); that raises
+    ``NumericError``.
+    """
+    p = nearest_to_midpoint_mean(intensity, half_distance, lambda psi, theta: np.exp(
         -intensity * midpoint_displacement_exponent(psi, theta, half_distance)))
+    if not 0.0 <= p <= 1.0:
+        raise NumericError(f"prob_midpoint_optimal({intensity!r}, {half_distance!r}) = {p!r} "
+                           "is not a probability: the displacement area cancels")
+    return p
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,10 @@ feedback load, a rate) it is the sample standard error.
 """
 from __future__ import annotations
 
+import itertools
 import math
+import numbers
+import sys
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -33,7 +36,14 @@ _HEADER = ("x", "series", "analytic", "simulated", "stderr")
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Shared knobs; each experiment reads the subset it needs."""
+    """Shared knobs; each experiment reads the subset it needs.
+
+    Each knob takes the shape of its default: a non-negative integer
+    (``seed`` below 2^64), a finite real number, a non-empty tuple of finite
+    numbers (a lone number is a 1-tuple) or a non-empty tuple of finite number
+    pairs. A value of another shape, bools and strings included, raises
+    ``ParameterError``.
+    """
 
     n_trials: int = 20000
     seed: int = 7041776
@@ -55,11 +65,61 @@ class ExperimentConfig:
     diff_half_distance: float = 0.5
     diff_intensity: float = 1.0
 
+    def __post_init__(self):
+        for f in fields(self):
+            object.__setattr__(self, f.name, _knob(f.name, getattr(self, f.name), f.default))
+
     def path_loss(self) -> PathLoss:
         return PathLoss.power_law(self.alpha)
 
     def snr(self) -> float:
         return snr_from_db(self.snr_db)
+
+
+_SEED_END = 1 << 64  # Philox takes the seed as a uint64 key
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    """A finite number a float holds: NaN, inf and larger ints fail downstream."""
+    return (isinstance(v, numbers.Real) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max)
+
+
+def _is_pair(v) -> bool:
+    return isinstance(v, tuple) and len(v) == 2 and all(map(_is_real, v))
+
+
+def _knob(name: str, value, default):
+    """``value`` in the shape of the knob's ``default``, or ``ParameterError``."""
+    if _is_int(default):
+        if not (_is_int(value) and value >= 0):
+            raise ParameterError(f"{name} must be a non-negative integer, got {value!r}")
+        if name == "seed" and value >= _SEED_END:
+            raise ParameterError(f"seed must be below 2^64, got {value!r}")
+        return int(value)
+    if _is_real(default):
+        if not _is_real(value):
+            raise ParameterError(f"{name} must be a finite real number, got {value!r}")
+        return value
+    is_item = _is_pair if isinstance(default[0], tuple) else _is_real
+    if is_item is _is_real and _is_real(value):
+        value = (value,)
+    if not (isinstance(value, tuple) and value and all(map(is_item, value))):
+        shape = "finite numbers" if is_item is _is_real else "finite number pairs"
+        raise ParameterError(f"{name} must be a non-empty tuple of {shape}, got {value!r}")
+    return value
+
+
+def _seeded(cfg: ExperimentConfig, grid):
+    """(seed, point) for each grid point in order: point k seeds the config's seed plus k."""
+    grid = list(grid)
+    if cfg.seed + len(grid) > _SEED_END:
+        raise ParameterError(f"seed {cfg.seed} runs past 2^64 over {len(grid)} grid points")
+    return zip(itertools.count(cfg.seed), grid)
 
 
 def _freq_row(x, series, analytic, freq, n):
@@ -82,16 +142,12 @@ def _freq_rows(grid, series, analytic, freqs, n):
 
 def _exp_midpoint_optimality(cfg: ExperimentConfig):
     rows = []
-    k = 0
-    for d in cfg.half_distances:
-        for lam in cfg.lambdas:
-            batch = run_trials(MonteCarloConfig(lam, d), cfg.n_trials, cfg.seed + k)
-            k += 1
-            rows.append(_freq_row(lam, f"sufficient d={d:g}", dist.prob_sufficient(lam, d),
-                                  np.mean(batch.sufficient), cfg.n_trials))
-            rows.append(_freq_row(lam, f"mid-optimal d={d:g}",
-                                  dist.prob_midpoint_optimal(lam, d),
-                                  np.mean(batch.mid_is_opt), cfg.n_trials))
+    for seed, (d, lam) in _seeded(cfg, itertools.product(cfg.half_distances, cfg.lambdas)):
+        batch = run_trials(MonteCarloConfig(lam, d), cfg.n_trials, seed)
+        rows.append(_freq_row(lam, f"sufficient d={d:g}", dist.prob_sufficient(lam, d),
+                              np.mean(batch.sufficient), cfg.n_trials))
+        rows.append(_freq_row(lam, f"mid-optimal d={d:g}", dist.prob_midpoint_optimal(lam, d),
+                              np.mean(batch.mid_is_opt), cfg.n_trials))
     return rows
 
 
@@ -100,9 +156,8 @@ def _exp_finite_convergence(cfg: ExperimentConfig):
     lam = 1.0
     gammas = np.linspace(d, d + 2.5, 101)
     rows = []
-    for k, tau in enumerate(cfg.taus):
-        batch = run_trials(MonteCarloConfig(lam, d, window_radius=tau),
-                           cfg.n_trials, cfg.seed + k)
+    for seed, tau in _seeded(cfg, cfg.taus):
+        batch = run_trials(MonteCarloConfig(lam, d, window_radius=tau), cfg.n_trials, seed)
         # empty windows record inf, which counts as beyond every grid point
         rows += _freq_rows(gammas, f"tau={tau:g}", dist.best_cqi_cdf_finite(gammas, lam, d, tau),
                            empirical_cdf(batch.gamma_opt, gammas), cfg.n_trials)
@@ -115,9 +170,9 @@ def _exp_nfb_distribution(cfg: ExperimentConfig):
     d = cfg.half_distance
     t = cfg.nfb_threshold
     rows = []
-    for k, lam in enumerate(cfg.nfb_lambdas):
+    for seed, lam in _seeded(cfg, cfg.nfb_lambdas):
         mu = metrics.mean_feedback_load(t, lam, d)
-        nfb = feedback_counts(MonteCarloConfig(lam, d, threshold=t), cfg.n_trials, cfg.seed + k)
+        nfb = feedback_counts(MonteCarloConfig(lam, d, threshold=t), cfg.n_trials, seed)
         kmax = max(int(nfb.max()), int(poisson_ppf(0.9999, mu)))
         counts = np.arange(kmax + 1)
         freqs = np.bincount(nfb, minlength=counts.size) / cfg.n_trials
@@ -129,16 +184,13 @@ def _exp_nfb_distribution(cfg: ExperimentConfig):
 def _exp_feedback_load(cfg: ExperimentConfig):
     d = cfg.half_distance
     rows = []
-    k = 0
-    for lam in cfg.feedback_lambdas:
-        for t in np.linspace(d, 4.0 * d, 25):
-            mu = metrics.mean_feedback_load(float(t), lam, d)
-            nfb = feedback_counts(MonteCarloConfig(lam, d, threshold=float(t)),
-                                  cfg.n_trials, cfg.seed + k)
-            k += 1
-            rows.append(_mean_row(t, f"load lambda={lam:g}", mu, nfb))
-            rows.append(_freq_row(t, f"p-any-feedback lambda={lam:g}", -math.expm1(-mu),
-                                  np.mean(nfb >= 1), cfg.n_trials))
+    grid = itertools.product(cfg.feedback_lambdas, np.linspace(d, 4.0 * d, 25))
+    for seed, (lam, t) in _seeded(cfg, grid):
+        mu = metrics.mean_feedback_load(float(t), lam, d)
+        nfb = feedback_counts(MonteCarloConfig(lam, d, threshold=float(t)), cfg.n_trials, seed)
+        rows.append(_mean_row(t, f"load lambda={lam:g}", mu, nfb))
+        rows.append(_freq_row(t, f"p-any-feedback lambda={lam:g}", -math.expm1(-mu),
+                              np.mean(nfb >= 1), cfg.n_trials))
     return rows
 
 
@@ -147,11 +199,11 @@ def _rates(cfg: ExperimentConfig, gamma, fading: Fading) -> np.ndarray:
 
 
 def _rate_cases(cfg: ExperimentConfig):
-    """The shared loop of the rate experiments: one trial batch per intensity
-    (grid point k seeded with seed + k), then each fading. Yields
-    (intensity, fading, batch, per-trial rate of the optimum policy)."""
-    for k, lam in enumerate(cfg.lambdas):
-        batch = run_trials(MonteCarloConfig(lam, cfg.half_distance), cfg.n_trials, cfg.seed + k)
+    """The shared loop of the rate experiments: one trial batch per intensity,
+    then each fading. Yields (intensity, fading, batch, per-trial rate of the
+    optimum policy)."""
+    for seed, lam in _seeded(cfg, cfg.lambdas):
+        batch = run_trials(MonteCarloConfig(lam, cfg.half_distance), cfg.n_trials, seed)
         for fading in (Fading.NONE, Fading.RAYLEIGH):
             yield lam, fading, batch, _rates(cfg, batch.gamma_opt, fading)
 
@@ -228,8 +280,8 @@ def _exp_fixed_load(cfg: ExperimentConfig):
 def _exp_annulus_ccdf(cfg: ExperimentConfig):
     d = cfg.half_distance
     rows = []
-    for k, (tau, psi) in enumerate(cfg.annulus_cases):
-        pts = sample(AnnulusUniform(psi, tau, cfg.n_trials), cfg.seed + k).points
+    for seed, (tau, psi) in _seeded(cfg, cfg.annulus_cases):
+        pts = sample(AnnulusUniform(psi, tau, cfg.n_trials), seed).points
         s = np.maximum(*leg_distances(pts[:, 0], pts[:, 1], d))
         grid = np.linspace(math.hypot(psi, d) * 0.98, tau + d, 101)
         rows += _freq_rows(grid, f"tau={tau:g} psi={psi:g}",
@@ -242,14 +294,14 @@ def _exp_diff_snr_cdf(cfg: ExperimentConfig):
     d = cfg.diff_half_distance
     lam = cfg.diff_intensity
     rows = []
-    for k, (db1, db2) in enumerate(cfg.diff_snr_db_pairs):
+    for seed, (db1, db2) in _seeded(cfg, cfg.diff_snr_db_pairs):
         budget = LinkBudget(snr=snr_from_db(cfg.snr_db), snr_relay=snr_from_db(db1),
                             snr_destination=snr_from_db(db2))
         s1, s2 = budget.effective_scales(cfg.alpha)
         law = dist.unequal_snr_cqi_law(lam, d, s1, s2)
         grid = np.linspace(law.support_min * 0.95, law.quantile(0.999), 101)
         batch = run_trials(MonteCarloConfig(lam, d, scale_source=s1, scale_destination=s2),
-                           cfg.n_trials, cfg.seed + k)
+                           cfg.n_trials, seed)
         rows += _freq_rows(grid, f"snr1={db1:g}dB snr2={db2:g}dB", law.cdf(grid),
                            empirical_cdf(batch.gamma_diff, grid), cfg.n_trials)
     return rows

@@ -16,7 +16,7 @@ from enum import Enum
 import numpy as np
 
 from . import distributions as dist
-from .errors import ParameterError
+from .errors import NumericError, ParameterError
 from .model import Fading, PathLoss
 # perfbench traces quad_adaptive and solve_monotone by rebinding these module names
 from .numerics import (f_exp_e1, quad_adaptive, solve_above_floor,  # noqa: F401
@@ -212,7 +212,9 @@ def optimality_rate_gap(intensity: float, half_distance: float, snr: float,
 
     Averages, over the nearest relay's position, the chance that a better
     relay exists times the rate spread between the hyperplane bound and the
-    actual metric at the nearest relay.
+    actual metric at the nearest relay. Where the cancellation in
+    ``midpoint_displacement_exponent`` makes it negative or not finite (from
+    about 1e16 at d = 1), it raises ``NumericError``.
     """
     d = half_distance
 
@@ -222,7 +224,11 @@ def optimality_rate_gap(intensity: float, half_distance: float, snr: float,
                   - _rate_from_link_snr(snr * path_loss.gain(s), fading))
         return -np.expm1(-intensity * dist.midpoint_displacement_exponent(psi, theta, d)) * spread
 
-    return dist.nearest_to_midpoint_mean(intensity, d, weight)
+    gap = dist.nearest_to_midpoint_mean(intensity, d, weight)
+    if not 0.0 <= gap < math.inf:
+        raise NumericError(f"optimality_rate_gap at intensity {intensity!r} is {gap!r}: "
+                           "the displacement area cancels")
+    return gap
 
 
 def midpoint_rate_upper_bound(intensity: float, half_distance: float, snr: float,

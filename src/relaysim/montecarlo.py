@@ -130,6 +130,9 @@ def _counts(config: MonteCarloConfig, n_trials: int, seed: int):
     """The field every trial samples, and the point count of each trial from block 0."""
     if not n_trials >= 1:
         raise ParameterError(f"n_trials must be >= 1, got {n_trials}")
+    if not (isinstance(seed, (int, np.integer)) and not isinstance(seed, bool)
+            and 0 <= seed < 1 << 64):
+        raise ParameterError(f"seed must be an integer in [0, 2^64), got {seed!r}")
     disc = DiscHomogeneous(config.intensity, config.window_radius)
     return disc, _block_rng(seed, 0).poisson(disc.mean_count, size=n_trials).astype(np.int64)
 

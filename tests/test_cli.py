@@ -1,10 +1,18 @@
 import os
+import re
 import subprocess
 import sys
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
-from relaysim.cli import main, parse_config_file
+from relaysim import distributions as dist
+from relaysim import metrics
+from relaysim.cli import _write_atomic, main, parse_config_file
+from relaysim.experiments import EXPERIMENTS, ExperimentConfig
+from relaysim.model import Fading, LinkBudget, PathLoss, snr_from_db
+from relaysim.montecarlo import MonteCarloConfig, run_trials
 
 
 def run_cli(*argv, env_extra=None):
@@ -222,3 +230,207 @@ def test_eval_mu_infinite_threshold_prints_inf(capsys):
 def test_eval_outage_beyond_reachable_rate_prints_one(capsys, rho, fading):
     assert main(["eval", "outage", "--rho", rho, "--fading", fading]) == 0
     assert capsys.readouterr().out.strip() == "1"
+
+
+def _config(tmp_path, text):
+    path = tmp_path / "exp.cfg"
+    path.write_text(text)
+    return ["--config", str(path)]
+
+
+@pytest.mark.parametrize("name, argv, knob", [
+    ("midpoint-optimality", ["CONFIG", "n_trials = 50.5\n"], "n_trials"),
+    ("midpoint-optimality", ["CONFIG", "seed = abc\n"], "seed"),
+    ("annulus-ccdf", ["CONFIG", "annulus_cases = 10,2\n"], "annulus_cases"),
+    ("outage-and-rate", ["--lambdas", "a,b"], "lambdas"),
+    ("outage-and-rate", ["--lambdas", ","], "lambdas"),
+    ("outage-and-rate", ["--seed", "-1"], "seed"),
+    ("outage-and-rate", ["--seed", "18446744073709551616"], "seed"),
+    ("outage-and-rate", ["--seed", "18446744073709551615"], "seed"),
+    ("outage-and-rate", ["--trials", "true"], "n_trials"),
+    ("outage-and-rate", ["--d", "1,2"], "half_distance"),
+    ("outage-and-rate", ["--alpha", "inf"], "alpha"),
+    ("nfb-distribution", ["--d", "1" + "0" * 400], "half_distance"),
+], ids=["trials-float", "seed-text", "pairs-in-a-file", "lambdas-text", "lambdas-empty",
+        "seed-negative", "seed-2^64", "grid-past-2^64", "trials-bool-text", "d-list",
+        "alpha-inf", "d-beyond-float"])
+def test_a_malformed_experiment_input_is_a_usage_error(tmp_path, capsys, name, argv, knob):
+    if argv[0] == "CONFIG":
+        argv = _config(tmp_path, argv[1])
+    trials = [] if knob == "n_trials" else ["--trials", "20"]  # a flag overrides the file
+    out_dir = tmp_path / "out"
+    assert main(["experiment", name, *trials, *argv, "--out-dir", str(out_dir)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {knob} ")
+    assert not out_dir.exists()
+
+
+def test_a_lone_number_in_a_config_file_is_a_1_tuple(tmp_path, capsys):
+    argv = _config(tmp_path, "lambdas = 0.5\n")
+    assert main(["experiment", "midpoint-optimality", "--trials", "100", *argv,
+                 "--out-dir", str(tmp_path)]) == 0
+    rows = (tmp_path / "midpoint-optimality.csv").read_text().splitlines()[1:]
+    assert {row.split(",")[0] for row in rows} == {"0.5"}
+
+
+def test_dry_run_prints_every_knob(capsys):
+    assert main(["experiment", "feedback-load", "--dry-run"]) == 0
+    out = capsys.readouterr().out
+    cfg = ExperimentConfig()
+    for f in fields(ExperimentConfig):
+        assert f"  {f.name} = {getattr(cfg, f.name)}\n" in out
+
+
+def test_each_experiment_flag_sets_its_knob(capsys):
+    assert main(["experiment", "feedback-load", "--dry-run", "--trials", "7", "--seed", "8",
+                 "--lambdas", "0.5", "--d", "2", "--alpha", "3", "--snr-db", "6",
+                 "--rho", "0.25", "--thresholds", "1.5,2", "--taus", "4"]) == 0
+    out = capsys.readouterr().out
+    for line in ("n_trials = 7", "seed = 8", "lambdas = (0.5,)", "half_distance = 2",
+                 "alpha = 3", "snr_db = 6", "rho = 0.25", "thresholds = (1.5, 2)",
+                 "taus = (4,)"):
+        assert f"  {line}\n" in out
+
+
+def test_config_file_out_dir_is_honoured(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("RELAYSIM_OUTPUT_DIR", raising=False)
+    argv = _config(tmp_path, f"out_dir = {tmp_path / 'from-file'}\nn_trials = 200\n")
+    assert main(["experiment", "nfb-distribution", *argv]) == 0
+    assert (tmp_path / "from-file" / "nfb-distribution.csv").exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg", "from-file"]
+
+
+@pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+def test_simulate_seed_outside_uint64_is_usage_error(tmp_path, capsys, seed):
+    out = tmp_path / "t.csv"
+    assert main(["simulate", "--trials", "5", "--tau", "3", "--seed", seed,
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: seed ")
+    assert not out.exists()
+
+
+def test_simulate_with_both_per_hop_snrs_writes_the_weighted_metric(tmp_path, capsys):
+    out = tmp_path / "t.csv"
+    assert main(["simulate", "--lambda", "1.5", "--d", "0.8", "--tau", "4", "--trials", "200",
+                 "--seed", "11", "--snr1-db", "4", "--snr2-db", "9", "--alpha", "3.5",
+                 "--out", str(out)]) == 0
+    s1, s2 = LinkBudget(snr_from_db(4.0), snr_destination=snr_from_db(9.0)).effective_scales(3.5)
+    assert s1 != s2
+    batch = run_trials(MonteCarloConfig(1.5, 0.8, window_radius=4.0, scale_source=s1,
+                                        scale_destination=s2), 200, 11)
+    header, *rows = out.read_text().splitlines()
+    column = header.split(",").index("gamma_diff")
+    assert [row.split(",")[column] for row in rows] == ["%.12g" % g for g in batch.gamma_diff]
+
+
+def test_a_failed_write_leaves_no_file(tmp_path):
+    def boom(tmp):
+        with open(tmp, "w") as fh:
+            fh.write("partial")
+        raise OSError("synthetic write failure")
+
+    with pytest.raises(OSError, match="synthetic"):
+        _write_atomic(boom, str(tmp_path / "out.csv"))
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_list_experiments_prints_every_name_once(capsys):
+    assert main(["list-experiments"]) == 0
+    names = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
+    assert sorted(names) == sorted(EXPERIMENTS)
+
+
+@pytest.mark.parametrize("quantity", ["mu", "rate-feedback", "outage-feedback",
+                                      "outage-regime"])
+def test_a_threshold_quantity_without_T_is_usage_error(capsys, quantity):
+    assert main(["eval", quantity]) == 2
+    assert capsys.readouterr().err == f"error: {quantity} needs --T\n"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_eval_prob_mid_opt_beyond_its_precision_is_numeric_failure(capsys):
+    assert main(["eval", "prob-mid-opt", "--lambda", "1e16"]) == 3
+    assert capsys.readouterr().out == ""
+
+
+# eval flags shared by every case below, each off its default
+LAM, D, ALPHA, SNR_DB = 1.5, 0.8, 3.5, 7.0
+_COMMON = ["--lambda", str(LAM), "--d", str(D), "--alpha", str(ALPHA), "--snr-db", str(SNR_DB)]
+_SNR, _PL, _RAY = snr_from_db(SNR_DB), PathLoss.power_law(ALPHA), Fading.RAYLEIGH
+
+
+def _diff_scales():
+    budget = LinkBudget(snr=_SNR, snr_relay=snr_from_db(4.0), snr_destination=snr_from_db(9.0))
+    return budget.effective_scales(ALPHA)
+
+
+# quantity -> (its own flags, the library call with the same arguments)
+EVAL_CASES = {
+    "cdf-gamma-opt": (["--gamma", "1.7"], lambda: dist.best_cqi_cdf(1.7, LAM, D)),
+    "pdf-gamma-opt": (["--gamma", "1.7"], lambda: dist.best_cqi_pdf(1.7, LAM, D)),
+    "mean-gamma-opt": ([], lambda: dist.best_cqi_mean(LAM, D)),
+    "cdf-gamma-opt-finite": (["--gamma", "1.7", "--tau", "4"],
+                             lambda: dist.best_cqi_cdf_finite(1.7, LAM, D, 4.0)),
+    "ccdf-annulus": (["--t", "3", "--psi", "1.2", "--tau", "6"],
+                     lambda: dist.annulus_metric_ccdf(3.0, 1.2, 6.0, D)),
+    "cdf-gamma-mid": (["--gamma", "1.7"], lambda: dist.midpoint_cqi_cdf(1.7, LAM, D)),
+    "pdf-gamma-mid": (["--gamma", "1.7"], lambda: dist.midpoint_cqi_pdf(1.7, LAM, D)),
+    "cdf-gamma-c2d": (["--gamma", "1.7"],
+                      lambda: dist.closest_to_destination_cqi_cdf(1.7, LAM, D)),
+    "pdf-gamma-c2d": (["--gamma", "1.7"],
+                      lambda: dist.closest_to_destination_cqi_pdf(1.7, LAM, D)),
+    "prob-sufficient": ([], lambda: dist.prob_sufficient(LAM, D)),
+    "prob-mid-opt": ([], lambda: dist.prob_midpoint_optimal(LAM, D)),
+    "cdf-s-opt": (["--s", "0.5"], lambda: dist.best_received_snr_cdf(0.5, LAM, D, _SNR, _PL)),
+    "pdf-s-opt": (["--s", "0.5"], lambda: dist.best_received_snr_pdf(0.5, LAM, D, _SNR, _PL)),
+    "cdf-gamma-opt-diff": (["--gamma", "1.7", "--snr1-db", "4", "--snr2-db", "9"],
+                           lambda: dist.unequal_snr_cqi_cdf(1.7, LAM, D, *_diff_scales())),
+    "cdf-gamma-exclusion": (["--gamma", "1.7", "--r", "0.4"],
+                            lambda: dist.exclusion_cqi_cdf(1.7, LAM, 0.4, D)),
+    "cdf-gamma-ring": (["--gamma", "2", "--r", "1.5"],
+                       lambda: dist.ring_cqi_cdf(2.0, LAM, 1.5, D)),
+    "cdf-gamma-gaussian": (["--gamma", "1.7", "--n", "30", "--sigma", "1.5"],
+                           lambda: dist.gaussian_cqi_cdf(1.7, 30.0, 1.5, D)),
+    "mu": (["--T", "2.2"], lambda: metrics.mean_feedback_load(2.2, LAM, D)),
+    "threshold-for-load": (["--mu0", "3"], lambda: metrics.threshold_for_load(3.0, LAM, D)),
+    "s-star": (["--rho", "0.7"], lambda: metrics.s_star(0.7)),
+    "rate": (["--policy", "mid-point", "--full-duplex"], lambda: metrics.full_duplex_rate(
+        metrics.average_rate(dist.policy_law("mid-point", LAM, D), _SNR, _PL, _RAY)).value),
+    "rate-feedback": (["--T", "2.2"], lambda: metrics.average_rate_feedback(
+        2.2, LAM, D, _SNR, _PL, _RAY).value),
+    "outage": (["--rho", "0.7"], lambda: metrics.outage(0.7, LAM, D, _SNR, _PL, _RAY)),
+    "outage-slope": (["--policy", "closest-to-destination", "--rho", "0.7"],
+                     lambda: metrics.outage_decay_slope("closest-to-destination", 0.7, D,
+                                                        _SNR, _PL, _RAY)),
+    "outage-feedback": (["--T", "2.2", "--rho", "0.7"], lambda: metrics.outage_feedback(
+        2.2, 0.7, LAM, D, _SNR, _PL, _RAY)[0]),
+    "outage-regime": (["--T", "2.2", "--rho", "0.7"], lambda: metrics.outage_feedback(
+        2.2, 0.7, LAM, D, _SNR, _PL, _RAY)[1].value),
+}
+
+
+def _readme_quantities():
+    """The names in the first column of README's eval quantity table; a name
+    given as a suffix (``-ring``) replaces the last part of the one before it."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    table = readme.split("`eval` quantities", 1)[1].split("\n\n", 2)[1]
+    names = []
+    for line in table.splitlines()[2:]:
+        for token in re.findall(r"`([^`]+)`", line.split("|")[1]):
+            names.append(names[-1].rsplit("-", 1)[0] + token if token[0] == "-" else token)
+    return names
+
+
+def test_every_documented_quantity_has_a_case():
+    names = _readme_quantities()
+    assert len(names) == len(set(names)) == 26
+    assert set(names) == set(EVAL_CASES)
+
+
+@pytest.mark.parametrize("quantity", sorted(EVAL_CASES))
+def test_eval_prints_the_library_value(capsys, quantity):
+    flags, library = EVAL_CASES[quantity]
+    assert main(["eval", quantity, *_COMMON, *flags]) == 0
+    value = library()
+    expected = value if quantity == "outage-regime" else f"{value:.12g}"
+    assert capsys.readouterr().out == expected + "\n"

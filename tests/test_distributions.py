@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from relaysim import distributions as dist
-from relaysim.errors import ParameterError, UnsupportedOperationError
+from relaysim.errors import NumericError, ParameterError, UnsupportedOperationError
 from relaysim.model import PathLoss
 from relaysim.montecarlo import MonteCarloConfig, ks_statistic, run_trials
 
@@ -680,6 +680,19 @@ def test_prob_midpoint_optimal_at_large_intensity():
     # toward theta = pi/2, and evenly spread angle nodes miss this by 1e-11
     assert dist.prob_midpoint_optimal(1e4, 1.0) == pytest.approx(0.16959831268328033674,
                                                                  abs=1e-12)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("d", [0.5, 1.0, 2.0])
+def test_prob_midpoint_optimal_is_a_probability_or_raises(d):
+    # the displacement area cancels at large intensity: 1.357 at 1e16 for d = 1
+    for lam in np.logspace(-3, 300, 304):
+        try:
+            p = dist.prob_midpoint_optimal(float(lam), d)
+        except NumericError:
+            assert lam > 1e15  # below that the value is off but in range (ROADMAP)
+            continue
+        assert 0.0 <= p <= 1.0, (lam, p)
 
 
 def test_best_cqi_mean_oracle_value():

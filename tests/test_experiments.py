@@ -3,6 +3,7 @@ import hashlib
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from relaysim import metrics
@@ -48,6 +49,43 @@ def test_unknown_experiment():
         run_experiment("nope", SMALL)
     with pytest.raises(ParameterError):
         config_overrides(SMALL, not_a_knob=3)
+
+
+def test_a_knob_takes_the_shape_of_its_default():
+    cfg = ExperimentConfig(seed=np.int64(5), n_trials=np.uint32(9), lambdas=0.5, alpha=3,
+                           annulus_cases=((10, 2),))
+    assert (cfg.seed, cfg.n_trials, cfg.lambdas, cfg.alpha) == (5, 9, (0.5,), 3)
+    assert type(cfg.seed) is int and cfg.annulus_cases == ((10, 2),)
+    assert ExperimentConfig(seed=2**64 - 1).seed == 2**64 - 1
+    assert config_overrides(SMALL, taus=4.0).taus == (4.0,)
+
+
+@pytest.mark.parametrize("knob, value", [
+    ("n_trials", 50.5), ("n_trials", True), ("n_trials", -1), ("seed", "abc"),
+    ("seed", -1), ("seed", 2**64), ("seed", 7.0), ("alpha", "4"), ("alpha", True),
+    ("alpha", (4.0,)), ("lambdas", ()), ("lambdas", ("a", "b")), ("lambdas", [0.5, 1.0]),
+    ("lambdas", (0.5, False)), ("annulus_cases", (10.0, 2.0)), ("annulus_cases", 10.0),
+    ("annulus_cases", ((10.0, 2.0, 1.0),)), ("diff_snr_db_pairs", ((5.0, "x"),)),
+    ("half_distance", math.nan), ("alpha", math.inf), ("rho", 10**400),
+    ("lambdas", (0.5, math.inf)), ("diff_snr_db_pairs", ((5.0, math.nan),)),
+])
+def test_a_knob_of_another_shape_is_rejected_by_name(knob, value):
+    with pytest.raises(ParameterError, match=knob):
+        ExperimentConfig(**{knob: value})
+    with pytest.raises(ParameterError, match=knob):
+        config_overrides(SMALL, **{knob: value})
+
+
+@pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+def test_grid_seeds_stay_below_2_64(name):
+    # every default grid has at least two points, so the second seed would be 2^64
+    with pytest.raises(ParameterError, match=r"seed .* 2\^64"):
+        run_experiment(name, ExperimentConfig(n_trials=10, seed=2**64 - 1))
+
+
+def test_the_last_grid_seed_may_be_2_64_minus_1():
+    cfg = ExperimentConfig(n_trials=10, seed=2**64 - 2, nfb_lambdas=(0.5, 1.0))
+    assert run_experiment("nfb-distribution", cfg)
 
 
 def test_descriptions_cover_all():

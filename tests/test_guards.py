@@ -11,7 +11,7 @@ from relaysim import metrics, model
 from relaysim.errors import ParameterError
 from relaysim.kernels import disc_batch_stats, disc_feedback_counts, field_stats
 from relaysim.model import Fading, LinkBudget, NetworkGeometry, PathLoss, snr_from_db
-from relaysim.montecarlo import MonteCarloConfig
+from relaysim.montecarlo import MonteCarloConfig, feedback_counts, run_trials
 from relaysim.pointprocess import (AnnulusUniform, CircleHomogeneous, DiscHomogeneous,
                                    DiscWithExclusion, GaussianCluster, _generator)
 from relaysim.policies import PolicyKind, select
@@ -50,6 +50,9 @@ ENTRY_POINTS = {
         [0.9, 4.5, 8.1], [0.2, 0.4, 0.6], [0, 3], 1.0, threshold=v),
     "disc_feedback_counts.threshold": lambda v: disc_feedback_counts(
         [0.9, 4.5, 8.1], [0.2, 0.4, 0.6], [0, 3], 1.0, v),
+    "run_trials.seed": lambda v: run_trials(MonteCarloConfig(1.0, 1.0, window_radius=3.0), 5, v),
+    "feedback_counts.seed": lambda v: feedback_counts(
+        MonteCarloConfig(1.0, 1.0, window_radius=3.0, threshold=2.0), 5, v),
 }
 
 

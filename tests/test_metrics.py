@@ -6,7 +6,7 @@ import pytest
 
 from relaysim import distributions as dist
 from relaysim import metrics
-from relaysim.errors import ParameterError
+from relaysim.errors import NumericError, ParameterError
 from relaysim.model import Fading, PathLoss, snr_from_db
 from relaysim.montecarlo import MonteCarloConfig, run_trials
 from relaysim.numerics import f_exp_e1
@@ -194,6 +194,20 @@ def test_rate_upper_bound_dominates_optimum():
             opt = metrics.average_rate_optimum(lam, 1.0, SNR, PL, fading).value
             assert bound >= opt
             assert metrics.optimality_rate_gap(lam, 1.0, SNR, PL, fading) >= 0.0
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("fading", list(Fading), ids=lambda f: f.value)
+@pytest.mark.parametrize("d", [0.5, 1.0, 2.0])
+def test_rate_gap_is_finite_and_non_negative_or_raises(d, fading):
+    # the displacement area cancels at large intensity: the gap reads -3.1 at 1e16 for d = 2
+    for lam in np.logspace(-3, 300, 304):
+        try:
+            gap = metrics.optimality_rate_gap(float(lam), d, SNR, PL, fading)
+        except NumericError:
+            assert lam > 1e15  # below that the value is off but in range (ROADMAP)
+            continue
+        assert 0.0 <= gap < math.inf, (lam, gap)
 
 
 def test_rate_gap_grows_with_intensity_but_bound_holds():
