@@ -3,14 +3,15 @@
 Subcommands: ``simulate`` (trial batches to CSV), ``eval`` (single analytic
 quantity to stdout, 12 significant digits), ``experiment`` (named figure
 datasets to CSV), ``list-experiments``. Exit codes: 0 success, 2 usage error,
-3 numerical failure.
+3 numerical failure. A NaN in a numeric ``eval`` flag is a usage error naming
+the flag (``inf`` is accepted); an ``eval`` value of NaN is a numerical failure.
 
 Config files are flat ``key = value`` lines (``#`` comments); keys are the
 knob names of ``ExperimentConfig`` (dashes read as underscores) or
-``out_dir``. Flags given on the command line override file values. File
-values and flag text are typed alike: comma lists become tuples, and the
-config checks each knob's shape. ``RELAYSIM_OUTPUT_DIR`` sets the default
-output directory.
+``out_dir``, kept as written. Flags given on the command line override file
+values. Knob values in a file and flag text are typed alike: comma lists
+become tuples, and the config checks each knob's shape.
+``RELAYSIM_OUTPUT_DIR`` sets the default output directory.
 """
 from __future__ import annotations
 
@@ -41,8 +42,6 @@ _EXPERIMENT_FLAGS = {
     "--d": "half_distance", "--alpha": "alpha", "--snr-db": "snr_db", "--rho": "rho",
     "--thresholds": "thresholds", "--taus": "taus",
 }
-# eval quantities that need a feedback threshold
-_NEEDS_THRESHOLD = ("mu", "rate-feedback", "outage-feedback", "outage-regime")
 
 
 def _parse_scalar(text: str):
@@ -70,8 +69,17 @@ def parse_config_file(path: str) -> dict:
             if "=" not in line:
                 raise ParameterError(f"{path}:{ln}: expected 'key = value', got {raw!r}")
             key, value = line.split("=", 1)
-            out[key.strip().replace("-", "_")] = _parse_scalar(value)
+            key = key.strip().replace("-", "_")
+            out[key] = value.strip() if key == "out_dir" else _parse_scalar(value)
     return out
+
+
+def real(text: str) -> float:
+    """A numeric eval flag: any float but NaN, which argparse reports as invalid."""
+    value = float(text)
+    if math.isnan(value):
+        raise ValueError(text)
+    return value
 
 
 def _default_outdir() -> str:
@@ -116,28 +124,27 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ev = sub.add_parser("eval", help="print one analytic quantity")
     ev.add_argument("quantity", help="see README for the documented set")
-    ev.add_argument("--gamma", type=float, default=1.0)
-    ev.add_argument("--t", type=float, default=1.0, help="metric level for ccdf-annulus")
-    ev.add_argument("--s", type=float, default=1.0, help="received-SNR level")
-    ev.add_argument("--lambda", dest="intensity", type=float, default=1.0)
-    ev.add_argument("--d", dest="half_distance", type=float, default=1.0)
-    ev.add_argument("--tau", type=float, default=10.0)
-    ev.add_argument("--psi", type=float, default=0.0)
-    ev.add_argument("--T", dest="threshold", type=float, default=None)
-    ev.add_argument("--mu0", type=float, default=0.0, help="target mean feedback load")
-    ev.add_argument("--rho", type=float, default=0.5)
-    ev.add_argument("--snr-db", type=float, default=5.0)
-    ev.add_argument("--snr1-db", type=float, default=None)
-    ev.add_argument("--snr2-db", type=float, default=None)
-    ev.add_argument("--alpha", type=float, default=4.0)
+    ev.add_argument("--gamma", type=real, default=1.0)
+    ev.add_argument("--t", type=real, default=1.0, help="metric level for ccdf-annulus")
+    ev.add_argument("--s", type=real, default=1.0, help="received-SNR level")
+    ev.add_argument("--lambda", dest="lam", type=real, default=1.0)
+    ev.add_argument("--d", type=real, default=1.0)
+    ev.add_argument("--tau", type=real, default=10.0)
+    ev.add_argument("--psi", type=real, default=0.0)
+    ev.add_argument("--T", dest="threshold", type=real, default=None)
+    ev.add_argument("--mu0", type=real, default=0.0, help="target mean feedback load")
+    ev.add_argument("--rho", type=real, default=0.5)
+    ev.add_argument("--snr-db", type=real, default=5.0)
+    ev.add_argument("--snr1-db", type=real, default=None)
+    ev.add_argument("--snr2-db", type=real, default=None)
+    ev.add_argument("--alpha", type=real, default=4.0)
     ev.add_argument("--fading", choices=[f.value for f in Fading], default="rayleigh")
-    ev.add_argument("--policy", choices=["optimum", "mid-point", "closest-to-destination"],
-                    default="optimum")
+    ev.add_argument("--policy", choices=list(dist.POLICY_LAWS), default="optimum")
     ev.add_argument("--full-duplex", action="store_true",
                     help="report rates without the half-duplex 1/2 factor")
-    ev.add_argument("--n", type=float, default=50.0, help="mean count (gaussian example)")
-    ev.add_argument("--sigma", type=float, default=1.0, help="spread (gaussian example)")
-    ev.add_argument("--r", type=float, default=1.0, help="exclusion/ring radius")
+    ev.add_argument("--n", type=real, default=50.0, help="mean count (gaussian example)")
+    ev.add_argument("--sigma", type=real, default=1.0, help="spread (gaussian example)")
+    ev.add_argument("--r", type=real, default=1.0, help="exclusion/ring radius")
 
     ex = sub.add_parser("experiment", help="emit a named experiment as CSV")
     ex.add_argument("name")
@@ -153,96 +160,80 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _scales_from_args(args) -> tuple[float, float]:
-    db1 = args.snr1_db if args.snr1_db is not None else args.snr_db
-    db2 = args.snr2_db if args.snr2_db is not None else args.snr_db
-    budget = LinkBudget(snr=snr_from_db(args.snr_db),
-                        snr_relay=snr_from_db(db1),
-                        snr_destination=snr_from_db(db2))
+def _hop_scales(args, snr_db=None) -> tuple[float, float]:
+    """Per-hop metric weights from ``--snr1-db`` and ``--snr2-db``; ``eval`` passes
+    ``--snr-db`` for a missing one, ``simulate`` takes both or neither (weights 1)."""
+    dbs = [snr_db if db is None else db for db in (args.snr1_db, args.snr2_db)]
+    if None in dbs:
+        if dbs != [None, None]:
+            raise ParameterError("simulate needs both --snr1-db and --snr2-db, or neither")
+        return 1.0, 1.0
+    budget = LinkBudget(snr_from_db(dbs[0]), snr_destination=snr_from_db(dbs[1]))
     return budget.effective_scales(args.alpha)
 
 
-def _eval_quantity(args) -> float:
-    lam, d = args.intensity, args.half_distance
-    pl = PathLoss.power_law(args.alpha)
-    snr = snr_from_db(args.snr_db)
-    fading = Fading(args.fading)
-    q = args.quantity
-    threshold = args.threshold
-    if q in _NEEDS_THRESHOLD and threshold is None:
-        raise ParameterError(f"{q} needs --T")
+def _link(a):
+    """(snr, path loss, fading) of the eval flags."""
+    return snr_from_db(a.snr_db), PathLoss.power_law(a.alpha), Fading(a.fading)
 
-    if q == "cdf-gamma-opt":
-        return dist.best_cqi_cdf(args.gamma, lam, d)
-    if q == "pdf-gamma-opt":
-        return dist.best_cqi_pdf(args.gamma, lam, d)
-    if q == "mean-gamma-opt":
-        return dist.best_cqi_mean(lam, d)
-    if q == "cdf-gamma-opt-finite":
-        return dist.best_cqi_cdf_finite(args.gamma, lam, d, args.tau)
-    if q == "ccdf-annulus":
-        return dist.annulus_metric_ccdf(args.t, args.psi, args.tau, d)
-    if q == "cdf-gamma-mid":
-        return dist.midpoint_cqi_cdf(args.gamma, lam, d)
-    if q == "pdf-gamma-mid":
-        return dist.midpoint_cqi_pdf(args.gamma, lam, d)
-    if q == "cdf-gamma-c2d":
-        return dist.closest_to_destination_cqi_cdf(args.gamma, lam, d)
-    if q == "pdf-gamma-c2d":
-        return dist.closest_to_destination_cqi_pdf(args.gamma, lam, d)
-    if q == "prob-sufficient":
-        return dist.prob_sufficient(lam, d)
-    if q == "prob-mid-opt":
-        return dist.prob_midpoint_optimal(lam, d)
-    if q == "cdf-s-opt":
-        return dist.best_received_snr_cdf(args.s, lam, d, snr, pl)
-    if q == "pdf-s-opt":
-        return dist.best_received_snr_pdf(args.s, lam, d, snr, pl)
-    if q == "cdf-gamma-opt-diff":
-        s1, s2 = _scales_from_args(args)
-        return dist.unequal_snr_cqi_cdf(args.gamma, lam, d, s1, s2)
-    if q == "cdf-gamma-exclusion":
-        return dist.exclusion_cqi_cdf(args.gamma, lam, args.r, d)
-    if q == "cdf-gamma-ring":
-        return dist.ring_cqi_cdf(args.gamma, lam, args.r, d)
-    if q == "cdf-gamma-gaussian":
-        return dist.gaussian_cqi_cdf(args.gamma, args.n, args.sigma, d)
-    if q == "mu":
-        return metrics.mean_feedback_load(threshold, lam, d)
-    if q == "threshold-for-load":
-        return metrics.threshold_for_load(args.mu0, lam, d)
-    if q == "s-star":
-        return metrics.s_star(args.rho)
-    if q in ("rate", "rate-feedback"):
-        rate = (metrics.average_rate(dist.policy_law(args.policy, lam, d), snr, pl, fading)
-                if q == "rate" else
-                metrics.average_rate_feedback(threshold, lam, d, snr, pl, fading))
-        return (metrics.full_duplex_rate(rate) if args.full_duplex else rate).value
-    if q == "outage":
-        return metrics.outage(args.rho, lam, d, snr, pl, fading)
-    if q == "outage-slope":
-        return metrics.outage_decay_slope(args.policy, args.rho, d, snr, pl, fading)
-    if q == "outage-feedback":
-        return metrics.outage_feedback(threshold, args.rho, lam, d, snr, pl, fading)[0]
-    if q == "outage-regime":
-        regime = metrics.outage_feedback(threshold, args.rho, lam, d, snr, pl, fading)[1]
-        print(regime.value)
-        return math.nan
-    raise ParameterError(f"unknown quantity {q!r}")
+
+def _needs_T(a) -> float:
+    if a.threshold is None:
+        raise ParameterError(f"{a.quantity} needs --T")
+    return a.threshold
+
+
+def _rate(a, rate) -> float:
+    return (metrics.full_duplex_rate(rate) if a.full_duplex else rate).value
+
+
+# eval quantity -> its value (a number, or the regime's name) from the parsed
+# flags; the lambdas look up dist.* and metrics.* when they are called
+_QUANTITIES = {
+    "cdf-gamma-opt": lambda a: dist.best_cqi_cdf(a.gamma, a.lam, a.d),
+    "pdf-gamma-opt": lambda a: dist.best_cqi_pdf(a.gamma, a.lam, a.d),
+    "mean-gamma-opt": lambda a: dist.best_cqi_mean(a.lam, a.d),
+    "cdf-gamma-opt-finite": lambda a: dist.best_cqi_cdf_finite(a.gamma, a.lam, a.d, a.tau),
+    "ccdf-annulus": lambda a: dist.annulus_metric_ccdf(a.t, a.psi, a.tau, a.d),
+    "cdf-gamma-mid": lambda a: dist.midpoint_cqi_cdf(a.gamma, a.lam, a.d),
+    "pdf-gamma-mid": lambda a: dist.midpoint_cqi_pdf(a.gamma, a.lam, a.d),
+    "cdf-gamma-c2d": lambda a: dist.closest_to_destination_cqi_cdf(a.gamma, a.lam, a.d),
+    "pdf-gamma-c2d": lambda a: dist.closest_to_destination_cqi_pdf(a.gamma, a.lam, a.d),
+    "prob-sufficient": lambda a: dist.prob_sufficient(a.lam, a.d),
+    "prob-mid-opt": lambda a: dist.prob_midpoint_optimal(a.lam, a.d),
+    "cdf-s-opt": lambda a: dist.best_received_snr_cdf(a.s, a.lam, a.d, *_link(a)[:2]),
+    "pdf-s-opt": lambda a: dist.best_received_snr_pdf(a.s, a.lam, a.d, *_link(a)[:2]),
+    "cdf-gamma-opt-diff": lambda a: dist.unequal_snr_cqi_cdf(
+        a.gamma, a.lam, a.d, *_hop_scales(a, a.snr_db)),
+    "cdf-gamma-exclusion": lambda a: dist.exclusion_cqi_cdf(a.gamma, a.lam, a.r, a.d),
+    "cdf-gamma-ring": lambda a: dist.ring_cqi_cdf(a.gamma, a.lam, a.r, a.d),
+    "cdf-gamma-gaussian": lambda a: dist.gaussian_cqi_cdf(a.gamma, a.n, a.sigma, a.d),
+    "mu": lambda a: metrics.mean_feedback_load(_needs_T(a), a.lam, a.d),
+    "threshold-for-load": lambda a: metrics.threshold_for_load(a.mu0, a.lam, a.d),
+    "s-star": lambda a: metrics.s_star(a.rho),
+    "rate": lambda a: _rate(a, metrics.average_rate(
+        dist.policy_law(a.policy, a.lam, a.d), *_link(a))),
+    "rate-feedback": lambda a: _rate(a, metrics.average_rate_feedback(
+        _needs_T(a), a.lam, a.d, *_link(a))),
+    "outage": lambda a: metrics.outage(a.rho, a.lam, a.d, *_link(a)),
+    "outage-slope": lambda a: metrics.outage_decay_slope(a.policy, a.rho, a.d, *_link(a)),
+    "outage-feedback": lambda a: metrics.outage_feedback(
+        _needs_T(a), a.rho, a.lam, a.d, *_link(a))[0],
+    "outage-regime": lambda a: metrics.outage_feedback(
+        _needs_T(a), a.rho, a.lam, a.d, *_link(a))[1].value,
+}
+
+
+def _eval_quantity(args) -> float | str:
+    quantity = _QUANTITIES.get(args.quantity)
+    if quantity is None:
+        raise ParameterError(f"unknown quantity {args.quantity!r}")
+    return quantity(args)
 
 
 def _cmd_simulate(args) -> int:
-    if (args.snr1_db is None) != (args.snr2_db is None):
-        raise ParameterError("simulate needs both --snr1-db and --snr2-db, or neither")
-    scale_source = scale_destination = 1.0
-    if args.snr1_db is not None:
-        budget = LinkBudget(snr_from_db(args.snr1_db), snr_destination=snr_from_db(args.snr2_db))
-        scale_source, scale_destination = budget.effective_scales(args.alpha)
-    config = MonteCarloConfig(args.intensity, args.half_distance,
-                              window_radius=args.window_radius,
-                              threshold=args.threshold,
-                              scale_source=scale_source,
-                              scale_destination=scale_destination)
+    config = MonteCarloConfig(args.intensity, args.half_distance, args.window_radius,
+                              args.threshold, *_hop_scales(args))
     batch = run_trials(config, args.trials, args.seed)
     out = args.out or os.path.join(_default_outdir(), "trials.csv")
     _write_atomic(lambda tmp: batch_to_csv(batch, tmp), out)
@@ -256,8 +247,11 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_eval(args) -> int:
     value = _eval_quantity(args)
-    if not math.isnan(value):
-        print(f"{value:.12g}")
+    if not isinstance(value, str):
+        if math.isnan(value):
+            raise NumericError(f"{args.quantity} evaluated to NaN")
+        value = f"{value:.12g}"
+    print(value)
     return 0
 
 

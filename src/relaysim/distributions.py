@@ -68,7 +68,7 @@ __all__ = [
     "unequal_snr_cqi_cdf", "unequal_snr_support_min",
     "CqiLaw", "best_cqi_law", "best_cqi_law_finite",
     "midpoint_cqi_law", "closest_to_destination_cqi_law", "unequal_snr_cqi_law",
-    "policy_law",
+    "POLICY_LAWS", "policy_law",
     "nearest_neighbor_pdf", "nearest_neighbor_cdf",
 ]
 
@@ -679,13 +679,16 @@ def closest_to_destination_cqi_law(intensity: float, half_distance: float) -> Cq
     )
 
 
+# the policies with an analytic CQI law, by name, in the order the experiments report them
+POLICY_LAWS = {"optimum": best_cqi_law, "mid-point": midpoint_cqi_law,
+               "closest-to-destination": closest_to_destination_cqi_law}
+
+
 def policy_law(policy: str, intensity: float, half_distance: float) -> CqiLaw:
     """CQI law of the relay a location-based policy selects, by policy name."""
-    factory = {"optimum": best_cqi_law, "mid-point": midpoint_cqi_law,
-               "closest-to-destination": closest_to_destination_cqi_law}.get(policy)
-    if factory is None:
+    if policy not in POLICY_LAWS:
         raise ParameterError(f"no analytic law for policy {policy!r}")
-    return factory(intensity, half_distance)
+    return POLICY_LAWS[policy](intensity, half_distance)
 
 
 def unequal_snr_cqi_law(intensity: float, half_distance: float,

@@ -227,18 +227,16 @@ def _feedback_outage_row(cfg: ExperimentConfig, lam, fading, batch, base, t, ser
     return _freq_row(lam, series, ana, np.mean(gated <= rho), cfg.n_trials)
 
 
-_POLICY_GAMMAS = {"optimum": "gamma_opt", "mid-point": "gamma_mid",
-                  "closest-to-destination": "gamma_c2d"}
-
-
 def _exp_outage_and_rate(cfg: ExperimentConfig):
     d = cfg.half_distance
     snr, pl = cfg.snr(), cfg.path_loss()
     rows = []
     for lam, fading, batch, opt in _rate_cases(cfg):
-        for policy, attr in _POLICY_GAMMAS.items():
+        # per-trial rates of each policy of dist.POLICY_LAWS, in its order
+        policy_rates = (opt, _rates(cfg, batch.gamma_mid, fading),
+                        _rates(cfg, batch.gamma_c2d, fading))
+        for policy, rates in zip(dist.POLICY_LAWS, policy_rates, strict=True):
             law = dist.policy_law(policy, lam, d)
-            rates = opt if policy == "optimum" else _rates(cfg, getattr(batch, attr), fading)
             tag = f"{policy}/{fading.value}"
             rows.append(_freq_row(lam, f"outage {tag}",
                                   metrics.outage_for_law(law, cfg.rho, snr, pl, fading),

@@ -108,8 +108,11 @@ def diff_metric_minimum(geometry: NetworkGeometry, scale_source: float,
 
 
 def snr_from_db(db: float) -> float:
-    """Linear SNR from a dB value."""
-    return 10.0 ** (db / 10.0)
+    """Linear SNR from a dB value; inf past the float range (from about 3083 dB)."""
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        return math.inf
 
 
 class Fading(Enum):

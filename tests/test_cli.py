@@ -1,5 +1,7 @@
+import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 from dataclasses import fields
@@ -9,6 +11,7 @@ import pytest
 
 from relaysim import distributions as dist
 from relaysim import metrics
+from relaysim import cli
 from relaysim.cli import _write_atomic, main, parse_config_file
 from relaysim.experiments import EXPERIMENTS, ExperimentConfig
 from relaysim.model import Fading, LinkBudget, PathLoss, snr_from_db
@@ -425,6 +428,7 @@ def test_every_documented_quantity_has_a_case():
     names = _readme_quantities()
     assert len(names) == len(set(names)) == 26
     assert set(names) == set(EVAL_CASES)
+    assert set(names) == set(cli._QUANTITIES)
 
 
 @pytest.mark.parametrize("quantity", sorted(EVAL_CASES))
@@ -434,3 +438,91 @@ def test_eval_prints_the_library_value(capsys, quantity):
     value = library()
     expected = value if quantity == "outage-regime" else f"{value:.12g}"
     assert capsys.readouterr().out == expected + "\n"
+
+
+def _readme_eval_examples():
+    """(argv, stated output) of each README CLI example ``relaysim eval ... # ... -> out``."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [(shlex.split(command)[1:], stated.rsplit("->", 1)[1].strip())
+            for command, _, stated in (line.partition("#") for line in block.splitlines())
+            if command.startswith("relaysim eval ") and "->" in stated]
+
+
+def test_readme_eval_examples_print_what_they_state(capsys):
+    examples = _readme_eval_examples()
+    assert len(examples) >= 4
+    for argv, stated in examples:
+        assert main(argv) == 0
+        assert capsys.readouterr().out == stated + "\n", argv
+
+
+# numeric eval flag -> a quantity that reads it
+_NUMERIC_EVAL_FLAGS = {
+    "--gamma": "cdf-gamma-opt", "--t": "ccdf-annulus", "--s": "pdf-s-opt",
+    "--lambda": "mean-gamma-opt", "--d": "prob-sufficient", "--tau": "cdf-gamma-opt-finite",
+    "--psi": "ccdf-annulus", "--T": "mu", "--mu0": "threshold-for-load", "--rho": "outage",
+    "--snr-db": "rate", "--snr1-db": "cdf-gamma-opt-diff", "--snr2-db": "cdf-gamma-opt-diff",
+    "--alpha": "rate", "--n": "cdf-gamma-gaussian", "--sigma": "cdf-gamma-gaussian",
+    "--r": "cdf-gamma-ring",
+}
+
+
+@pytest.mark.parametrize("flag", sorted(_NUMERIC_EVAL_FLAGS))
+def test_a_nan_eval_flag_is_usage_error(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", _NUMERIC_EVAL_FLAGS[flag], "--T", "2", flag, "nan"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"error: argument {flag}: invalid real value: 'nan'\n")
+
+
+@pytest.mark.parametrize("argv, printed", [(["cdf-gamma-opt", "--gamma", "inf"], "1"),
+                                           (["ccdf-annulus", "--t", "inf"], "0"),
+                                           (["mu", "--T", "inf"], "inf")])
+def test_an_infinite_eval_flag_is_accepted(capsys, argv, printed):
+    assert main(["eval", *argv]) == 0
+    assert capsys.readouterr().out == printed + "\n"
+
+
+def test_an_eval_quantity_that_is_nan_is_numeric_failure(monkeypatch, capsys):
+    monkeypatch.setitem(cli._QUANTITIES, "mean-gamma-opt", lambda args: math.nan)
+    assert main(["eval", "mean-gamma-opt"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "numerical failure: mean-gamma-opt evaluated to NaN\n"
+
+
+@pytest.mark.parametrize("text", ["5", "a,b"])
+def test_config_file_out_dir_stays_text(tmp_path, capsys, text):
+    argv = _config(tmp_path, f"out_dir = {text}\n")
+    assert parse_config_file(argv[1]) == {"out_dir": text}
+    assert main(["experiment", "nfb-distribution", *argv, "--dry-run"]) == 0
+    out = capsys.readouterr().out
+    assert f"output: {os.path.join(text, 'nfb-distribution.csv')}\n" in out
+
+
+def test_an_snr_past_the_float_range_is_infinite(tmp_path, capsys):
+    assert main(["eval", "rate", "--snr-db", "1e5"]) == 0
+    assert main(["eval", "rate", "--snr-db", "inf"]) == 0
+    assert capsys.readouterr().out == "inf\ninf\n"
+    with pytest.warns(RuntimeWarning):  # the standard error of infinite rates
+        assert main(["experiment", "outage-and-rate", "--snr-db", "1e5", "--trials", "20",
+                     "--lambdas", "1", "--out-dir", str(tmp_path)]) == 0
+    rows = (tmp_path / "outage-and-rate.csv").read_text().splitlines()[1:]
+    assert {row.split(",")[2] for row in rows if ",rate " in row} == {"inf"}
+    capsys.readouterr()
+    # an infinite source-hop SNR weighs its leg 0, which the weighted metric refuses
+    out = tmp_path / "t.csv"
+    assert main(["simulate", "--trials", "5", "--tau", "3", "--snr1-db", "1e5",
+                 "--snr2-db", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_eval_offers_every_policy_with_a_law(capsys):
+    for policy in dist.POLICY_LAWS:
+        assert main(["eval", "rate", "--policy", policy]) == 0
+    with pytest.raises(SystemExit):
+        main(["eval", "rate", "--policy", "closest-to-source"])

@@ -101,6 +101,13 @@ def test_snr_from_db():
     assert snr_from_db(5.0) == pytest.approx(3.1622776601683795)
 
 
+@pytest.mark.parametrize("db, snr", [(3082.0, 10.0 ** 308.2), (3083.0, math.inf),
+                                     (1e5, math.inf), (math.inf, math.inf),
+                                     (-1e5, 0.0), (-math.inf, 0.0)])
+def test_snr_from_db_past_the_float_range_is_infinite(db, snr):
+    assert snr_from_db(db) == snr
+
+
 def test_link_budget_defaults_and_validation():
     b = LinkBudget(snr=2.0)
     assert b.snr_relay == 2.0 and b.snr_destination == 2.0
