@@ -88,9 +88,9 @@ def _check_positive(**kwargs):
 
 
 def _on_support(gamma, floor: float, fn, at_inf: float = 0.0):
-    """fn on the finite metric values above floor; at_inf at +inf, else 0."""
+    """fn on the finite metric values above floor; at_inf at +inf, NaN at NaN, else 0."""
     def masked(g):
-        out = np.where(g == math.inf, at_inf, 0.0)
+        out = np.where(g == math.inf, at_inf, np.where(np.isnan(g), math.nan, 0.0))
         on = (g > floor) & (g < math.inf)
         out[on] = fn(g[on])
         return out
@@ -439,6 +439,8 @@ def received_snr_pdf(s, law: "CqiLaw", snr: float, path_loss: PathLoss):
 
     def fn(sv):
         out = np.zeros_like(sv)
+        if snr == math.inf:  # every link SNR is infinite: no density at a finite level
+            return out
         top = snr * path_loss.gain(law.support_min)
         inside = ~((sv <= 0) | (sv >= top))
         x = path_loss.gain_inverse(sv[inside] / snr)

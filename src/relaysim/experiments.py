@@ -9,15 +9,28 @@ The stderr column depends on what the row simulates. For a frequency (a
 probability, or a cdf or pmf value) it is the binomial sqrt(a(1 - a)/n) at
 the analytic value a: the spread the frequency has if the law holds, so a
 batch frequency of exactly 0 or 1 does not make it zero. For a mean (a
-feedback load, a rate) it is the sample standard error.
+feedback load, a rate) it is the sample standard error, and inf when the
+sample holds an infinite value.
+
+The four rate experiments (outage-and-rate, rate-feedback, outage-feedback,
+fixed-load) build their rows from one sweep per config, ``_rate_sims``: one
+trial batch per intensity, reduced to the numbers the rows print and freed
+before the next is drawn. The sweep is memoised on the whole config, so the
+four draw each batch once between them in one process, also across
+``cli.main`` calls; it holds O(grid) numbers and no per-trial array. A
+process that runs a single one of them pays the whole sweep.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import numbers
 import sys
+from collections.abc import Mapping
 from dataclasses import dataclass, fields, replace
+from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -128,11 +141,18 @@ def _freq_row(x, series, analytic, freq, n):
             math.sqrt(max(analytic * (1.0 - analytic), 0.0) / n))
 
 
+def _mean_se(values) -> tuple:
+    """Sample mean and its standard error; the standard error of a sample
+    holding an infinite value (a rate at an infinite SNR) is inf."""
+    v = np.asarray(values, dtype=float)
+    if np.isinf(v).any():
+        return float(np.mean(v)), math.inf
+    return float(np.mean(v)), float(np.std(v) / math.sqrt(v.size))
+
+
 def _mean_row(x, series, analytic, values):
     """A simulated sample mean, with its standard error."""
-    v = np.asarray(values, dtype=float)
-    return (float(x), series, float(analytic), float(np.mean(v)),
-            float(np.std(v) / math.sqrt(v.size)))
+    return (float(x), series, float(analytic), *_mean_se(values))
 
 
 def _freq_rows(grid, series, analytic, freqs, n):
@@ -198,80 +218,114 @@ def _rates(cfg: ExperimentConfig, gamma, fading: Fading) -> np.ndarray:
     return metrics.conditional_rate(gamma, cfg.snr(), cfg.path_loss(), fading).value
 
 
-def _rate_cases(cfg: ExperimentConfig):
-    """The shared loop of the rate experiments: one trial batch per intensity,
-    then each fading. Yields (intensity, fading, batch, per-trial rate of the
-    optimum policy)."""
-    for seed, lam in _seeded(cfg, cfg.lambdas):
-        batch = run_trials(MonteCarloConfig(lam, cfg.half_distance), cfg.n_trials, seed)
-        for fading in (Fading.NONE, Fading.RAYLEIGH):
-            yield lam, fading, batch, _rates(cfg, batch.gamma_opt, fading)
+class _RateSim(NamedTuple):
+    """The simulated numbers the rate experiments print for one (intensity, fading).
 
-
-def _feedback_rate_row(cfg: ExperimentConfig, lam, fading, batch, base, t, series):
-    """Average rate of threshold feedback at t; t = inf is all feedback.
-
-    A trial whose best metric misses the threshold gets rate 0; with t = inf
-    that leaves ``base`` unchanged, since an empty field already has rate 0.
+    Each statistic is (mean, stderr, outage frequency) of per-trial rates:
+    ``policies`` maps each policy of ``dist.POLICY_LAWS`` to those of its rate
+    against ``rho``; ``gated`` maps each threshold t to those of the optimum
+    rate gated at t against ``rho_feedback``. A trial whose best metric misses
+    t gets rate 0; t = inf is all feedback, which leaves the rate unchanged,
+    since an empty field already has rate 0.
     """
+
+    lam: float
+    fading: Fading
+    t_load: float  # the threshold whose mean feedback load is ``feedback_load``
+    policies: Mapping  # read-only: every caller of the memo shares it
+    gated: Mapping
+
+
+def _rate_stats(rates: np.ndarray, rho: float) -> tuple:
+    """(mean, stderr, P(rate <= rho)) of per-trial rates."""
+    return (*_mean_se(rates), float(np.mean(rates <= rho)))
+
+
+def _intensity_sims(cfg: ExperimentConfig, lam, seed) -> list:
+    """One intensity's trial batch, reduced to a _RateSim per fading; the
+    batch is freed on return."""
+    t_load = metrics.threshold_for_load(cfg.feedback_load, lam, cfg.half_distance)
+    batch = run_trials(MonteCarloConfig(lam, cfg.half_distance), cfg.n_trials, seed)
+    sims = []
+    for fading in (Fading.NONE, Fading.RAYLEIGH):
+        # per-trial rates of each policy of dist.POLICY_LAWS, in its order
+        opt, mid, c2d = (_rates(cfg, g, fading)
+                         for g in (batch.gamma_opt, batch.gamma_mid, batch.gamma_c2d))
+        policies = {policy: _rate_stats(rates, cfg.rho)
+                    for policy, rates in zip(dist.POLICY_LAWS, (opt, mid, c2d), strict=True)}
+        gated = {t: _rate_stats(np.where(batch.gamma_opt <= t, opt, 0.0), cfg.rho_feedback)
+                 for t in (*cfg.thresholds, t_load, math.inf)}
+        sims.append(_RateSim(lam, fading, t_load, MappingProxyType(policies),
+                             MappingProxyType(gated)))
+    return sims
+
+
+@functools.lru_cache(maxsize=1)
+def _rate_sims(cfg: ExperimentConfig) -> tuple:
+    """The simulated side of the four rate experiments, one _RateSim per
+    (intensity, fading) in row order.
+
+    Memoised on the whole config, so the four experiments of one config draw
+    the intensities' batches once between them, also across ``cli.main``
+    calls in one process. It holds O(grid) numbers and no per-trial array.
+    """
+    return tuple(sim for seed, lam in _seeded(cfg, cfg.lambdas)
+                 for sim in _intensity_sims(cfg, lam, seed))
+
+
+def _feedback_rate_row(cfg: ExperimentConfig, sim: _RateSim, t, series):
+    """Average rate of threshold feedback at t; t = inf is all feedback."""
     d, snr, pl = cfg.half_distance, cfg.snr(), cfg.path_loss()
-    ana = metrics.average_rate_feedback(t, lam, d, snr, pl, fading).value
-    return _mean_row(lam, series, ana, np.where(batch.gamma_opt <= t, base, 0.0))
+    ana = metrics.average_rate_feedback(t, sim.lam, d, snr, pl, sim.fading).value
+    return (float(sim.lam), series, float(ana), *sim.gated[t][:2])
 
 
-def _feedback_outage_row(cfg: ExperimentConfig, lam, fading, batch, base, t, series):
+def _feedback_outage_row(cfg: ExperimentConfig, sim: _RateSim, t, series):
     """Outage of threshold feedback at t against ``rho_feedback``; t = inf is all feedback."""
     d, snr, pl, rho = cfg.half_distance, cfg.snr(), cfg.path_loss(), cfg.rho_feedback
-    ana = metrics.outage_feedback(t, rho, lam, d, snr, pl, fading)[0]
-    gated = np.where(batch.gamma_opt <= t, base, 0.0)
-    return _freq_row(lam, series, ana, np.mean(gated <= rho), cfg.n_trials)
+    ana = metrics.outage_feedback(t, rho, sim.lam, d, snr, pl, sim.fading)[0]
+    return _freq_row(sim.lam, series, ana, sim.gated[t][2], cfg.n_trials)
 
 
 def _exp_outage_and_rate(cfg: ExperimentConfig):
     d = cfg.half_distance
     snr, pl = cfg.snr(), cfg.path_loss()
     rows = []
-    for lam, fading, batch, opt in _rate_cases(cfg):
-        # per-trial rates of each policy of dist.POLICY_LAWS, in its order
-        policy_rates = (opt, _rates(cfg, batch.gamma_mid, fading),
-                        _rates(cfg, batch.gamma_c2d, fading))
-        for policy, rates in zip(dist.POLICY_LAWS, policy_rates, strict=True):
-            law = dist.policy_law(policy, lam, d)
-            tag = f"{policy}/{fading.value}"
-            rows.append(_freq_row(lam, f"outage {tag}",
-                                  metrics.outage_for_law(law, cfg.rho, snr, pl, fading),
-                                  np.mean(rates <= cfg.rho), cfg.n_trials))
-            rows.append(_mean_row(lam, f"rate {tag}",
-                                  metrics.average_rate(law, snr, pl, fading).value, rates))
+    for sim in _rate_sims(cfg):
+        for policy, (mean, se, freq) in sim.policies.items():
+            law = dist.policy_law(policy, sim.lam, d)
+            tag = f"{policy}/{sim.fading.value}"
+            rows.append(_freq_row(sim.lam, f"outage {tag}",
+                                  metrics.outage_for_law(law, cfg.rho, snr, pl, sim.fading),
+                                  freq, cfg.n_trials))
+            rows.append((float(sim.lam), f"rate {tag}",
+                         float(metrics.average_rate(law, snr, pl, sim.fading).value), mean, se))
     return rows
 
 
-def _threshold_sweep(cfg: ExperimentConfig, row):
+def _threshold_rows(cfg: ExperimentConfig, row):
     """``row`` at every configured threshold, then at t = inf (all feedback)."""
-    return [row(cfg, lam, fading, batch, base, t,
-                f"all-feedback/{fading.value}" if math.isinf(t) else f"T={t:g}/{fading.value}")
-            for lam, fading, batch, base in _rate_cases(cfg)
-            for t in (*cfg.thresholds, math.inf)]
+    return [row(cfg, sim, t, f"all-feedback/{sim.fading.value}" if math.isinf(t)
+                else f"T={t:g}/{sim.fading.value}")
+            for sim in _rate_sims(cfg) for t in (*cfg.thresholds, math.inf)]
 
 
 def _exp_rate_feedback(cfg: ExperimentConfig):
-    return _threshold_sweep(cfg, _feedback_rate_row)
+    return _threshold_rows(cfg, _feedback_rate_row)
 
 
 def _exp_outage_feedback(cfg: ExperimentConfig):
-    return _threshold_sweep(cfg, _feedback_outage_row)
+    return _threshold_rows(cfg, _feedback_outage_row)
 
 
 def _exp_fixed_load(cfg: ExperimentConfig):
-    t_load = {lam: metrics.threshold_for_load(cfg.feedback_load, lam, cfg.half_distance)
-              for lam in cfg.lambdas}
     rows = []
-    for lam, fading, batch, base in _rate_cases(cfg):
-        cases = ((t_load[lam], "selective"), (math.inf, "all-feedback"))
-        rows += [_feedback_rate_row(cfg, lam, fading, batch, base, t,
-                                    f"rate {name}/{fading.value}") for t, name in cases]
-        rows += [_feedback_outage_row(cfg, lam, fading, batch, base, t,
-                                      f"outage {name}/{fading.value}") for t, name in cases]
+    for sim in _rate_sims(cfg):
+        cases = ((sim.t_load, "selective"), (math.inf, "all-feedback"))
+        rows += [_feedback_rate_row(cfg, sim, t, f"rate {name}/{sim.fading.value}")
+                 for t, name in cases]
+        rows += [_feedback_outage_row(cfg, sim, t, f"outage {name}/{sim.fading.value}")
+                 for t, name in cases]
     return rows
 
 

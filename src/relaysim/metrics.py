@@ -107,9 +107,17 @@ def average_rate_optimum(intensity: float, half_distance: float, snr: float,
 
 
 def s_star(target_rate: float) -> float:
-    """Link-SNR level whose Rayleigh-averaged rate equals the target."""
+    """Link-SNR level whose Rayleigh-averaged rate equals the target.
+
+    Memoised per target rate: every Rayleigh outage inverts the rate at it.
+    """
     if not target_rate >= 0:
         raise ParameterError(f"target_rate must be non-negative, got {target_rate}")
+    return _s_star(float(target_rate))
+
+
+@functools.lru_cache(maxsize=8)
+def _s_star(target_rate: float) -> float:
     rate = functools.partial(_rate_from_link_snr, fading=Fading.RAYLEIGH)  # 0 at s = 0
     return solve_above_floor(rate, target_rate, 0.0, 1.0)
 

@@ -503,15 +503,20 @@ def test_config_file_out_dir_stays_text(tmp_path, capsys, text):
     assert f"output: {os.path.join(text, 'nfb-distribution.csv')}\n" in out
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_an_snr_past_the_float_range_is_infinite(tmp_path, capsys):
     assert main(["eval", "rate", "--snr-db", "1e5"]) == 0
     assert main(["eval", "rate", "--snr-db", "inf"]) == 0
-    assert capsys.readouterr().out == "inf\ninf\n"
-    with pytest.warns(RuntimeWarning):  # the standard error of infinite rates
-        assert main(["experiment", "outage-and-rate", "--snr-db", "1e5", "--trials", "20",
-                     "--lambdas", "1", "--out-dir", str(tmp_path)]) == 0
-    rows = (tmp_path / "outage-and-rate.csv").read_text().splitlines()[1:]
-    assert {row.split(",")[2] for row in rows if ",rate " in row} == {"inf"}
+    assert main(["eval", "pdf-s-opt", "--snr-db", "1e5"]) == 0  # no density below inf
+    assert capsys.readouterr().out == "inf\ninf\n0\n"
+    # every rate is infinite, so is its standard error; no outage
+    assert main(["experiment", "outage-and-rate", "--snr-db", "1e5", "--trials", "50",
+                 "--out-dir", str(tmp_path)]) == 0
+    expected = [f"{lam:g},{kind} {policy}/{fading.value},{cells}"
+                for lam in ExperimentConfig().lambdas
+                for fading in (Fading.NONE, Fading.RAYLEIGH) for policy in dist.POLICY_LAWS
+                for kind, cells in (("outage", "0,0,0"), ("rate", "inf,inf,inf"))]
+    assert (tmp_path / "outage-and-rate.csv").read_text().splitlines()[1:] == expected
     capsys.readouterr()
     # an infinite source-hop SNR weighs its leg 0, which the weighted metric refuses
     out = tmp_path / "t.csv"

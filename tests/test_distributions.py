@@ -592,6 +592,18 @@ def test_received_snr_pdf_array_matches_per_level_branches():
     assert np.all(got[[0, 1, -2, -1]] == 0.0) and np.all(got[2:-2] > 0)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_received_snr_laws_at_an_infinite_snr():
+    # every link SNR is infinite: no mass and no density at a finite level
+    pl = PathLoss.power_law(4.0)
+    levels = np.array([0.01, 1.0, 1e300])
+    assert np.array_equal(dist.best_received_snr_pdf(levels, 1.0, 1.0, math.inf, pl),
+                          np.zeros(3))
+    assert dist.best_received_snr_pdf(1.0, 1.0, 1.0, math.inf, pl) == 0.0
+    assert np.array_equal(dist.best_received_snr_cdf(levels, 1.0, 1.0, math.inf, pl),
+                          np.zeros(3))
+
+
 # 30-digit oracle (mpmath) of the policy cdfs next to their features: the
 # mid-point law just above d, the closest-to-destination law on both sides of 2d
 @pytest.mark.parametrize("law,gamma,lam,d,expected", [
@@ -616,6 +628,7 @@ def test_benchmark_cdfs_reach_one_where_the_metric_squared_overflows():
             assert law(1e200, 1.0, 1.0) == 1.0
 
 
+# every law masked by distributions._on_support, and best_cqi_cdf_finite built on one
 _ARRAY_LAWS = {  # law -> (extra parameters, support floor)
     "best_cqi_cdf": ((1.5, 1.0), 1.0),
     "best_cqi_pdf": ((1.5, 1.0), 1.0),
@@ -628,6 +641,7 @@ _ARRAY_LAWS = {  # law -> (extra parameters, support floor)
     "best_cqi_cdf_finite": ((0.5, 1.0, 3.0), 1.0),
     "ring_cqi_cdf": ((1.0, 1.5, 1.0), math.hypot(1.5, 1.0)),
     "exclusion_cqi_cdf": ((1.0, 1.5, 1.0), math.hypot(1.5, 1.0)),
+    "gaussian_cqi_cdf": ((30.0, 1.5, 1.0), 1.0),
 }
 
 
@@ -639,9 +653,9 @@ def test_law_array_matches_scalar_calls(name):
                          np.linspace(floor, 6.0, 2500)[1:]])  # more than one block of values
     got = law(gs, *params)
     scalar = np.array([law(g, *params) for g in gs])
-    assert np.array_equal(got, scalar)  # each value is summed on its own
+    assert np.array_equal(got, scalar, equal_nan=True)  # each value is summed on its own
     assert np.array_equal(got[:4], np.zeros(4))
-    assert got[5] == 0.0 and got[6] == 0.0  # -inf and NaN, as best_cqi_cdf
+    assert got[5] == 0.0 and math.isnan(got[6])  # -inf is below the floor; NaN stays NaN
     assert np.array_equal(law(gs[:6].reshape(2, 3), *params), got[:6].reshape(2, 3))
 
 

@@ -6,10 +6,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from relaysim import metrics
+from relaysim import experiments, metrics
 from relaysim.errors import ParameterError
 from relaysim.experiments import (EXPERIMENTS, ExperimentConfig, config_overrides,
                                   describe_experiments, rows_to_csv, run_experiment)
+from relaysim.montecarlo import run_trials
 
 SMALL = ExperimentConfig(
     n_trials=1500, seed=3, lambdas=(0.5, 2.0), half_distances=(1.0,),
@@ -190,3 +191,67 @@ def test_simulated_columns_are_pinned(name, seed, tmp_path):
     assert {len(row) for row in cells} == {5}  # no series name holds a comma
     kept = "".join(f"{x},{series},{simulated}\n" for x, series, _, simulated, _ in cells)
     assert hashlib.sha256(kept.encode()).hexdigest() == SIMULATED_COLUMN_DIGESTS[name, seed]
+
+
+_RATE_EXPERIMENTS = ("outage-and-rate", "rate-feedback", "outage-feedback", "fixed-load")
+
+
+def _rate_rows(cfg):
+    return [run_experiment(name, cfg) for name in _RATE_EXPERIMENTS]
+
+
+def test_the_rate_experiments_draw_each_batch_once(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return run_trials(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "run_trials", counted)
+    experiments._rate_sims.cache_clear()
+    cfg = ExperimentConfig(n_trials=200)
+    _rate_rows(cfg)
+    assert len(calls) == len(cfg.lambdas) == 8
+
+
+@pytest.mark.parametrize("knob, value", [
+    ("rho", 0.4), ("rho_feedback", 0.2), ("thresholds", (1.5,)), ("feedback_load", 3.0),
+    ("snr_db", 8.0), ("alpha", 3.0), ("lambdas", (1.0,)), ("n_trials", 250), ("seed", 4),
+    ("half_distance", 0.8),
+])
+def test_the_shared_rate_sweep_follows_every_knob(knob, value):
+    base = replace(SMALL, n_trials=300)
+    before = _rate_rows(base)  # leaves the memo holding base's sweep
+    changed = replace(base, **{knob: value})
+    after = _rate_rows(changed)
+    experiments._rate_sims.cache_clear()
+    assert after == _rate_rows(changed)
+    assert after != before
+
+
+def test_the_shared_rate_sweep_holds_no_per_trial_array():
+    n = 257
+    sims = experiments._rate_sims(replace(SMALL, n_trials=n))
+    stats = [stat for sim in sims for table in (sim.policies, sim.gated)
+             for stat in table.values()]
+    assert len(stats) == len(SMALL.lambdas) * 2 * (3 + len(SMALL.thresholds) + 2)
+    leaves = [v for stat in stats for v in stat]
+    leaves += [v for sim in sims for v in (sim.lam, sim.t_load)]
+    assert all(type(v) is float for v in leaves)
+    with pytest.raises(TypeError):  # every caller of the memo shares these tables
+        sims[0].gated[math.inf] = (0.0, 0.0, 0.0)
+
+
+def test_s_star_is_memoised_and_still_rejects_invalid_rates(monkeypatch):
+    metrics._s_star.cache_clear()
+    solves = []
+    solve = metrics.solve_above_floor
+    monkeypatch.setattr(metrics, "solve_above_floor",
+                        lambda *args: solves.append(args) or solve(*args))
+    first = metrics.s_star(0.35)
+    assert metrics.s_star(0.35) is first and metrics.s_star(np.float64(0.35)) is first
+    assert len(solves) == 1
+    for bad in (-0.1, -math.inf, math.nan, -0.1):
+        with pytest.raises(ParameterError, match="target_rate"):
+            metrics.s_star(bad)
+    assert len(solves) == 1
