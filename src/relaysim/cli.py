@@ -190,24 +190,24 @@ def _rate(a, rate) -> float:
 # eval quantity -> its value (a number, or the regime's name) from the parsed
 # flags; the lambdas look up dist.* and metrics.* when they are called
 _QUANTITIES = {
-    "cdf-gamma-opt": lambda a: dist.best_cqi_cdf(a.gamma, a.lam, a.d),
-    "pdf-gamma-opt": lambda a: dist.best_cqi_pdf(a.gamma, a.lam, a.d),
+    "cdf-gamma-opt": lambda a: dist.LAWS["optimum"](a.lam, a.d).cdf(a.gamma),
+    "pdf-gamma-opt": lambda a: dist.LAWS["optimum"](a.lam, a.d).pdf(a.gamma),
     "mean-gamma-opt": lambda a: dist.best_cqi_mean(a.lam, a.d),
-    "cdf-gamma-opt-finite": lambda a: dist.best_cqi_cdf_finite(a.gamma, a.lam, a.d, a.tau),
+    "cdf-gamma-opt-finite": lambda a: dist.LAWS["window"](a.lam, a.d, a.tau).cdf(a.gamma),
     "ccdf-annulus": lambda a: dist.annulus_metric_ccdf(a.t, a.psi, a.tau, a.d),
-    "cdf-gamma-mid": lambda a: dist.midpoint_cqi_cdf(a.gamma, a.lam, a.d),
-    "pdf-gamma-mid": lambda a: dist.midpoint_cqi_pdf(a.gamma, a.lam, a.d),
-    "cdf-gamma-c2d": lambda a: dist.closest_to_destination_cqi_cdf(a.gamma, a.lam, a.d),
-    "pdf-gamma-c2d": lambda a: dist.closest_to_destination_cqi_pdf(a.gamma, a.lam, a.d),
+    "cdf-gamma-mid": lambda a: dist.LAWS["mid-point"](a.lam, a.d).cdf(a.gamma),
+    "pdf-gamma-mid": lambda a: dist.LAWS["mid-point"](a.lam, a.d).pdf(a.gamma),
+    "cdf-gamma-c2d": lambda a: dist.LAWS["closest-to-destination"](a.lam, a.d).cdf(a.gamma),
+    "pdf-gamma-c2d": lambda a: dist.LAWS["closest-to-destination"](a.lam, a.d).pdf(a.gamma),
     "prob-sufficient": lambda a: dist.prob_sufficient(a.lam, a.d),
     "prob-mid-opt": lambda a: dist.prob_midpoint_optimal(a.lam, a.d),
     "cdf-s-opt": lambda a: dist.best_received_snr_cdf(a.s, a.lam, a.d, *_link(a)[:2]),
     "pdf-s-opt": lambda a: dist.best_received_snr_pdf(a.s, a.lam, a.d, *_link(a)[:2]),
-    "cdf-gamma-opt-diff": lambda a: dist.unequal_snr_cqi_cdf(
-        a.gamma, a.lam, a.d, *_hop_scales(a, a.snr_db)),
-    "cdf-gamma-exclusion": lambda a: dist.exclusion_cqi_cdf(a.gamma, a.lam, a.r, a.d),
-    "cdf-gamma-ring": lambda a: dist.ring_cqi_cdf(a.gamma, a.lam, a.r, a.d),
-    "cdf-gamma-gaussian": lambda a: dist.gaussian_cqi_cdf(a.gamma, a.n, a.sigma, a.d),
+    "cdf-gamma-opt-diff": lambda a: dist.LAWS["unequal-snr"](
+        a.lam, a.d, *_hop_scales(a, a.snr_db)).cdf(a.gamma),
+    "cdf-gamma-exclusion": lambda a: dist.LAWS["exclusion"](a.lam, a.r, a.d).cdf(a.gamma),
+    "cdf-gamma-ring": lambda a: dist.LAWS["ring"](a.lam, a.r, a.d).cdf(a.gamma),
+    "cdf-gamma-gaussian": lambda a: dist.LAWS["gaussian-cluster"](a.n, a.sigma, a.d).cdf(a.gamma),
     "mu": lambda a: metrics.mean_feedback_load(_needs_T(a), a.lam, a.d),
     "threshold-for-load": lambda a: metrics.threshold_for_load(a.mu0, a.lam, a.d),
     "s-star": lambda a: metrics.s_star(a.rho),

@@ -5,7 +5,13 @@ the geometry parameter d, and ``gamma`` a selection-metric value. Every cdf is 0
 below its support minimum; laws driven by a finite-mean point count are
 defective (total mass < 1), the missing mass being the no-relay event.
 
-Every law takes a scalar or an array of metric values; NaN gives 0.
+Every law is a ``CqiLaw`` built by its family's constructor, the one place that
+states the family's parameter checks, support floor, total mass and kinks; ``LAWS``
+maps each family's name to that constructor. The public ``*_cdf``/``*_pdf``
+functions hold the formulas and read floor and mass off their law, whose
+evaluators call them back by name. Every law takes a scalar or an array of metric
+values and is NaN at NaN; below its floor a law is 0, and at +inf a cdf is its
+total mass and a density 0.
 
 Numerical notes: scaled erfc avoids overflow in the sufficiency probability.
 Each planar area is written once. ``_lens_area`` is the lens of two discs, two
@@ -42,6 +48,7 @@ quadrature: it is the reference for the exclusion, ring and Gaussian laws.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -66,9 +73,10 @@ __all__ = [
     "isotropic_best_cqi_cdf", "isotropic_best_cqi_pdf",
     "exclusion_cqi_cdf", "ring_cqi_cdf", "gaussian_cqi_cdf",
     "unequal_snr_cqi_cdf", "unequal_snr_support_min",
-    "CqiLaw", "best_cqi_law", "best_cqi_law_finite",
+    "CqiLaw", "best_cqi_law", "best_cqi_law_finite", "disc_point_law", "annulus_point_law",
     "midpoint_cqi_law", "closest_to_destination_cqi_law", "unequal_snr_cqi_law",
-    "POLICY_LAWS", "policy_law",
+    "exclusion_cqi_law", "ring_cqi_law", "gaussian_cqi_law",
+    "LAWS", "POLICY_LAWS", "policy_law",
     "nearest_neighbor_pdf", "nearest_neighbor_cdf",
 ]
 
@@ -87,15 +95,10 @@ def _check_positive(**kwargs):
             raise ParameterError(f"{name} must be positive, got {v}")
 
 
-def _on_support(gamma, floor: float, fn, at_inf: float = 0.0):
-    """fn on the finite metric values above floor; at_inf at +inf, NaN at NaN, else 0."""
-    def masked(g):
-        out = np.where(g == math.inf, at_inf, np.where(np.isnan(g), math.nan, 0.0))
-        on = (g > floor) & (g < math.inf)
-        out[on] = fn(g[on])
-        return out
-
-    return vectorized(gamma, masked)
+def _check_finite(**kwargs):
+    for name, v in kwargs.items():
+        if not v < math.inf:
+            raise ParameterError(f"{name} must be finite, got {v}")
 
 
 def _segment(r, alpha):
@@ -159,38 +162,31 @@ def _lens_outside_disc(g, psi: float, d: float):
 
 def best_cqi_cdf(gamma, intensity: float, half_distance: float):
     """cdf of the minimal selection metric; support starts at the half distance."""
-    _check_positive(intensity=intensity, half_distance=half_distance)
     d, lam = half_distance, intensity
-    return _on_support(gamma, d, lambda g: -np.expm1(-lam * _lens_area(2.0 * d, g, g)), 1.0)
+    return best_cqi_law(lam, d).on_support(
+        gamma, lambda g: -np.expm1(-lam * _lens_area(2.0 * d, g, g)))
 
 
 def best_cqi_pdf(gamma, intensity: float, half_distance: float):
-    _check_positive(intensity=intensity, half_distance=half_distance)
     d, lam = half_distance, intensity
 
     def fn(g):
         return (4.0 * lam * g * _lens_half_angle(g, d)
                 * np.exp(-lam * _lens_area(2.0 * d, g, g)))
 
-    return _on_support(gamma, d, fn)
+    return best_cqi_law(lam, d).on_support(gamma, fn, at_inf=0.0)
 
 
 def best_cqi_log_pdf(gamma, intensity: float, half_distance: float):
     """Natural log of the best-CQI density; stays finite deep into the tail,
     where the density itself underflows doubles (exponent ~ -pi * intensity *
     gamma^2)."""
-    _check_positive(intensity=intensity, half_distance=half_distance)
     d, lam = half_distance, intensity
 
     def fn(g):
-        out = np.full_like(g, -np.inf)
-        on = (g > d) & np.isfinite(g)
-        x = g[on]
-        out[on] = (np.log(4.0 * lam * x * _lens_half_angle(x, d))
-                   - lam * _lens_area(2.0 * d, x, x))
-        return out
+        return np.log(4.0 * lam * g * _lens_half_angle(g, d)) - lam * _lens_area(2.0 * d, g, g)
 
-    return vectorized(gamma, fn)
+    return best_cqi_law(lam, d).on_support(gamma, fn, below=-math.inf, at_inf=-math.inf)
 
 
 def best_cqi_mean(intensity: float, half_distance: float) -> float:
@@ -204,18 +200,18 @@ def best_cqi_mean(intensity: float, half_distance: float) -> float:
 
 def _annulus_metric_split(tv, psi: float, tau: float, d: float):
     """(P(metric <= t), P(metric > t)) for a point uniform on the annulus between
-    the radii psi and tau. Each branch computes one side without cancelling and
-    takes the other as one minus it: the region of the lens outside the hole up to
-    hypot(tau, d), and the sliver outside the disc beyond it."""
+    the radii psi and tau, at metric values t above its floor hypot(psi, d). Each
+    branch computes one side without cancelling and takes the other as one minus
+    it: the region of the lens outside the hole up to hypot(tau, d), and the sliver
+    outside the disc beyond it."""
     area2 = tau * tau - psi * psi
 
     def p_term(x, y):
         return _strip_area(x * x, y) / (math.pi * area2)
 
     below, above = np.zeros_like(tv), np.zeros_like(tv)
-    above[tv < math.hypot(psi, d)] = 1.0
     below[tv >= tau + d] = 1.0
-    inner = (tv >= math.hypot(psi, d)) & (tv < math.hypot(tau, d))
+    inner = tv < math.hypot(tau, d)
     below[inner] = _lens_outside_disc(tv[inner], psi, d) / (math.pi * area2)
     far = (tv >= math.hypot(tau, d)) & (tv < tau + d)
     x = tv[far]
@@ -230,36 +226,28 @@ def _annulus_metric_split(tv, psi: float, tau: float, d: float):
 def disc_point_metric_cdf(gamma, window_radius: float, half_distance: float):
     """cdf of the metric at a single point uniform on the disc of the given radius:
     the annulus law at inner radius 0."""
-    _check_positive(window_radius=window_radius, half_distance=half_distance)
-    return _on_support(gamma, half_distance, lambda g: _annulus_metric_split(
-        g, 0.0, window_radius, half_distance)[0], 1.0)
+    return disc_point_law(window_radius, half_distance).on_support(
+        gamma, lambda g: _annulus_metric_split(g, 0.0, window_radius, half_distance)[0])
 
 
 def best_cqi_cdf_finite(gamma, intensity: float, half_distance: float,
                         window_radius: float):
     """Best-CQI cdf when relays are confined to a disc; defective by the
     no-relay mass exp(-intensity * pi * window_radius^2)."""
-    _check_positive(intensity=intensity)
     exponent = intensity * math.pi * window_radius * window_radius
-    return vectorized(gamma, lambda g: -np.expm1(
-        -exponent * disc_point_metric_cdf(g, window_radius, half_distance)))
+    return best_cqi_law_finite(intensity, half_distance, window_radius).on_support(
+        gamma, lambda g: -np.expm1(
+            -exponent * _annulus_metric_split(g, 0.0, window_radius, half_distance)[0]))
 
 
 def annulus_metric_ccdf(t, inner_radius: float, outer_radius: float,
                         half_distance: float):
-    """P(metric > t) for a point uniform on the annulus between the two radii.
-
-    Requires outer_radius >= sqrt(inner^2 + 2 d inner) so the closed form applies.
-    """
-    d, psi, tau = half_distance, inner_radius, outer_radius
-    _check_positive(outer_radius=outer_radius, half_distance=half_distance)
-    if not psi >= 0:
-        raise ParameterError(f"inner_radius must be non-negative, got {psi}")
-    if tau < math.sqrt(psi * psi + 2.0 * d * psi):
-        raise ParameterError(
-            f"need outer_radius >= sqrt(inner^2 + 2 d inner) = "
-            f"{math.sqrt(psi * psi + 2 * d * psi):g}, got {tau}")
-    return vectorized(t, lambda tv: _annulus_metric_split(tv, psi, tau, d)[1])
+    """P(metric > t) for a point uniform on the annulus between the two radii; see
+    ``annulus_point_law`` for the radii it takes."""
+    law = annulus_point_law(inner_radius, outer_radius, half_distance)
+    return law.on_support(t, lambda tv: _annulus_metric_split(
+        tv, inner_radius, outer_radius, half_distance)[1],
+        below=1.0, at_inf=1.0 - law.total_mass)
 
 
 # ---------------------------------------------------------------------------
@@ -268,12 +256,11 @@ def annulus_metric_ccdf(t, inner_radius: float, outer_radius: float,
 def nearest_neighbor_pdf(psi, intensity: float):
     """Distance from the origin to the nearest point of the Poisson field."""
     return vectorized(psi, lambda p: np.where(
-        p >= 0, 2.0 * intensity * math.pi * p * np.exp(-intensity * math.pi * p * p), 0.0))
+        p < 0, 0.0, 2.0 * intensity * math.pi * p * np.exp(-intensity * math.pi * p * p)))
 
 
 def nearest_neighbor_cdf(psi, intensity: float):
-    return vectorized(psi, lambda p: np.where(
-        p >= 0, -np.expm1(-intensity * math.pi * p * p), 0.0))
+    return vectorized(psi, lambda p: np.where(p < 0, 0.0, -np.expm1(-intensity * math.pi * p * p)))
 
 
 def _gauss_legendre(integrand, top, *rows):
@@ -317,38 +304,34 @@ def _nn_angle_cdf(g, lam: float, base, psi0, psi1, fraction):
 
 def midpoint_cqi_cdf(gamma, intensity: float, half_distance: float):
     """cdf of the metric at the relay nearest to the mid-point."""
-    _check_positive(intensity=intensity, half_distance=half_distance)
     lam, d = intensity, half_distance
 
     def fraction(psi, g):
         return (2.0 / math.pi) * np.arcsin(_crossing_cosine(g, psi, d))
 
-    return _on_support(gamma, d, lambda g: _nn_angle_cdf(
+    return midpoint_cqi_law(lam, d).on_support(gamma, lambda g: _nn_angle_cdf(
         g, lam, nearest_neighbor_cdf(g - d, lam), g - d, np.sqrt((g - d) * (g + d)),
-        fraction), 1.0)
+        fraction))
 
 
 def midpoint_cqi_pdf(gamma, intensity: float, half_distance: float):
-    _check_positive(intensity=intensity, half_distance=half_distance)
     lam, d = intensity, half_distance
-    return _on_support(gamma, d, lambda g: 4.0 * lam * g * _sqrt_shift_integral(
-        lam, (g - d) ** 2, 2.0 * d * (g - d), 4.0 * d * g))
+    return midpoint_cqi_law(lam, d).on_support(gamma, lambda g: 4.0 * lam * g * (
+        _sqrt_shift_integral(lam, (g - d) ** 2, 2.0 * d * (g - d), 4.0 * d * g)), at_inf=0.0)
 
 
 def closest_to_destination_cqi_cdf(gamma, intensity: float, half_distance: float):
     """cdf of the metric at the relay nearest to the destination."""
-    _check_positive(intensity=intensity, half_distance=half_distance)
     lam, d = intensity, half_distance
 
     def fraction(psi, g):  # the source lies 2d from the destination
         return (1.0 / math.pi) * np.arccos(-_crossing_cosine(g, psi, 2.0 * d))
 
-    return _on_support(gamma, d, lambda g: _nn_angle_cdf(
-        g, lam, nearest_neighbor_cdf(g - 2.0 * d, lam), np.abs(g - 2.0 * d), g, fraction), 1.0)
+    return closest_to_destination_cqi_law(lam, d).on_support(gamma, lambda g: _nn_angle_cdf(
+        g, lam, nearest_neighbor_cdf(g - 2.0 * d, lam), np.abs(g - 2.0 * d), g, fraction))
 
 
 def closest_to_destination_cqi_pdf(gamma, intensity: float, half_distance: float):
-    _check_positive(intensity=intensity, half_distance=half_distance)
     lam, d = intensity, half_distance
 
     def fn(g):
@@ -356,7 +339,7 @@ def closest_to_destination_cqi_pdf(gamma, intensity: float, half_distance: float
         return 2.0 * lam * g * (atom + _sqrt_shift_integral(
             lam, (g - 2.0 * d) ** 2, 4.0 * d * (g - d), 8.0 * d * g))
 
-    return _on_support(gamma, d, fn)
+    return closest_to_destination_cqi_law(lam, d).on_support(gamma, fn, at_inf=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -416,8 +399,8 @@ def received_snr_cdf(s, law: "CqiLaw", snr: float, path_loss: PathLoss):
     _check_positive(snr=snr)
 
     def fn(sv):
-        out = np.zeros_like(sv)
-        rest = ~(sv <= 0)
+        out = np.where(np.isnan(sv), math.nan, 0.0)
+        rest = sv > 0
         x = path_loss.gain_inverse(sv[rest] / snr)
         finite = np.isfinite(x)
         below = np.full_like(x, law.total_mass)
@@ -438,11 +421,11 @@ def received_snr_pdf(s, law: "CqiLaw", snr: float, path_loss: PathLoss):
         raise UnsupportedOperationError(f"law '{law.name}' has no density")
 
     def fn(sv):
-        out = np.zeros_like(sv)
+        out = np.where(np.isnan(sv), math.nan, 0.0)
         if snr == math.inf:  # every link SNR is infinite: no density at a finite level
             return out
         top = snr * path_loss.gain(law.support_min)
-        inside = ~((sv <= 0) | (sv >= top))
+        inside = (sv > 0) & (sv < top)
         x = path_loss.gain_inverse(sv[inside] / snr)
         out[inside] = law.pdf(x) / (snr * np.abs(path_loss.gain_derivative(x)))
         return out
@@ -483,9 +466,9 @@ def isotropic_best_cqi_cdf(gamma, mean_measure: Callable[[float], float],
     d = half_distance
 
     def one(g: float) -> float:
-        if g < d:
-            return 0.0
-        if not math.isfinite(g):
+        if not g >= d:
+            return g if math.isnan(g) else 0.0
+        if g == math.inf:
             g = 1e300
 
         def f(theta):
@@ -516,8 +499,8 @@ def isotropic_best_cqi_pdf(gamma, radial_intensity: Callable[[float], float],
             return 2.0 * math.pi * q.value
 
     def one(g: float) -> float:
-        if g < d or not math.isfinite(g):
-            return 0.0
+        if not d <= g < math.inf:
+            return g if math.isnan(g) else 0.0
 
         def front(theta):  # r + d cos(theta) = sqrt(g^2 - (d sin(theta))^2)
             r = float(_reach(g, d, theta))
@@ -533,28 +516,23 @@ def isotropic_best_cqi_pdf(gamma, radial_intensity: Callable[[float], float],
 def exclusion_cqi_cdf(gamma, intensity: float, exclusion_radius: float,
                       half_distance: float):
     """Best-CQI cdf with a central exclusion disc of the given radius."""
-    _check_positive(intensity=intensity, half_distance=half_distance)
-    if not exclusion_radius >= 0:
-        raise ParameterError("exclusion_radius must be non-negative")
     lam, r, d = intensity, exclusion_radius, half_distance
-    return _on_support(gamma, math.hypot(r, d),
-                       lambda g: -np.expm1(-lam * _lens_outside_disc(g, r, d)), 1.0)
+    return exclusion_cqi_law(lam, r, d).on_support(
+        gamma, lambda g: -np.expm1(-lam * _lens_outside_disc(g, r, d)))
 
 
 def ring_cqi_cdf(gamma, intensity: float, ring_radius: float, half_distance: float):
     """Best-CQI cdf when relays live on a circle line; defective law."""
-    _check_positive(intensity=intensity, ring_radius=ring_radius, half_distance=half_distance)
     lam, r, d = intensity, ring_radius, half_distance
-    cap = -math.expm1(-2.0 * lam * math.pi * r)
-    return _on_support(gamma, math.hypot(r, d), lambda g: np.where(
-        g > r + d, cap, -np.expm1(-4.0 * lam * r * np.arcsin(_crossing_cosine(g, r, d)))),
-        cap)
+    law = ring_cqi_law(lam, r, d)
+    (rim,) = law.kinks  # past it the whole ring is within reach
+    return law.on_support(gamma, lambda g: np.where(
+        g > rim, law.total_mass, -np.expm1(-4.0 * lam * r * np.arcsin(_crossing_cosine(g, r, d)))))
 
 
 def gaussian_cqi_cdf(gamma, mean_count: float, spread: float, half_distance: float):
     """Best-CQI cdf for the Gaussian cluster; defective law with mass
     1 - exp(-mean_count)."""
-    _check_positive(mean_count=mean_count, spread=spread, half_distance=half_distance)
     n, sig, d = mean_count, spread, half_distance
 
     def integrand(x, g):
@@ -569,7 +547,7 @@ def gaussian_cqi_cdf(gamma, mean_count: float, spread: float, half_distance: flo
             inside = _gauss_legendre(integrand, np.ones_like(g), g)
         return -np.expm1(-(2.0 * n / math.pi) * inside)
 
-    return _on_support(gamma, d, fn, -math.expm1(-n))
+    return gaussian_cqi_law(n, sig, d).on_support(gamma, fn)
 
 
 # ---------------------------------------------------------------------------
@@ -591,20 +569,18 @@ def unequal_snr_cqi_cdf(gamma, intensity: float, half_distance: float,
     destination (radius gamma / scale_destination): the cdf is one minus the
     void probability of that lens.
     """
-    _check_positive(intensity=intensity)
-    bound = unequal_snr_support_min(half_distance, scale_source, scale_destination)
-    lam, d = intensity, half_distance
-    return _on_support(gamma, bound, lambda g: -np.expm1(
-        -lam * _lens_area(2.0 * d, g / scale_source, g / scale_destination)), 1.0)
+    lam, d, s1, s2 = intensity, half_distance, scale_source, scale_destination
+    return unequal_snr_cqi_law(lam, d, s1, s2).on_support(
+        gamma, lambda g: -np.expm1(-lam * _lens_area(2.0 * d, g / s1, g / s2)))
 
 
 # ---------------------------------------------------------------------------
-# bundled cdf/pdf evaluators
+# the laws: one constructor per family
 
 @dataclass(frozen=True)
 class CqiLaw:
-    """A named CQI distribution: cdf, optional pdf, support bound, total mass and,
-    with a pdf, the panel edges ``expect`` integrates over."""
+    """A named CQI distribution: cdf, optional pdf, support bound, total mass, with a
+    pdf the panel edges ``expect`` integrates over, and the rims and kinks of the cdf."""
 
     name: str
     cdf: Callable
@@ -612,6 +588,20 @@ class CqiLaw:
     support_min: float
     total_mass: float = 1.0
     edges: tuple = ()
+    kinks: tuple = ()
+
+    def on_support(self, gamma, fn, below: float = 0.0, at_inf: float | None = None):
+        """fn on the finite metric values above the floor, NaN at NaN, ``below`` at and
+        under the floor, and ``at_inf`` (the total mass unless given) at +inf."""
+        top = self.total_mass if at_inf is None else at_inf
+
+        def masked(g):
+            out = np.where(g == math.inf, top, np.where(np.isnan(g), math.nan, below))
+            on = (g > self.support_min) & (g < math.inf)
+            out[on] = fn(g[on])
+            return out
+
+        return vectorized(gamma, masked)
 
     def expect(self, fn, hi: float = math.inf) -> float:
         """Integral of fn(gamma) pdf(gamma) up to hi on the fixed rule; fn takes arrays."""
@@ -634,56 +624,141 @@ class CqiLaw:
         return solve_above_floor(self.cdf, p, self.support_min, max(self.support_min, 1.0))
 
 
+# The evaluators of each law below look its public functions up by name when they
+# are called, so perfbench counts every evaluation under the public name.
+
+@functools.lru_cache(maxsize=64)  # memoised: every policy cdf or pdf call builds its law
 def _panel_edges(intensity: float, d: float) -> tuple:
-    _check_positive(intensity=intensity, half_distance=d)
     r = _REACH / math.sqrt(intensity)
     a, k = max(d, 2.0 * d - r), 8.0 ** np.arange(3)
     return tuple(np.unique(np.concatenate([[d, a, 2.0 * d, 2.0 * d + r], d + (a - d) / (8.0 * k),
                                            2.0 * d + np.minimum(r, d * k)])))
 
 
+def _policy_law(name: str, intensity: float, half_distance: float, cdf, pdf,
+                kinks: tuple = ()) -> CqiLaw:
+    """Law of a policy's relay: floor d and no missing mass; cdf and pdf take
+    (gamma, intensity, half_distance)."""
+    _check_positive(intensity=intensity, half_distance=half_distance)
+    return CqiLaw(name, lambda g: cdf(g, intensity, half_distance),
+                  lambda g: pdf(g, intensity, half_distance), support_min=half_distance,
+                  edges=_panel_edges(intensity, half_distance), kinks=kinks)
+
+
 def best_cqi_law(intensity: float, half_distance: float) -> CqiLaw:
-    return CqiLaw(
-        "best-cqi",
-        lambda g: best_cqi_cdf(g, intensity, half_distance),
-        lambda g: best_cqi_pdf(g, intensity, half_distance),
-        support_min=half_distance,
-        edges=_panel_edges(intensity, half_distance),
-    )
+    return _policy_law("best-cqi", intensity, half_distance,
+                       lambda *a: best_cqi_cdf(*a), lambda *a: best_cqi_pdf(*a))
+
+
+def midpoint_cqi_law(intensity: float, half_distance: float) -> CqiLaw:
+    return _policy_law("midpoint-cqi", intensity, half_distance,
+                       lambda *a: midpoint_cqi_cdf(*a), lambda *a: midpoint_cqi_pdf(*a))
+
+
+def closest_to_destination_cqi_law(intensity: float, half_distance: float) -> CqiLaw:
+    # at 2d the nearest relay's distance from the destination, |gamma - 2d|, is 0
+    return _policy_law("closest-to-destination-cqi", intensity, half_distance,
+                       lambda *a: closest_to_destination_cqi_cdf(*a),
+                       lambda *a: closest_to_destination_cqi_pdf(*a), (2.0 * half_distance,))
+
+
+def disc_point_law(window_radius: float, half_distance: float) -> CqiLaw:
+    """Law of the metric at one point uniform on the disc of the given radius."""
+    tau, d = window_radius, half_distance
+    _check_positive(window_radius=tau, half_distance=d)
+    _check_finite(window_radius=tau)
+    return CqiLaw("disc-point", lambda g: disc_point_metric_cdf(g, tau, d), None,
+                  support_min=d, kinks=(math.hypot(tau, d), tau + d))
 
 
 def best_cqi_law_finite(intensity: float, half_distance: float,
                         window_radius: float) -> CqiLaw:
+    """Best-CQI law when relays are confined to a disc: the disc point law's floor and
+    kinks, and the mass of a non-empty disc (np.expm1, as in the cdf, which reaches
+    it at the rim)."""
+    _check_positive(intensity=intensity)
+    disc = disc_point_law(window_radius, half_distance)
+    return CqiLaw(f"best-cqi-window({window_radius:g})",
+                  lambda g: best_cqi_cdf_finite(g, intensity, half_distance, window_radius), None,
+                  support_min=disc.support_min, kinks=disc.kinks, total_mass=float(
+                      -np.expm1(-intensity * math.pi * window_radius * window_radius)))
+
+
+def annulus_point_law(inner_radius: float, outer_radius: float,
+                      half_distance: float) -> CqiLaw:
+    """Law of the metric at one point uniform on the annulus between the two radii.
+
+    Requires outer_radius >= sqrt(inner^2 + 2 d inner) so the closed form applies.
+    """
+    d, psi, tau = half_distance, inner_radius, outer_radius
+    _check_positive(outer_radius=tau, half_distance=d)
+    _check_finite(outer_radius=tau)
+    if not psi >= 0:
+        raise ParameterError(f"inner_radius must be non-negative, got {psi}")
+    if tau < math.sqrt(psi * psi + 2.0 * d * psi):
+        raise ParameterError(
+            f"need outer_radius >= sqrt(inner^2 + 2 d inner) = "
+            f"{math.sqrt(psi * psi + 2 * d * psi):g}, got {tau}")
+
     def cdf(g):
-        return best_cqi_cdf_finite(g, intensity, half_distance, window_radius)
+        return law.on_support(g, lambda x: _annulus_metric_split(x, psi, tau, d)[0])
 
-    return CqiLaw(f"best-cqi-window({window_radius:g})", cdf, None,
-                  support_min=half_distance, total_mass=cdf(math.inf))
-
-
-def midpoint_cqi_law(intensity: float, half_distance: float) -> CqiLaw:
-    return CqiLaw(
-        "midpoint-cqi",
-        lambda g: midpoint_cqi_cdf(g, intensity, half_distance),
-        lambda g: midpoint_cqi_pdf(g, intensity, half_distance),
-        support_min=half_distance,
-        edges=_panel_edges(intensity, half_distance),
-    )
+    law = CqiLaw("annulus-point", cdf, None, support_min=math.hypot(psi, d),
+                 kinks=(psi + d, math.hypot(tau, d), tau + d))
+    return law
 
 
-def closest_to_destination_cqi_law(intensity: float, half_distance: float) -> CqiLaw:
-    return CqiLaw(
-        "closest-to-destination-cqi",
-        lambda g: closest_to_destination_cqi_cdf(g, intensity, half_distance),
-        lambda g: closest_to_destination_cqi_pdf(g, intensity, half_distance),
-        support_min=half_distance,
-        edges=_panel_edges(intensity, half_distance),
-    )
+def exclusion_cqi_law(intensity: float, exclusion_radius: float,
+                      half_distance: float) -> CqiLaw:
+    """Best-CQI law with a central exclusion disc; the lens meets the hole up to its rim."""
+    lam, r, d = intensity, exclusion_radius, half_distance
+    _check_positive(intensity=lam, half_distance=d)
+    if not r >= 0:
+        raise ParameterError(f"exclusion_radius must be non-negative, got {r}")
+    _check_finite(exclusion_radius=r)
+    return CqiLaw("exclusion-cqi", lambda g: exclusion_cqi_cdf(g, lam, r, d), None,
+                  support_min=math.hypot(r, d), kinks=(r + d,))
 
+
+def ring_cqi_law(intensity: float, ring_radius: float, half_distance: float) -> CqiLaw:
+    """Best-CQI law for relays on a circle line, defective by the empty-ring mass."""
+    lam, r, d = intensity, ring_radius, half_distance
+    _check_positive(intensity=lam, ring_radius=r, half_distance=d)
+    return CqiLaw("ring-cqi", lambda g: ring_cqi_cdf(g, lam, r, d), None,
+                  support_min=math.hypot(r, d), total_mass=-math.expm1(-2.0 * lam * math.pi * r),
+                  kinks=(r + d,))
+
+
+def gaussian_cqi_law(mean_count: float, spread: float, half_distance: float) -> CqiLaw:
+    """Best-CQI law for the Gaussian cluster, defective by the empty-cluster mass."""
+    n, sig, d = mean_count, spread, half_distance
+    _check_positive(mean_count=n, spread=sig, half_distance=d)
+    return CqiLaw("gaussian-cqi", lambda g: gaussian_cqi_cdf(g, n, sig, d), None,
+                  support_min=d, total_mass=-math.expm1(-n))
+
+
+def unequal_snr_cqi_law(intensity: float, half_distance: float,
+                        scale_source: float, scale_destination: float) -> CqiLaw:
+    """Best-CQI law with per-hop scales; past its kink one disc holds the other."""
+    lam, d, s1, s2 = intensity, half_distance, scale_source, scale_destination
+    _check_positive(intensity=lam)
+    return CqiLaw("best-cqi-unequal-snr", lambda g: unequal_snr_cqi_cdf(g, lam, d, s1, s2), None,
+                  support_min=unequal_snr_support_min(d, s1, s2),
+                  kinks=(2.0 * d * s1 * s2 / abs(s1 - s2),) if s1 != s2 else ())
+
+
+# every CQI law by family name, the three policies' laws first under their policy names
+LAWS = {
+    "optimum": best_cqi_law, "mid-point": midpoint_cqi_law,
+    "closest-to-destination": closest_to_destination_cqi_law,
+    "window": best_cqi_law_finite, "disc-point": disc_point_law, "annulus": annulus_point_law,
+    "exclusion": exclusion_cqi_law, "ring": ring_cqi_law, "gaussian-cluster": gaussian_cqi_law,
+    "unequal-snr": unequal_snr_cqi_law,
+}
 
 # the policies with an analytic CQI law, by name, in the order the experiments report them
-POLICY_LAWS = {"optimum": best_cqi_law, "mid-point": midpoint_cqi_law,
-               "closest-to-destination": closest_to_destination_cqi_law}
+POLICY_LAWS = {policy: LAWS[policy]
+               for policy in ("optimum", "mid-point", "closest-to-destination")}
 
 
 def policy_law(policy: str, intensity: float, half_distance: float) -> CqiLaw:
@@ -691,14 +766,3 @@ def policy_law(policy: str, intensity: float, half_distance: float) -> CqiLaw:
     if policy not in POLICY_LAWS:
         raise ParameterError(f"no analytic law for policy {policy!r}")
     return POLICY_LAWS[policy](intensity, half_distance)
-
-
-def unequal_snr_cqi_law(intensity: float, half_distance: float,
-                        scale_source: float, scale_destination: float) -> CqiLaw:
-    return CqiLaw(
-        "best-cqi-unequal-snr",
-        lambda g: unequal_snr_cqi_cdf(g, intensity, half_distance,
-                                      scale_source, scale_destination),
-        None,
-        support_min=unequal_snr_support_min(half_distance, scale_source, scale_destination),
-    )

@@ -486,6 +486,17 @@ def test_an_infinite_eval_flag_is_accepted(capsys, argv, printed):
     assert capsys.readouterr().out == printed + "\n"
 
 
+@pytest.mark.parametrize("argv, param", [
+    (["cdf-gamma-opt-finite", "--gamma", "2", "--tau", "inf"], "window_radius"),
+    (["cdf-gamma-exclusion", "--gamma", "inf", "--r", "inf"], "exclusion_radius")])
+def test_an_infinite_window_or_exclusion_radius_is_usage_error(capsys, argv, param):
+    # an infinite window spreads the relays over no finite area; an infinite hole holds none
+    assert main(["eval", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {param} must be finite, got inf\n"
+
+
 def test_an_eval_quantity_that_is_nan_is_numeric_failure(monkeypatch, capsys):
     monkeypatch.setitem(cli._QUANTITIES, "mean-gamma-opt", lambda args: math.nan)
     assert main(["eval", "mean-gamma-opt"]) == 3

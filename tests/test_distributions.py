@@ -13,15 +13,45 @@ from relaysim.montecarlo import MonteCarloConfig, ks_statistic, run_trials
 # build with an independent high-precision integrator (mpmath) straight from
 # the defining integrals/expectations; closed-form anchors are spelled out.
 
+# Every law of dist.LAWS: its public evaluators, the cdf then the pdf where it has
+# them, and the parameter sets the law-wide tests run on, the first also for the
+# array test. Each test reads the floor, mass and kinks off the built law.
+LAW_CASES = {
+    "optimum": ((dist.best_cqi_cdf, dist.best_cqi_pdf), [(1.0, 1.0), (1.5, 1.0)]),
+    "mid-point": ((dist.midpoint_cqi_cdf, dist.midpoint_cqi_pdf), [(1.0, 1.0), (1.5, 1.0)]),
+    "closest-to-destination": ((dist.closest_to_destination_cqi_cdf,
+                                dist.closest_to_destination_cqi_pdf), [(1.0, 1.0), (1.5, 1.0)]),
+    "window": ((dist.best_cqi_cdf_finite,), [(0.5, 1.0, 3.0), (0.05, 1.0, 1.5), (1.0, 1.0, 10.0)]),
+    "disc-point": ((dist.disc_point_metric_cdf,), [(3.0, 1.0), (1.5, 1.0), (6.0, 0.5)]),
+    "annulus": ((), [(2.0, 10.0, 1.0), (5.0, 10.0, 1.0), (0.3, 3.0, 1.0)]),  # public: the ccdf
+    "exclusion": ((dist.exclusion_cqi_cdf,), [(1.0, r, d) for r, d in (
+        (1.5, 1.0), (0.01, 1.0), (0.3, 1.0), (20.0, 1.0), (5.0, 0.5))]),
+    "ring": ((dist.ring_cqi_cdf,), [(1.0, 1.5, 1.0)]),
+    "gaussian-cluster": ((dist.gaussian_cqi_cdf,), [(30.0, 1.5, 1.0), (50.0, 1.0, 1.0)]),
+    "unequal-snr": ((dist.unequal_snr_cqi_cdf,), [(1.0, 0.5, 1.0, 1.5), (4.0, 1.0, 0.8, 1.0)]),
+}
+
+
+def _public_name(name, kind="cdf"):
+    """The law's public cdf or pdf by name; the registry name and kind where it has none."""
+    publics = LAW_CASES[name][0]
+    i = ("cdf", "pdf").index(kind)
+    return publics[i].__name__ if i < len(publics) else f"{name}-{kind}"
+
+
+def _first_law(name):
+    return dist.LAWS[name](*LAW_CASES[name][1][0])
+
+
+def test_every_law_has_a_case():
+    assert sorted(LAW_CASES) == sorted(dist.LAWS)
+
 
 def test_best_cqi_cdf_boundary_and_closed_values():
-    assert dist.best_cqi_cdf(0.999999, 1.0, 1.0) == 0.0
-    assert dist.best_cqi_cdf(1.0, 1.0, 1.0) == 0.0  # shape factor vanishes at the floor
+    # the floor, below it and +inf: test_law_array_matches_scalar_calls[best_cqi_cdf]
     # at gamma = sqrt(2) d the exponent is 2(pi/4) - 1 per leg: 1 - e^(2-pi)
     assert dist.best_cqi_cdf(math.sqrt(2), 1.0, 1.0) == pytest.approx(
         1.0 - math.exp(2.0 - math.pi), rel=1e-14)
-    assert dist.best_cqi_cdf(math.inf, 1.0, 1.0) == 1.0
-    assert dist.best_cqi_cdf(-3.0, 1.0, 1.0) == 0.0
 
 
 def test_best_cqi_cdf_intensity_limit():
@@ -163,31 +193,26 @@ def test_midpoint_law_oracle_values():
     for g, (c, p) in MID_ORACLE.items():
         assert dist.midpoint_cqi_cdf(g, 1.0, 1.0) == pytest.approx(c, abs=1e-10)
         assert dist.midpoint_cqi_pdf(g, 1.0, 1.0) == pytest.approx(p, abs=1e-9)
-    assert dist.midpoint_cqi_cdf(0.99, 1.0, 1.0) == 0.0
-    assert dist.midpoint_cqi_pdf(1.0, 1.0, 1.0) == 0.0  # flat density at the floor
 
 
 def test_c2d_law_oracle_values():
     for g, (c, p) in C2D_ORACLE.items():
         assert dist.closest_to_destination_cqi_cdf(g, 1.0, 1.0) == pytest.approx(c, abs=1e-10)
         assert dist.closest_to_destination_cqi_pdf(g, 1.0, 1.0) == pytest.approx(p, abs=1e-9)
-    assert dist.closest_to_destination_cqi_cdf(0.9, 1.0, 1.0) == 0.0
-    assert dist.closest_to_destination_cqi_pdf(1.0, 1.0, 1.0) == 0.0
 
 
-@pytest.mark.parametrize("law_cdf,law_pdf", [
-    (dist.midpoint_cqi_cdf, dist.midpoint_cqi_pdf),
-    (dist.closest_to_destination_cqi_cdf, dist.closest_to_destination_cqi_pdf),
-])
-def test_benchmark_laws_monotone_normalized_consistent(law_cdf, law_pdf):
-    gs = np.linspace(1.0, 5.0, 60)
-    cdf = law_cdf(gs, 1.0, 1.0)
+@pytest.mark.parametrize("name", [name for name in LAW_CASES if _first_law(name).pdf],
+                         ids=lambda name: f"{_public_name(name)}-{_public_name(name, 'pdf')}")
+def test_benchmark_laws_monotone_normalized_consistent(name):
+    law = _first_law(name)
+    floor = law.support_min
+    cdf = law.cdf(np.linspace(floor, 5.0 * floor, 60))
     assert np.all(np.diff(cdf) >= -1e-12)
-    assert law_cdf(12.0, 1.0, 1.0) == pytest.approx(1.0, abs=1e-8)
-    h = 2e-5
-    for g in (1.3, 1.9, 2.6):
-        num = (law_cdf(g + h, 1.0, 1.0) - law_cdf(g - h, 1.0, 1.0)) / (2 * h)
-        assert num == pytest.approx(law_pdf(g, 1.0, 1.0), abs=1e-4)
+    assert law.cdf(12.0 * floor) == pytest.approx(law.total_mass, abs=1e-8)
+    h = 2e-5 * floor
+    for g in floor * np.array([1.3, 1.9, 2.6]):
+        num = (law.cdf(g + h) - law.cdf(g - h)) / (2 * h)
+        assert num == pytest.approx(law.pdf(g), abs=1e-4)
 
 
 def test_benchmark_laws_match_policy_simulation():
@@ -404,7 +429,6 @@ DIFF_ORACLE = {  # (gamma; lam=1, d=0.5, scales (1, 1.5)) 30-digit oracle
 
 def test_unequal_snr_cdf():
     assert dist.unequal_snr_support_min(0.5, 1.0, 1.5) == pytest.approx(0.6)
-    assert dist.unequal_snr_cqi_cdf(0.59, 1.0, 0.5, 1.0, 1.5) == 0.0
     for g, expected in DIFF_ORACLE.items():
         assert dist.unequal_snr_cqi_cdf(g, 1.0, 0.5, 1.0, 1.5) == pytest.approx(
             expected, abs=1e-12)
@@ -544,13 +568,10 @@ def test_log_pdf_matches_pdf_where_representable():
 
 
 def test_policy_law_table():
-    for policy, law in (("optimum", dist.best_cqi_law(1.5, 1.0)),
-                        ("mid-point", dist.midpoint_cqi_law(1.5, 1.0)),
-                        ("closest-to-destination",
-                         dist.closest_to_destination_cqi_law(1.5, 1.0))):
-        got = dist.policy_law(policy, 1.5, 1.0)
-        assert got.name == law.name
-        assert got.cdf(1.7) == law.cdf(1.7)
+    assert list(dist.POLICY_LAWS) == ["optimum", "mid-point", "closest-to-destination"]
+    for policy in dist.POLICY_LAWS:
+        law = dist.LAWS[policy](1.5, 1.0)
+        assert dist.policy_law(policy, 1.5, 1.0).name == law.name
     with pytest.raises(ParameterError):
         dist.policy_law("closest-to-source", 1.5, 1.0)
 
@@ -604,16 +625,21 @@ def test_received_snr_laws_at_an_infinite_snr():
                           np.zeros(3))
 
 
+def _oracle_case(name, gamma, params, expected):
+    return pytest.param(name, gamma, params, expected,
+                        id="-".join(map(str, (_public_name(name), gamma, *params, expected))))
+
+
 # 30-digit oracle (mpmath) of the policy cdfs next to their features: the
 # mid-point law just above d, the closest-to-destination law on both sides of 2d
-@pytest.mark.parametrize("law,gamma,lam,d,expected", [
-    (dist.midpoint_cqi_cdf, 1.00001, 100.0, 1.0, 1.1910771272784758654e-05),
-    (dist.closest_to_destination_cqi_cdf, 1.9999, 1.0, 1.0, 0.45990709978853025968),
-    (dist.closest_to_destination_cqi_cdf, 2.0001, 1.0, 1.0, 0.46010812054805365086),
-    (dist.closest_to_destination_cqi_cdf, 3.9998, 4.0, 2.0, 0.48964960019444430143),
+@pytest.mark.parametrize("name,gamma,params,expected", [
+    _oracle_case("mid-point", 1.00001, (100.0, 1.0), 1.1910771272784758654e-05),
+    _oracle_case("closest-to-destination", 1.9999, (1.0, 1.0), 0.45990709978853025968),
+    _oracle_case("closest-to-destination", 2.0001, (1.0, 1.0), 0.46010812054805365086),
+    _oracle_case("closest-to-destination", 3.9998, (4.0, 2.0), 0.48964960019444430143),
 ])
-def test_benchmark_cdf_oracle_values_near_features(law, gamma, lam, d, expected):
-    assert law(gamma, lam, d) == pytest.approx(expected, abs=1e-12)
+def test_benchmark_cdf_oracle_values_near_features(name, gamma, params, expected):
+    assert dist.LAWS[name](*params).cdf(gamma) == pytest.approx(expected, abs=1e-12)
 
 
 def test_c2d_cdf_graded_nodes_resolve_the_feature_below_2d():
@@ -628,35 +654,66 @@ def test_benchmark_cdfs_reach_one_where_the_metric_squared_overflows():
             assert law(1e200, 1.0, 1.0) == 1.0
 
 
-# every law masked by distributions._on_support, and best_cqi_cdf_finite built on one
-_ARRAY_LAWS = {  # law -> (extra parameters, support floor)
-    "best_cqi_cdf": ((1.5, 1.0), 1.0),
-    "best_cqi_pdf": ((1.5, 1.0), 1.0),
-    "midpoint_cqi_cdf": ((1.5, 1.0), 1.0),
-    "midpoint_cqi_pdf": ((1.5, 1.0), 1.0),
-    "closest_to_destination_cqi_cdf": ((1.5, 1.0), 1.0),
-    "closest_to_destination_cqi_pdf": ((1.5, 1.0), 1.0),
-    "unequal_snr_cqi_cdf": ((1.0, 0.5, 1.0, 1.5), 0.6),
-    "disc_point_metric_cdf": ((3.0, 1.0), 1.0),
-    "best_cqi_cdf_finite": ((0.5, 1.0, 3.0), 1.0),
-    "ring_cqi_cdf": ((1.0, 1.5, 1.0), math.hypot(1.5, 1.0)),
-    "exclusion_cqi_cdf": ((1.0, 1.5, 1.0), math.hypot(1.5, 1.0)),
-    "gaussian_cqi_cdf": ((30.0, 1.5, 1.0), 1.0),
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name,kind", [
+    pytest.param(name, kind, id=_public_name(name, kind)) for name in LAW_CASES
+    for kind in (("cdf", "pdf") if _first_law(name).pdf else ("cdf",))])
+def test_law_array_matches_scalar_calls(name, kind):
+    law = _first_law(name)
+    fn, floor = getattr(law, kind), law.support_min
+    gs = np.concatenate([[-1.0, 0.0, floor * 0.999, np.nextafter(floor, 0.0), floor,
+                          math.inf, -math.inf, math.nan],
+                         np.linspace(floor, 6.0 * floor, 2500)[1:]])  # more than one block
+    got = fn(gs)
+    scalar = np.array([fn(g) for g in gs])
+    assert np.array_equal(got, scalar, equal_nan=True)  # each value is summed on its own
+    assert np.array_equal(got[:5], np.zeros(5))  # at and below the floor
+    assert got[5] == (law.total_mass if kind == "cdf" else 0.0)
+    assert got[6] == 0.0 and math.isnan(got[7])  # -inf is below the floor; NaN stays NaN
+    assert np.array_equal(fn(gs[:6].reshape(2, 3)), got[:6].reshape(2, 3))
+    publics = LAW_CASES[name][0]
+    if publics:  # the law evaluates through its public function
+        public = publics[("cdf", "pdf").index(kind)]
+        assert np.array_equal(public(gs, *LAW_CASES[name][1][0]), got, equal_nan=True)
+
+
+_NAN_RULE = {  # the laws beside dist.LAWS, at a metric or link-SNR level
+    "received_snr_cdf": lambda x: dist.received_snr_cdf(
+        x, dist.best_cqi_law(1.0, 1.0), 3.0, PathLoss.power_law(4.0)),
+    "received_snr_pdf": lambda x: dist.received_snr_pdf(
+        x, dist.best_cqi_law(1.0, 1.0), 3.0, PathLoss.power_law(4.0)),
+    "received_snr_pdf-infinite-snr": lambda x: dist.received_snr_pdf(
+        x, dist.best_cqi_law(1.0, 1.0), math.inf, PathLoss.power_law(4.0)),
+    "best_cqi_log_pdf": lambda x: dist.best_cqi_log_pdf(x, 1.0, 1.0),
+    "annulus_metric_ccdf": lambda x: dist.annulus_metric_ccdf(x, 0.3, 3.0, 1.0),
+    "isotropic_best_cqi_cdf": lambda x: dist.isotropic_best_cqi_cdf(
+        x, lambda r: math.pi * r * r, 1.0),
+    "isotropic_best_cqi_pdf": lambda x: dist.isotropic_best_cqi_pdf(
+        x, lambda r: 1.0, 1.0, mean_measure=lambda r: math.pi * r * r),
+    "nearest_neighbor_pdf": lambda x: dist.nearest_neighbor_pdf(x, 1.0),
+    "nearest_neighbor_cdf": lambda x: dist.nearest_neighbor_cdf(x, 1.0),
 }
 
 
-@pytest.mark.parametrize("name", sorted(_ARRAY_LAWS))
-def test_law_array_matches_scalar_calls(name):
-    law = getattr(dist, name)
-    params, floor = _ARRAY_LAWS[name]
-    gs = np.concatenate([[-1.0, 0.0, floor * 0.999, floor, math.inf, -math.inf, math.nan],
-                         np.linspace(floor, 6.0, 2500)[1:]])  # more than one block of values
-    got = law(gs, *params)
-    scalar = np.array([law(g, *params) for g in gs])
-    assert np.array_equal(got, scalar, equal_nan=True)  # each value is summed on its own
-    assert np.array_equal(got[:4], np.zeros(4))
-    assert got[5] == 0.0 and math.isnan(got[6])  # -inf is below the floor; NaN stays NaN
-    assert np.array_equal(law(gs[:6].reshape(2, 3), *params), got[:6].reshape(2, 3))
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name", sorted(_NAN_RULE))
+def test_laws_beside_the_registry_are_nan_at_nan(name):
+    fn = _NAN_RULE[name]
+    xs = np.array([math.nan, -1.0, 0.0, 0.5, 1.5, 3.0])
+    got = fn(xs)
+    assert math.isnan(got[0]) and not np.isnan(got[1:]).any()
+    assert np.array_equal(got, [fn(x) for x in xs], equal_nan=True)
+
+
+def test_infinite_window_and_exclusion_radii_are_rejected():
+    calls = {"window_radius": (lambda: dist.best_cqi_cdf_finite(2.0, 1.0, 1.0, math.inf),
+                               lambda: dist.disc_point_metric_cdf(2.0, math.inf, 1.0)),
+             "outer_radius": (lambda: dist.annulus_metric_ccdf(2.0, 0.5, math.inf, 1.0),),
+             "exclusion_radius": (lambda: dist.exclusion_cqi_cdf(math.inf, 1.0, math.inf, 1.0),)}
+    for param, rejected in calls.items():
+        for call in rejected:
+            with pytest.raises(ParameterError, match=f"{param} must be finite"):
+                call()
 
 
 @pytest.mark.parametrize("lam", [1.0, 4.0, 100.0])
@@ -732,9 +789,12 @@ def test_expect_needs_a_density():
     assert law.expect(np.ones_like, 1.5) == pytest.approx(law.cdf(1.5), abs=1e-13)
 
 
-def _edge_grid(floor, features, tail):
-    """Metric values 1 to 1e6 ulps above the floor, 1e-13 to 1e-3 relative on both
-    sides of each rim or kink, and the far tail."""
+def _edge_grid(law):
+    """Metric values 1 to 1e6 ulps above the law's floor, 1e-13 to 1e-3 relative on
+    both sides of each rim or kink (of twice the floor for a law without one), and
+    the far tail."""
+    floor, features = law.support_min, law.kinks or (2.0 * law.support_min,)
+    tail = max(features)
     ulps = np.unique(np.round(np.logspace(0, 6, 25)))
     rel = np.logspace(-13, -3, 21)
     near = [f * (1.0 + sign * rel) for f in features for sign in (-1.0, 1.0)]
@@ -743,48 +803,20 @@ def _edge_grid(floor, features, tail):
                                      [math.inf]]))
 
 
-def _edge_case(law, params, floor, features, mass):
-    return pytest.param(law, params, floor, features, mass, id=f"{law.__name__}{params}")
-
-
-_EDGE_LAWS = [  # law, parameters, floor, rims and kinks, total mass
-    _edge_case(dist.best_cqi_cdf, (1.0, 1.0), 1.0, [2.0], 1.0),
-    _edge_case(dist.best_cqi_cdf_finite, (0.05, 1.0, 1.5), 1.0, [2.5, math.hypot(1.5, 1.0)],
-               dist.best_cqi_law_finite(0.05, 1.0, 1.5).total_mass),
-    _edge_case(dist.best_cqi_cdf_finite, (1.0, 1.0, 10.0), 1.0,
-               [11.0, math.hypot(10.0, 1.0)], dist.best_cqi_law_finite(1.0, 1.0, 10.0).total_mass),
-    _edge_case(dist.disc_point_metric_cdf, (1.5, 1.0), 1.0, [2.5, math.hypot(1.5, 1.0)], 1.0),
-    _edge_case(dist.disc_point_metric_cdf, (6.0, 0.5), 0.5, [6.5, math.hypot(6.0, 0.5)], 1.0),
-    _edge_case(dist.midpoint_cqi_cdf, (1.0, 1.0), 1.0, [2.0], 1.0),
-    _edge_case(dist.closest_to_destination_cqi_cdf, (1.0, 1.0), 1.0, [2.0], 1.0),
-    # kink 2 d s1 s2 / |s1 - s2|, where one disc swallows the other
-    _edge_case(dist.unequal_snr_cqi_cdf, (1.0, 0.5, 1.0, 1.5),
-               dist.unequal_snr_support_min(0.5, 1.0, 1.5), [3.0], 1.0),
-    _edge_case(dist.unequal_snr_cqi_cdf, (4.0, 1.0, 0.8, 1.0),
-               dist.unequal_snr_support_min(1.0, 0.8, 1.0), [8.0], 1.0),
-    _edge_case(dist.ring_cqi_cdf, (1.0, 1.5, 1.0), math.hypot(1.5, 1.0), [2.5],
-               -math.expm1(-2.0 * 1.0 * math.pi * 1.5)),
-    *(_edge_case(dist.exclusion_cqi_cdf, (1.0, r, d), math.hypot(r, d), [r + d], 1.0)
-      for r, d in ((0.01, 1.0), (0.3, 1.0), (1.5, 1.0), (20.0, 1.0), (5.0, 0.5))),
-    _edge_case(dist.gaussian_cqi_cdf, (50.0, 1.0, 1.0), 1.0, [2.0], -math.expm1(-50.0)),
-]
-
-
-@pytest.mark.parametrize("law,params,floor,features,mass", _EDGE_LAWS)
-def test_cdf_keeps_its_shape_at_the_edges(law, params, floor, features, mass):
-    gs = _edge_grid(floor, features, max(features))
-    vals = law(gs, *params)
-    assert np.all((vals >= 0.0) & (vals <= mass))
+@pytest.mark.parametrize("name,params", [
+    pytest.param(name, params, id=f"{_public_name(name)}{params}")
+    for name, (_, cases) in LAW_CASES.items() for params in cases])
+def test_cdf_keeps_its_shape_at_the_edges(name, params):
+    law = dist.LAWS[name](*params)
+    vals = law.cdf(_edge_grid(law))
+    assert np.all((vals >= 0.0) & (vals <= law.total_mass))
     drop = vals[:-1] - vals[1:]
     assert np.all(drop <= 2.0 * np.spacing(vals[:-1]))
 
 
-@pytest.mark.parametrize("psi,tau,d", [(2.0, 10.0, 1.0), (5.0, 10.0, 1.0), (0.3, 3.0, 1.0)])
-def test_annulus_ccdf_keeps_its_shape_at_the_edges(psi, tau, d):
-    # the floor hypot(psi, d), the hole's rim psi + d, and the disc's hypot(tau, d) and tau + d
-    features = [psi + d, math.hypot(tau, d), tau + d]
-    gs = _edge_grid(math.hypot(psi, d), features, tau + d)
-    vals = dist.annulus_metric_ccdf(gs, psi, tau, d)
+@pytest.mark.parametrize("params", LAW_CASES["annulus"][1], ids=lambda p: "-".join(map(str, p)))
+def test_annulus_ccdf_keeps_its_shape_at_the_edges(params):
+    vals = dist.annulus_metric_ccdf(_edge_grid(dist.LAWS["annulus"](*params)), *params)
     assert np.all((vals >= 0.0) & (vals <= 1.0))
     rise = vals[1:] - vals[:-1]
     assert np.all(rise <= 2.0 * np.spacing(vals[:-1]))
