@@ -255,8 +255,11 @@ def annulus_metric_ccdf(t, inner_radius: float, outer_radius: float,
 
 def nearest_neighbor_pdf(psi, intensity: float):
     """Distance from the origin to the nearest point of the Poisson field."""
-    return vectorized(psi, lambda p: np.where(
-        p < 0, 0.0, 2.0 * intensity * math.pi * p * np.exp(-intensity * math.pi * p * p)))
+    def pdf(p):
+        p[np.isinf(p)] = 0.0  # the density is 0 at 0 and at +-inf, where p e^(-p^2) is inf * 0
+        a = intensity * math.pi
+        return np.where(p < 0, 0.0, 2.0 * a * p * np.exp(-a * p * p))
+    return vectorized(psi, pdf)
 
 
 def nearest_neighbor_cdf(psi, intensity: float):

@@ -8,21 +8,23 @@ all points in trial order, block 2 the angle uniforms. Counts and squared
 norms are drawn as ``DiscHomogeneous(intensity, window_radius)`` draws them.
 
 ``run_trials`` and ``feedback_counts`` share one walk of this stream. It
-draws every count from block 0 first, then takes the trials in chunks of
-whole trials holding at most ``_CHUNK_POINTS`` points (a trial larger than
-that is a chunk of its own). Each chunk takes its next squared norms and
-angle uniforms from two generators kept open on blocks 1 and 2 and goes to
-one kernel call: ``disc_batch_stats`` for every statistic, or
+draws every count from block 0 first, then takes the trials in chunks of at
+most ``_CHUNK_POINTS`` whole trials holding at most ``_CHUNK_POINTS`` points
+(a trial larger than that is a chunk of its own). Each chunk takes its next
+squared norms and angle uniforms from two generators kept open on blocks 1
+and 2 and goes to one kernel call: ``disc_batch_stats`` for every statistic, or
 ``disc_feedback_counts`` for the feedback count alone, which takes a cosine
 only for the relays near the threshold (see ``kernels``). Both give the bits
 of evaluating every relay, so ``feedback_counts`` returns
 ``run_trials(...).n_feedback`` exactly. Successive draws from one Philox
 generator give exactly the values of one large draw, so the output does not
-depend on the chunk size, and memory beyond the per-trial results is bounded
-by the chunk budget (or by the largest trial) for any ``n_trials``. A
-chunk's draws are made only after the previous chunk's are freed: holding
-them one chunk longer left 12 MB more resident memory after a 100k-trial
-batch (lambda = 1, tau = 10), from heap fragmentation.
+depend on the chunk size. Each chunk's results are written into their slice
+of the ``n_trials``-long outputs, allocated once, so memory beyond the
+per-trial results is bounded by the chunk budget (or by the largest trial)
+for any ``n_trials``. A chunk's draws are made only after the previous
+chunk's are freed: holding them one chunk longer left 12 MB more resident
+memory after a 100k-trial batch (lambda = 1, tau = 10), from heap
+fragmentation.
 
 Block 0 cannot be advanced to a trial: Poisson draws consume a variable
 number of words (1000 draws at mean 314 use 585 counter values), so the
@@ -40,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError
-from .kernels import FieldStats, disc_batch_stats, disc_feedback_counts
+from .kernels import disc_batch_stats, disc_feedback_counts
 from .numerics import chi2_sf, poisson_cdf, poisson_pmf, poisson_sf
 from .pointprocess import DiscHomogeneous, default_window_radius
 
@@ -115,13 +117,15 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
 
 
 def _chunks(offsets: np.ndarray):
-    """Yield (lo, hi): runs of whole trials with at most _CHUNK_POINTS points,
-    or a single trial when it alone holds more."""
+    """Yield (lo, hi): runs of at most _CHUNK_POINTS whole trials with at most
+    _CHUNK_POINTS points, or a single trial when it alone holds more. The
+    trial cap bounds the kernel's per-trial temporaries when most fields are
+    empty."""
     n_trials = offsets.size - 1
     lo = 0
     while lo < n_trials:
         hi = int(np.searchsorted(offsets, offsets[lo] + _CHUNK_POINTS, side="right")) - 1
-        hi = max(hi, lo + 1)
+        hi = min(max(hi, lo + 1), lo + _CHUNK_POINTS)
         yield lo, hi
         lo = hi
 
@@ -134,21 +138,35 @@ def _counts(config: MonteCarloConfig, n_trials: int, seed: int):
             and 0 <= seed < 1 << 64):
         raise ParameterError(f"seed must be an integer in [0, 2^64), got {seed!r}")
     disc = DiscHomogeneous(config.intensity, config.window_radius)
-    return disc, _block_rng(seed, 0).poisson(disc.mean_count, size=n_trials).astype(np.int64)
+    counts = _block_rng(seed, 0).poisson(disc.mean_count, size=n_trials)
+    return disc, counts.astype(np.int64, copy=False)
 
 
-def _map_chunks(disc: DiscHomogeneous, counts: np.ndarray, seed: int, kernel, *args) -> list:
-    """``kernel(norm_sq, u_angle, local offsets, *args)`` of each chunk, in
-    order, each drawn after the previous chunk's draws are freed."""
+def _map_chunks(disc: DiscHomogeneous, counts: np.ndarray, seed: int, kernel, *args):
+    """Yield each chunk's trial slice and ``kernel(norm_sq, u_angle, local
+    offsets, *args)``, in order. The draws are bound to no name, so they are
+    freed when the kernel returns, before the next chunk draws."""
     offsets = np.zeros(counts.size + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
     radius_rng, angle_rng = _block_rng(seed, 1), _block_rng(seed, 2)
-    parts = []
+    # Freeing one untouched 2 MB block raises glibc's dynamic mmap threshold to
+    # 2 MB and its trim threshold to 4 MB, so its heap keeps a chunk's freed
+    # draws and temporaries (about 50 B a point and 300 B a trial) for the next
+    # chunk instead of returning them to the system after each one. Without it
+    # a fresh 100k-trial simulate (lambda = 1, tau = 10) took 213k minor page
+    # faults instead of 8k; an 8 MB block added 2 MB to a figures pass's peak
+    # RSS. Other allocators ignore it.
+    np.empty(2 << 20, dtype=np.uint8)
     for lo, hi in _chunks(offsets):
         local = offsets[lo:hi + 1] - offsets[lo]
         m = int(local[-1])
-        parts.append(kernel(disc.draw_norm_sq(radius_rng, m), angle_rng.random(m), local, *args))
-    return parts
+        yield slice(lo, hi), kernel(disc.draw_norm_sq(radius_rng, m), angle_rng.random(m),
+                                    local, *args)
+
+
+# the float statistics of disc_batch_stats a TrialBatch records
+_FLOATS = ("gamma_opt", "gamma_mid", "gamma_c2d", "gamma_csrc", "gamma_diff",
+           "psi_mid", "psi_second")
 
 
 def run_trials(config: MonteCarloConfig, n_trials: int, seed: int) -> TrialBatch:
@@ -156,23 +174,21 @@ def run_trials(config: MonteCarloConfig, n_trials: int, seed: int) -> TrialBatch
     disc, counts = _counts(config, n_trials, seed)
     d = config.half_distance
     threshold = math.inf if config.threshold is None else config.threshold
-    parts = _map_chunks(disc, counts, seed, disc_batch_stats, d, threshold,
-                        config.scale_source, config.scale_destination)
-    # idx_opt and idx_mid index into their own chunk; only their equality is read
-    st = FieldStats({k: np.concatenate([p[k] for p in parts]) for k in parts[0]})
-
-    sufficient = st.gamma_mid <= np.hypot(d, st.psi_second)
-    sufficient[counts == 0] = True  # vacuously certified, matches the 1-point case
-    mid_is_opt = st.idx_mid == st.idx_opt  # both -1 on empty fields
-    n_fb = st.n_feedback if config.threshold is not None else counts.copy()
-
-    return TrialBatch(
-        config=config, n_trials=n_trials, seed=int(seed), counts=counts,
-        gamma_opt=st.gamma_opt, gamma_mid=st.gamma_mid, gamma_c2d=st.gamma_c2d,
-        gamma_csrc=st.gamma_csrc, gamma_diff=st.gamma_diff,
-        psi_mid=st.psi_mid, psi_second=st.psi_second,
-        n_feedback=n_fb, sufficient=sufficient, mid_is_opt=mid_is_opt,
-    )
+    out = {name: np.empty(n_trials) for name in _FLOATS}
+    n_fb = np.empty(n_trials, dtype=np.int64)  # every relay reports at an infinite threshold
+    sufficient = np.empty(n_trials, dtype=bool)
+    mid_is_opt = np.empty(n_trials, dtype=bool)
+    for part, st in _map_chunks(disc, counts, seed, disc_batch_stats, d, threshold,
+                                config.scale_source, config.scale_destination):
+        for name in _FLOATS:
+            out[name][part] = st[name]
+        n_fb[part] = st.n_feedback
+        # an empty or one-relay field has psi_second = inf: vacuously certified
+        np.less_equal(st.gamma_mid, np.hypot(d, st.psi_second), out=sufficient[part])
+        # idx_opt and idx_mid index into this chunk; both are -1 on empty fields
+        np.equal(st.idx_mid, st.idx_opt, out=mid_is_opt[part])
+    return TrialBatch(config=config, n_trials=n_trials, seed=int(seed), counts=counts,
+                      n_feedback=n_fb, sufficient=sufficient, mid_is_opt=mid_is_opt, **out)
 
 
 def feedback_counts(config: MonteCarloConfig, n_trials: int, seed: int) -> np.ndarray:
@@ -181,8 +197,11 @@ def feedback_counts(config: MonteCarloConfig, n_trials: int, seed: int) -> np.nd
     disc, counts = _counts(config, n_trials, seed)
     if config.threshold is None:
         return counts
-    return np.concatenate(_map_chunks(disc, counts, seed, disc_feedback_counts,
-                                      config.half_distance, config.threshold))
+    out = np.empty(n_trials, dtype=np.int64)
+    for part, n_fb in _map_chunks(disc, counts, seed, disc_feedback_counts,
+                                  config.half_distance, config.threshold):
+        out[part] = n_fb
+    return out
 
 
 def empirical_cdf(samples: np.ndarray, x) -> np.ndarray:
@@ -313,16 +332,20 @@ def compare_to_analytic(batch: TrialBatch, evaluator, quantity: str = "gamma_opt
     return ComparisonReport(quantity, samples.size, ks, pvalue, mae, grid, threshold)
 
 
+# Rows per formatted block of the trial CSV: the writer holds one block of
+# Python numbers at a time, not a Python object per cell of the whole batch.
+_CSV_ROWS = 4096
+
+
 def batch_to_csv(batch: TrialBatch, path) -> None:
     """One row per trial, stable format for diffing."""
     cols = ("trial", "n_points", "gamma_opt", "gamma_mid", "gamma_c2d",
             "gamma_csrc", "gamma_diff", "psi_mid", "psi_second",
             "n_feedback", "sufficient", "mid_is_opt")
     row = "%d,%d" + ",%.12g" * 7 + ",%d,%d,%d\n"
-    columns = [range(batch.n_trials), batch.counts.tolist(),
-               *(getattr(batch, c).tolist() for c in cols[2:9]),
-               batch.n_feedback.tolist(), batch.sufficient.tolist(),
-               batch.mid_is_opt.tolist()]
+    arrays = [getattr(batch, c) for c in ("counts", *cols[2:])]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(cols) + "\n")
-        fh.writelines(row % values for values in zip(*columns))
+        for lo in range(0, batch.n_trials, _CSV_ROWS):
+            block = [a[lo:lo + _CSV_ROWS].tolist() for a in arrays]
+            fh.writelines(row % values for values in zip(range(lo, lo + _CSV_ROWS), *block))

@@ -131,4 +131,4 @@ def sufficient_condition_holds(field, geometry: NetworkGeometry) -> bool:
         raise EmptyFieldError("sufficiency check needs at least one relay")
     if g.second is None:
         return True
-    return g.metric[g.norm.argmin()] <= np.hypot(d, g.second)
+    return bool(g.metric[g.norm.argmin()] <= np.hypot(d, g.second))

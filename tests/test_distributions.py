@@ -699,7 +699,7 @@ _NAN_RULE = {  # the laws beside dist.LAWS, at a metric or link-SNR level
 @pytest.mark.parametrize("name", sorted(_NAN_RULE))
 def test_laws_beside_the_registry_are_nan_at_nan(name):
     fn = _NAN_RULE[name]
-    xs = np.array([math.nan, -1.0, 0.0, 0.5, 1.5, 3.0])
+    xs = np.array([math.nan, -math.inf, -1.0, 0.0, 0.5, 1.5, 3.0, math.inf])
     got = fn(xs)
     assert math.isnan(got[0]) and not np.isnan(got[1:]).any()
     assert np.array_equal(got, [fn(x) for x in xs], equal_nan=True)

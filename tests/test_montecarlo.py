@@ -1,5 +1,6 @@
 import hashlib
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -247,6 +248,32 @@ def test_run_trials_memory_is_bounded_by_the_chunk():
     assert peak < 32 * 2**20
 
 
+def test_trial_memory_is_bounded_per_trial():
+    """run_trials holds each per-trial result once, and batch_to_csv one row
+    block, whatever the number of trials."""
+    config = MonteCarloConfig(0.1, 1.0, window_radius=1.5)  # 0.7 relays a field
+    # a chunk holds at most _CHUNK_POINTS points and as many trials; its draws
+    # and kernel temporaries take about 50 B a point and 300 B a trial
+    chunk_budget = montecarlo._CHUNK_POINTS * 512
+    writer_peaks = []
+    tracemalloc.start()
+    try:
+        for n_trials in (100_000, 400_000):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            batch = run_trials(config, n_trials, 1)
+            nbytes = sum(getattr(batch, name).nbytes for name in _BATCH_FIELDS)
+            peak = tracemalloc.get_traced_memory()[1] - before
+            assert peak < 1.5 * nbytes + chunk_budget, (n_trials, peak, nbytes)
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            batch_to_csv(batch, os.devnull)
+            writer_peaks.append(tracemalloc.get_traced_memory()[1] - before)
+    finally:
+        tracemalloc.stop()
+    assert abs(writer_peaks[1] - writer_peaks[0]) < 2**20, writer_peaks
+
+
 # SHA-256 of the trial CSV of 3000 trials at seed 11, recorded before the disc
 # kernel pruned its candidates: every kernel statistic and the row format.
 @pytest.mark.parametrize("config, digest", [
@@ -259,7 +286,10 @@ def test_run_trials_memory_is_bounded_by_the_chunk():
     (MonteCarloConfig(0.1, 1.0, window_radius=1.5),  # about half the trials empty
      "917c03b54d9dce16eb36ecd4835790788444d437824df07f54f95b96a5d1ad5e"),
 ], ids=["no-threshold", "threshold", "unequal-snr", "mostly-empty"])
-def test_batch_csv_bytes_are_pinned(config, digest, tmp_path):
+def test_batch_csv_bytes_are_pinned(config, digest, tmp_path, monkeypatch):
     path = tmp_path / "batch.csv"
-    batch_to_csv(run_trials(config, 3000, 11), path)
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+    batch = run_trials(config, 3000, 11)
+    for rows in (1, 7, 4096):  # row blocks of one row, with a remainder, and all rows in one
+        monkeypatch.setattr(montecarlo, "_CSV_ROWS", rows)
+        batch_to_csv(batch, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, rows

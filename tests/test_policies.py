@@ -118,10 +118,11 @@ def test_empty_field_errors():
 
 
 def test_sufficient_condition_examples():
-    assert sufficient_condition_holds(np.array([[0.0, 0.1], [5.0, 5.0]]), GEOM)
+    # a Python bool, as annotated, for either outcome
+    assert sufficient_condition_holds(np.array([[0.0, 0.1], [5.0, 5.0]]), GEOM) is True
     # metric at nearest relay 1.5 exceeds hyperplane bound sqrt(1 + 0.51^2)
-    assert not sufficient_condition_holds(np.array([[0.5, 0.0], [0.0, 0.51]]), GEOM)
-    assert sufficient_condition_holds(np.array([[3.0, 4.0]]), GEOM)
+    assert sufficient_condition_holds(np.array([[0.5, 0.0], [0.0, 0.51]]), GEOM) is False
+    assert sufficient_condition_holds(np.array([[3.0, 4.0]]), GEOM) is True
 
 
 def test_sufficient_condition_implies_midpoint_optimal():
