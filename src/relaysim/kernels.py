@@ -15,17 +15,25 @@ compute the squared distances of the points it reduces:
     the feedback count of ``disc_batch_stats`` alone, from the one counter
     both polar paths share.
 
-The polar front-end reduces only the relays that can attain a minimum. Every
-point gets ``base = r^2 + d^2`` and ``c = 2 d r``; the cosine, the distances
-and every argmin are evaluated on a candidate subset. IEEE rounding is
-monotone and |cos| <= 1, so the computed squared distances ds, dd to the
-source and the destination are at least ``base - c``, and their maximum sq
-lies between ``base`` and ``base + c``. The nearest relay's ``base + c`` is
-thus at least every minimum a field reports, and a relay whose ``base - c``
-exceeds it is strictly above each one: dropping it changes no minimum, and
-no tie, so the lowest index still wins and every bit equals that of
-evaluating all points. A NaN bound (an infinite r^2) keeps the point, and
-each field's first relay, the argmin of a NaN minimum, is always kept.
+The polar front-end reduces only the relays that can attain a minimum. With
+``base = r^2 + d^2`` and ``c = 2 d r``, IEEE rounding is monotone and
+|cos| <= 1, so the computed squared distances ds, dd to the source and the
+destination are at least ``base - c``, and their maximum sq lies between
+``base`` and ``base + c``. The nearest relay's ``B = base + c`` is thus at least
+every minimum a field reports, and a relay whose ``base - c`` exceeds it is
+strictly above each one: dropping it changes no minimum, and no tie, so the
+lowest index still wins and every bit equals that of evaluating all points.
+
+The prune applies this bound in r^2, before any leg or cosine: a field keeps
+the relays with r^2 <= ``(sqrt(B) + d)^2 (1 + 2^-40)``. Beyond that reach
+(r - d)^2 exceeds B by about 2^-40 (r + d)^2 / 9, since B >= d^2 puts r - d
+above (r + d) / 3 there; the computed ``base - c`` falls short of (r - d)^2 by
+a few ulps of (r + d)^2 at most, so the r^2 test keeps every relay the
+``base - c`` test keeps. This needs a normal d^2; below it, and where the
+reach overflows, the reach is inf and the field keeps every relay. An
+infinite r^2 (its ``base - c`` is NaN) and each field's first relay, the
+argmin of a NaN minimum, are always kept. Only the kept relays get legs, a
+cosine and the reduction.
 
 Feedback (sq <= T^2) is counted in r^2 itself. Each step from r^2 to
 ``base + c`` and to ``base`` -- sqrt, + d d, (2 d) times -- rounds
@@ -57,6 +65,8 @@ __all__ = ["FieldStats", "field_stats", "disc_batch_stats", "disc_feedback_count
 
 _MAX = float(np.finfo(np.float64).max)
 _POLAR = ((0.0, math.inf), (0.0, 1.0))  # r^2 and the angle uniform
+_TINY = float(np.finfo(np.float64).tiny)
+_REACH_MARGIN = 2.0 ** -40  # relative widening of the prune's r^2 reach
 _INF_BITS = struct.unpack("<q", struct.pack("<d", math.inf))[0]  # doubles in [0, inf] as int64
 
 # the float statistics in the order _reduce computes them
@@ -234,6 +244,18 @@ def disc_feedback_counts(norm_sq, u_angle, offsets, half_distance, threshold) ->
     return _feedback(norm_sq, u_angle, offsets, float(half_distance), thr_sq)
 
 
+def _norm_reach(bound, d):
+    """Per-field r^2 beyond which base - c exceeds ``bound`` (see the module
+    docstring); inf where d^2 is not a normal double or the reach overflows."""
+    if not d * d >= _TINY:
+        return np.full(bound.size, np.inf)
+    with np.errstate(over="ignore"):
+        reach = np.sqrt(bound) + d
+        reach *= reach
+        reach *= 1.0 + _REACH_MARGIN
+    return reach
+
+
 def disc_batch_stats(norm_sq, u_angle, offsets, half_distance, threshold=np.inf,
                      scale_source=1.0, scale_destination=1.0) -> FieldStats:
     """Reduce each field of a polar batch: every relay's squared norm in
@@ -242,14 +264,15 @@ def disc_batch_stats(norm_sq, u_angle, offsets, half_distance, threshold=np.inf,
     if norm_sq.size == 0:
         return _empty(offsets.size - 1)
     d = float(half_distance)
-    c, base = _legs(norm_sq, d)
     valid, starts, counts = _segments(offsets)
     c_near, base_near = _legs(np.minimum.reduceat(norm_sq, starts), d)
-    # a relay above the nearest relay's base + c can attain no minimum
-    keep = ~(base - c > np.repeat(base_near + c_near, counts))
+    # a relay beyond the nearest relay's reach can attain no minimum; a NaN reach (d = inf)
+    # keeps every relay
+    keep = ~(norm_sq > np.repeat(_norm_reach(base_near + c_near, d), counts))
+    keep |= norm_sq == np.inf  # base - c is NaN
     keep[starts] = True  # where a minimum is NaN, the field's first relay is its argmin
     cand = np.flatnonzero(keep)
-    ds_sq, dd_sq = _distances(c[cand], base[cand], u_angle[cand])
+    ds_sq, dd_sq = _distances(*_legs(norm_sq[cand], d), u_angle[cand])
     out = _reduce(ds_sq, dd_sq, cand, norm_sq.copy(), valid, starts, scale_source,
                   scale_destination)
     out["n_feedback"] = _feedback(norm_sq, u_angle, offsets, d, thr_sq)

@@ -9,7 +9,7 @@ norms are drawn as ``DiscHomogeneous(intensity, window_radius)`` draws them.
 
 ``run_trials`` and ``feedback_counts`` share one walk of this stream. It
 draws every count from block 0 first, then takes the trials in chunks of at
-most ``_CHUNK_POINTS`` whole trials holding at most ``_CHUNK_POINTS`` points
+most ``_CHUNK_TRIALS`` whole trials holding at most ``_CHUNK_POINTS`` points
 (a trial larger than that is a chunk of its own). Each chunk takes its next
 squared norms and angle uniforms from two generators kept open on blocks 1
 and 2 and goes to one kernel call: ``disc_batch_stats`` for every statistic, or
@@ -102,13 +102,18 @@ class TrialBatch:
     mid_is_opt: np.ndarray = field(repr=False)
 
 
-# Points per kernel call: bounds the memory of a batch of any size. One
-# figures pass in fresh processes at PYTHONHASHSEED 0-3 (2 vCPUs, medians of
-# 20 runs at 2^13 and 2^14, 8 at 2^15) took 3.52 s at 2^13, 2.96 s at 2^14
-# and 3.86 s at 2^15, where each call's temporaries land on fresh pages
-# (0.66M-0.73M minor page faults a pass, against 1.2k-3.3k at 2^13 and
-# 1.5k-206k at 2^14). A 100k-trial mc-batch pass: 2.01 s at 2^13, 1.92 s at 2^14.
-_CHUNK_POINTS = 1 << 14
+# Points per kernel call: bounds the memory of a batch of any size. The disc
+# kernel's r^2 prune makes its full-size temporaries small (a peak of 17 B a
+# point at 2^16), so a larger chunk mostly saves the fixed cost of each call. A
+# 100k-trial mc-batch pass (lambda = 1, tau = 10, 2 vCPUs, medians of five
+# in-process runs) took 0.87 s at 2^14, 0.79 s at 2^15, 0.75 s at 2^16 and
+# 1.10 s at 2^17, where a chunk's draws and temporaries no longer stay in the
+# heap between chunks (see _map_chunks): 1.26M minor page faults, against
+# 10k at 2^14-2^16.
+_CHUNK_POINTS = 1 << 16
+# Trials per kernel call, whatever their points: bounds the kernel's per-trial
+# temporaries (about 300 B a trial) when most fields are empty.
+_CHUNK_TRIALS = 1 << 14
 
 
 def _block_rng(seed: int, block: int) -> np.random.Generator:
@@ -117,15 +122,13 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
 
 
 def _chunks(offsets: np.ndarray):
-    """Yield (lo, hi): runs of at most _CHUNK_POINTS whole trials with at most
-    _CHUNK_POINTS points, or a single trial when it alone holds more. The
-    trial cap bounds the kernel's per-trial temporaries when most fields are
-    empty."""
+    """Yield (lo, hi): runs of at most _CHUNK_TRIALS whole trials with at most
+    _CHUNK_POINTS points, or a single trial when it alone holds more."""
     n_trials = offsets.size - 1
     lo = 0
     while lo < n_trials:
         hi = int(np.searchsorted(offsets, offsets[lo] + _CHUNK_POINTS, side="right")) - 1
-        hi = min(max(hi, lo + 1), lo + _CHUNK_POINTS)
+        hi = min(max(hi, lo + 1), lo + _CHUNK_TRIALS)
         yield lo, hi
         lo = hi
 
@@ -151,7 +154,7 @@ def _map_chunks(disc: DiscHomogeneous, counts: np.ndarray, seed: int, kernel, *a
     radius_rng, angle_rng = _block_rng(seed, 1), _block_rng(seed, 2)
     # Freeing one untouched 2 MB block raises glibc's dynamic mmap threshold to
     # 2 MB and its trim threshold to 4 MB, so its heap keeps a chunk's freed
-    # draws and temporaries (about 50 B a point and 300 B a trial) for the next
+    # draws and temporaries (about 33 B a point and 300 B a trial) for the next
     # chunk instead of returning them to the system after each one. Without it
     # a fresh 100k-trial simulate (lambda = 1, tau = 10) took 213k minor page
     # faults instead of 8k; an 8 MB block added 2 MB to a figures pass's peak
@@ -204,9 +207,17 @@ def feedback_counts(config: MonteCarloConfig, n_trials: int, seed: int) -> np.nd
     return out
 
 
+def _sorted(samples) -> np.ndarray:
+    """The samples as sorted floats; an empty or NaN sample has no empirical law."""
+    s = np.sort(np.asarray(samples, dtype=float))
+    if s.size == 0 or np.isnan(s).any():
+        raise ParameterError("samples must be non-empty and free of NaN")
+    return s
+
+
 def empirical_cdf(samples: np.ndarray, x) -> np.ndarray:
     """Right-continuous empirical cdf of the samples at the points x."""
-    s = np.sort(np.asarray(samples, dtype=float))
+    s = _sorted(samples)
     return np.searchsorted(s, np.asarray(x, dtype=float), side="right") / s.size
 
 
@@ -218,7 +229,7 @@ def ks_statistic(samples: np.ndarray, cdf) -> float:
     statistic otherwise. Infinite samples are mass the law must also place
     beyond every finite point (defective laws); the tail term accounts for it.
     """
-    s = np.sort(np.asarray(samples, dtype=float))
+    s = _sorted(samples)
     n = s.size
     sf = s[np.isfinite(s)]
     d_tail = abs(sf.size / n - float(cdf(np.inf)))

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from relaysim import kernels
 from relaysim.errors import ParameterError
@@ -236,6 +238,49 @@ def test_disc_empty_batch():
                                   1.0, 2.0)
     assert np.all(st.idx_mid == -1) and np.all(st.n_feedback == 0)
     assert np.all(np.isinf(st.gamma_diff)) and np.all(np.isinf(st.psi_second))
+
+
+def _ulps(x, steps):
+    """x moved by each of ``steps`` units in the last place, within [0, inf]."""
+    out = np.full(len(steps), float(x))
+    for i, k in enumerate(steps):
+        for _ in range(abs(k)):
+            out[i] = np.nextafter(out[i], math.copysign(math.inf, k))
+    return np.clip(out, 0.0, math.inf)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflowing legs and bounds
+@settings(max_examples=200, deadline=None)
+@given(log_d=st.floats(-150.0, 150.0),
+       near=st.one_of(st.sampled_from([0.0, 5e-324, 1e-310, kernels._MAX, math.inf]),
+                      st.floats(0.0, kernels._MAX)),
+       steps=st.lists(st.integers(-8, 8), min_size=1, max_size=6),
+       far=st.lists(st.floats(0.0, math.inf), max_size=6), seed=st.integers(0, 2**32 - 1))
+@example(log_d=0.0, near=0.0, steps=[0], far=[], seed=0)  # r = 0 nearest
+@example(log_d=150.0, near=1e300, steps=[1], far=[], seed=0)  # reach overflows
+def test_disc_reach_keeps_every_relay_that_base_minus_c_keeps(log_d, near, steps, far, seed):
+    """A relay that the exact ``base - c > bound`` test keeps lies within the
+    r^2 reach, and the pruned kernel matches evaluating every relay."""
+    d = 10.0 ** log_d
+    c_near, base_near = kernels._legs(np.array([near]), d)
+    bound = base_near + c_near
+    reach = kernels._norm_reach(bound, d)
+    edge = float((np.sqrt(bound) + d)[0] ** 2)  # where base - c reaches the bound
+    norm_sq = np.concatenate([
+        [near], _ulps(d * d, steps), _ulps(edge, steps), _ulps(reach[0], steps),
+        _ulps(5e-324, steps), far])
+    # the first relay stays the nearest; a NaN edge or reach (inf - inf) gives no relay
+    norm_sq = np.maximum(norm_sq[~np.isnan(norm_sq)], near)
+    c, base = kernels._legs(norm_sq, d)
+    exact = ~(base - c > bound)
+    kept = ~(norm_sq > reach[0]) | (norm_sq == math.inf)  # a NaN reach keeps every relay
+    assert np.all(kept | ~exact), norm_sq[exact & ~kept]
+    u2 = np.random.default_rng(seed).random(norm_sq.size)
+    offsets = np.array([0, 1, norm_sq.size])
+    args = (norm_sq, u2, offsets, d, math.inf, 1.0, 1.3)
+    ref, stats = _unpruned_disc(*args), kernels.disc_batch_stats(*args)
+    for name in ref:
+        assert np.array_equal(stats[name], ref[name], equal_nan=True), name
 
 
 def _always(d, thr_sq, norm_sq):

@@ -84,6 +84,17 @@ def test_ks_statistic_detects_mismatch():
     assert ks_statistic(samples, lambda x: np.clip(x, 0, 1) ** 2) > 0.2
 
 
+@pytest.mark.parametrize("samples", [[], [math.nan, 1.0], [0.5, math.nan, math.inf]],
+                         ids=["empty", "nan", "nan-and-inf"])
+def test_empirical_laws_reject_empty_and_nan_samples(samples):
+    """An empty sample would read 0/0 = NaN, and a NaN sample sorts above +inf,
+    where it would count as mass at +inf: ks([nan, 1], uniform) would read 0.5."""
+    with pytest.raises(ParameterError):
+        empirical_cdf(np.array(samples), [0.5])
+    with pytest.raises(ParameterError):
+        ks_statistic(np.array(samples), lambda x: np.clip(x, 0.0, 1.0))
+
+
 def test_compare_gamma_quantities():
     batch = run_trials(MonteCarloConfig(1.0, 1.0), 30_000, 100)
     rep = compare_to_analytic(batch, dist.best_cqi_law(1.0, 1.0), "gamma_opt")
@@ -225,12 +236,17 @@ def test_run_trials_identical_for_every_chunk_budget(config, monkeypatch):
     assert np.array_equal(feedback_counts(config, 400, 9), whole.n_feedback)
     if config.intensity < 0.1:
         assert np.mean(whole.counts == 0) > 0.5
-    # 1 and 50 points are below most non-empty trials, which then get a chunk each
-    for budget in (1, 50, int(whole.counts.sum()) // 3):
+    # 1 and 50 points are below most non-empty trials, which then get a chunk each;
+    # 2^16 points hold the whole batch, so 7 trials a chunk set its chunks
+    for budget, trials in ((1, 1 << 14), (50, 1 << 14), (int(whole.counts.sum()) // 3, 1 << 14),
+                           (1 << 16, 7)):
         monkeypatch.setattr(montecarlo, "_CHUNK_POINTS", budget)
+        monkeypatch.setattr(montecarlo, "_CHUNK_TRIALS", trials)
         calls.clear()
         batch = run_trials(config, 400, 9)
         assert len(calls) > 1 and sum(calls) == whole.counts.sum()
+        if budget == 1 << 16:
+            assert len(calls) == -(-400 // trials)
         for name in _BATCH_FIELDS:
             assert np.array_equal(getattr(batch, name), getattr(whole, name)), (budget, name)
         assert np.array_equal(feedback_counts(config, 400, 9), whole.n_feedback), budget
@@ -252,9 +268,10 @@ def test_trial_memory_is_bounded_per_trial():
     """run_trials holds each per-trial result once, and batch_to_csv one row
     block, whatever the number of trials."""
     config = MonteCarloConfig(0.1, 1.0, window_radius=1.5)  # 0.7 relays a field
-    # a chunk holds at most _CHUNK_POINTS points and as many trials; its draws
-    # and kernel temporaries take about 50 B a point and 300 B a trial
-    chunk_budget = montecarlo._CHUNK_POINTS * 512
+    # a chunk of these fields holds at most 2^14 trials and fewer points; its draws
+    # and kernel temporaries take about 50 B a point and 300 B a trial: 8 MB
+    # (2^14 x 512 B) whatever the chunk budgets
+    chunk_budget = 8 * 2**20
     writer_peaks = []
     tracemalloc.start()
     try:
