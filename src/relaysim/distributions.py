@@ -40,11 +40,11 @@ nearest relay's distance from the mid-point or destination. [d, a1] is split by
 8 toward d, where the densities crowd at large intensity d^2, and [2d, 2d + r]
 at 2d + d, 2d + 8d and 2d + 64d, as the rate falls like gamma^-4. Mid-point
 optimality uses a tensor rule in psi = u^2 and in the angle x (2 - x) pi/2,
-graded toward pi/2. The Gaussian-cluster law grades its angle harder,
-(1 - (1 - x)^3) pi/2, for the reach's feature of width sqrt(2 (gamma - d)/d) at
-pi/2 just above the floor. Only the isotropic master formula, which takes a
-caller's scalar callable (kinks and steps allowed), stays on adaptive
-quadrature: it is the reference for the exclusion, ring and Gaussian laws.
+graded toward pi/2. The isotropic master formula integrates a caller's mean
+measure at the reach over the angle, one panel between the angles where the reach
+crosses each kink radius, graded toward each panel's end b by b - (b - a) y^3 for
+the reach's feature of width sqrt(2 (gamma - d)/d) at pi/2 just above the floor.
+The Gaussian-cluster law is that formula; no law calls adaptive quadrature.
 """
 from __future__ import annotations
 
@@ -447,9 +447,6 @@ def best_received_snr_pdf(s, intensity, half_distance, snr, path_loss):
 # ---------------------------------------------------------------------------
 # isotropic (non-homogeneous) fields
 
-_ISOTROPIC_TOL = 1e-9  # absolute tolerance of the master formula's quadrature
-
-
 def _reach(g, d: float, theta):
     # radius of the centered ball swept at angle theta for metric level g,
     # sqrt(g^2 - (d sin theta)^2) - d cos theta rationalised: no cancellation
@@ -458,62 +455,68 @@ def _reach(g, d: float, theta):
     return (g - d) * ((g + d) / (np.sqrt(g - ds) * np.sqrt(g + ds) + d * np.cos(theta)))
 
 
-def isotropic_best_cqi_cdf(gamma, mean_measure: Callable[[float], float],
-                           half_distance: float):
+def _angle_integral(fn, g, d: float, kinks=()):
+    """Integral of fn(reach, theta) over theta in [0, pi/2] at metric values g > d: one
+    panel between each pair of angles where the reach crosses a kink radius, each
+    mapped by theta = b - (b - a) y^3 onto the fixed rule."""
+    # the reach grows with theta, and meets the radius k where its cosine crosses
+    cuts = [np.arccos(np.clip(_crossing_cosine(g, k, d), 0.0, 1.0)) for k in sorted(kinks)]
+    edges = [np.zeros_like(g), *cuts, np.full_like(g, 0.5 * math.pi)]
+
+    def integrand(x, g, a, b):
+        y = 1.0 - x
+        theta = b - (b - a) * (y * y * y)
+        return fn(_reach(g, d, theta), theta) * (3.0 * (b - a) * y * y)
+
+    with np.errstate(over="ignore"):  # a measure may overflow to inf at a huge reach
+        return sum(_gauss_legendre(integrand, np.ones_like(g), g, a, b)
+                   for a, b in zip(edges[:-1], edges[1:]))
+
+
+def isotropic_best_cqi_cdf(gamma, mean_measure: Callable, half_distance: float,
+                           kinks: tuple = ()):
     """Best-CQI cdf for a rotation-invariant Poisson field.
 
-    ``mean_measure(r)`` is the expected point count in the centered ball of
-    radius r (non-decreasing, 0 at 0).
+    ``mean_measure(r)`` is the expected point count in the centered ball of radius r
+    (non-decreasing, 0 at 0), evaluated on arrays of radii, +inf included; ``kinks``
+    are the radii where it is not smooth (a rim, a step).
     """
-    _check_positive(half_distance=half_distance)
+    named = {f"kinks[{i}]": k for i, k in enumerate(kinks)}
+    _check_positive(half_distance=half_distance, **named)
+    _check_finite(**named)
     d = half_distance
-
-    def one(g: float) -> float:
-        if not g >= d:
-            return g if math.isnan(g) else 0.0
-        if g == math.inf:
-            g = 1e300
-
-        def f(theta):
-            return mean_measure(float(_reach(g, d, theta)))
-
-        q = quad_adaptive(f, 0.0, math.pi / 2.0, tol=_ISOTROPIC_TOL)
-        return -math.expm1(-(2.0 / math.pi) * q.value)
-
-    return vectorized(gamma, lambda gs: np.array([one(v) for v in gs]))
+    law = CqiLaw("isotropic-best-cqi", None, None, support_min=d,
+                 total_mass=float(-np.expm1(-mean_measure(np.full(1, math.inf))[0])))
+    return law.on_support(gamma, lambda g: -np.expm1(-(2.0 / math.pi) * _angle_integral(
+        lambda r, _: mean_measure(r), g, d, kinks)))
 
 
-def isotropic_best_cqi_pdf(gamma, radial_intensity: Callable[[float], float],
-                           half_distance: float,
-                           mean_measure: Callable[[float], float] | None = None):
-    """Best-CQI density for an isotropic field with continuous radial intensity.
-
-    ``mean_measure`` may be passed when a closed form exists; otherwise it is
-    recovered from the radial intensity by quadrature.
-    """
-    _check_positive(half_distance=half_distance)
+def isotropic_best_cqi_pdf(gamma, radial_intensity: Callable, half_distance: float,
+                           mean_measure: Callable | None = None, kinks: tuple = ()):
+    """Best-CQI density for an isotropic field; ``radial_intensity`` takes arrays of
+    radii, and ``mean_measure`` and ``kinks`` are as for the cdf. Without a mean
+    measure it is recovered on the fixed rule, one panel between kinks."""
+    named = {f"kinks[{i}]": k for i, k in enumerate(kinks)}
+    _check_positive(half_distance=half_distance, **named)
+    _check_finite(**named)
     d = half_distance
 
     if mean_measure is None:
         def mean_measure(r):  # noqa: F811 - deliberate default
-            if r <= 0:
-                return 0.0
-            q = quad_adaptive(lambda p: radial_intensity(p) * p, 0.0, r, tol=_ISOTROPIC_TOL)
-            return 2.0 * math.pi * q.value
+            flat = r.ravel()
+            rims = [np.zeros_like(flat), *(np.minimum(flat, k) for k in sorted(kinks)), flat]
+            return 2.0 * math.pi * sum(_gauss_legendre(
+                lambda t, lo: (lo + t) * radial_intensity(lo + t), hi - lo, lo)
+                for lo, hi in zip(rims[:-1], rims[1:])).reshape(r.shape)
 
-    def one(g: float) -> float:
-        if not d <= g < math.inf:
-            return g if math.isnan(g) else 0.0
+    def fn(g):  # r + d cos(theta) = sqrt(g^2 - (d sin(theta))^2)
+        front = _angle_integral(
+            lambda r, theta: r / (r + d * np.cos(theta)) * radial_intensity(r), g, d, kinks)
+        inside = _angle_integral(lambda r, _: mean_measure(r), g, d, kinks)
+        return 4.0 * g * front * np.exp(-(2.0 / math.pi) * inside)
 
-        def front(theta):  # r + d cos(theta) = sqrt(g^2 - (d sin(theta))^2)
-            r = float(_reach(g, d, theta))
-            return g * (r / (r + d * math.cos(theta))) * radial_intensity(r)
-
-        pre = quad_adaptive(front, 0.0, math.pi / 2.0, tol=_ISOTROPIC_TOL).value
-        surv = 1.0 - isotropic_best_cqi_cdf(g, mean_measure, d)
-        return 4.0 * pre * surv
-
-    return vectorized(gamma, lambda gs: np.array([one(v) for v in gs]))
+    return CqiLaw("isotropic-best-cqi", None, None, support_min=d).on_support(
+        gamma, fn, at_inf=0.0)
 
 
 def exclusion_cqi_cdf(gamma, intensity: float, exclusion_radius: float,
@@ -534,23 +537,11 @@ def ring_cqi_cdf(gamma, intensity: float, ring_radius: float, half_distance: flo
 
 
 def gaussian_cqi_cdf(gamma, mean_count: float, spread: float, half_distance: float):
-    """Best-CQI cdf for the Gaussian cluster; defective law with mass
-    1 - exp(-mean_count)."""
+    """Best-CQI cdf for the Gaussian cluster, whose mean measure is
+    n (1 - exp(-r^2/(2 sigma^2))); defective law with mass 1 - exp(-mean_count)."""
     n, sig, d = mean_count, spread, half_distance
-
-    def integrand(x, g):
-        # the share of the mean count within the reach at the angle
-        # theta = (1 - y^3) pi/2, y = 1 - x, which crowds toward pi/2
-        y = 1.0 - x
-        q = _reach(g, d, 0.5 * math.pi * (1.0 - y * y * y)) / (math.sqrt(2.0) * sig)
-        return -np.expm1(-q * q) * 1.5 * math.pi * y * y
-
-    def fn(g):
-        with np.errstate(over="ignore"):  # q^2 overflows to inf at huge g
-            inside = _gauss_legendre(integrand, np.ones_like(g), g)
-        return -np.expm1(-(2.0 * n / math.pi) * inside)
-
-    return gaussian_cqi_law(n, sig, d).on_support(gamma, fn)
+    return gaussian_cqi_law(n, sig, d).on_support(gamma, lambda g: isotropic_best_cqi_cdf(
+        g, lambda r: -n * np.expm1(-r * r / (2.0 * sig * sig)), d))
 
 
 # ---------------------------------------------------------------------------

@@ -84,11 +84,13 @@ def kernel_backend() -> str:
     return "numpy"
 
 
-def _checked(a, b, offsets, threshold, bounds=((-_MAX, _MAX),) * 2):
+def _checked(a, b, offsets, half_distance, threshold, bounds=((-_MAX, _MAX),) * 2):
     """Validated float64 inputs, each within its (low, high) of ``bounds``
-    (finite by default), int64 offsets and the squared threshold."""
-    if not threshold >= 0:
-        raise ParameterError(f"threshold must be non-negative, got {threshold}")
+    (finite by default), int64 offsets, the half distance in [0, inf] and the
+    squared threshold."""
+    for name, v in (("half_distance", half_distance), ("threshold", threshold)):
+        if not v >= 0:  # the prune's bound assumes d >= 0; d = inf keeps every relay
+            raise ParameterError(f"{name} must be non-negative, got {v}")
     a = np.ascontiguousarray(a, dtype=np.float64)
     b = np.ascontiguousarray(b, dtype=np.float64)
     offsets = np.asarray(offsets, dtype=np.int64)
@@ -104,7 +106,7 @@ def _checked(a, b, offsets, threshold, bounds=((-_MAX, _MAX),) * 2):
         if v.size and not (low <= v.min() and v.max() <= high):
             raise ParameterError(f"inputs must lie in [{low:g}, {high:g}], NaN excluded")
     thr = float(threshold)
-    return a, b, offsets, thr * thr
+    return a, b, offsets, float(half_distance), thr * thr
 
 
 def _empty(n_trials):
@@ -166,10 +168,9 @@ def _per_trial(flags, offsets):
 def field_stats(xs, ys, offsets, half_distance, threshold=np.inf,
                 scale_source=1.0, scale_destination=1.0) -> FieldStats:
     """Reduce each field of relays at finite explicit coordinates ``(xs, ys)``."""
-    xs, ys, offsets, thr_sq = _checked(xs, ys, offsets, threshold)
+    xs, ys, offsets, d, thr_sq = _checked(xs, ys, offsets, half_distance, threshold)
     if xs.size == 0:
         return _empty(offsets.size - 1)
-    d = float(half_distance)
     y2 = ys * ys
     ds_sq, dd_sq = (xs + d) ** 2 + y2, (xs - d) ** 2 + y2
     valid, starts, _ = _segments(offsets)
@@ -240,8 +241,9 @@ def _feedback(norm_sq, u_angle, offsets, d, thr_sq):
 def disc_feedback_counts(norm_sq, u_angle, offsets, half_distance, threshold) -> np.ndarray:
     """``disc_batch_stats(...).n_feedback`` of the same inputs, bit for bit,
     without the other statistics."""
-    norm_sq, u_angle, offsets, thr_sq = _checked(norm_sq, u_angle, offsets, threshold, _POLAR)
-    return _feedback(norm_sq, u_angle, offsets, float(half_distance), thr_sq)
+    norm_sq, u_angle, offsets, d, thr_sq = _checked(norm_sq, u_angle, offsets, half_distance,
+                                                    threshold, _POLAR)
+    return _feedback(norm_sq, u_angle, offsets, d, thr_sq)
 
 
 def _norm_reach(bound, d):
@@ -260,10 +262,10 @@ def disc_batch_stats(norm_sq, u_angle, offsets, half_distance, threshold=np.inf,
                      scale_source=1.0, scale_destination=1.0) -> FieldStats:
     """Reduce each field of a polar batch: every relay's squared norm in
     [0, inf] and its angle uniform in [0, 1]."""
-    norm_sq, u_angle, offsets, thr_sq = _checked(norm_sq, u_angle, offsets, threshold, _POLAR)
+    norm_sq, u_angle, offsets, d, thr_sq = _checked(norm_sq, u_angle, offsets, half_distance,
+                                                    threshold, _POLAR)
     if norm_sq.size == 0:
         return _empty(offsets.size - 1)
-    d = float(half_distance)
     valid, starts, counts = _segments(offsets)
     c_near, base_near = _legs(np.minimum.reduceat(norm_sq, starts), d)
     # a relay beyond the nearest relay's reach can attain no minimum; a NaN reach (d = inf)

@@ -4,19 +4,18 @@ monotone root searches.
 The module imports only numpy when it loads. ``scipy.special`` is imported by
 the first call of a helper that reads it (``exp_integral_e1``, ``f_exp_e1``,
 ``erfc_scaled``, the Poisson pmf, cdf, sf and ppf and ``chi2_sf``), and
-``scipy.integrate`` by the first adaptive quadrature, so a Monte Carlo batch,
-field sampling and relay selection load neither. The exponential integral E1
-is ``exp1``. Its overflow-safe product e^x E1(x) takes scalars or arrays: the
-direct product up to x = 600, the asymptotic series above. The Poisson pmf, cdf, sf and ppf
-and the chi-square sf are the ``scipy.special`` expressions that
-``scipy.stats`` evaluates, bit for bit for k >= 0, mu >= 0 and 0 < q < 1,
-without the import time of ``scipy.stats``. ``vectorized`` is the package's
-one scalar/array rule. Quadrature delegates to
-QUADPACK's adaptive Gauss-Kronrod scheme with semi-infinite intervals mapped
-through t -> a + t/(1-t); only the laws that take a caller's scalar callable
-use it. ``solve_monotone`` bisects a given bracket; ``solve_above_floor``
-finds that bracket at the root's own scale for ``s_star``,
-``threshold_for_load`` and ``CqiLaw.quantile``.
+``scipy.integrate`` by the first adaptive quadrature, which no law makes; a
+Monte Carlo batch, field sampling and relay selection load neither. The
+exponential integral E1 is ``exp1``. Its overflow-safe product e^x E1(x) takes
+scalars or arrays: the direct product up to x = 600, the asymptotic series
+above. The Poisson pmf, cdf, sf and ppf and the chi-square sf are the
+``scipy.special`` expressions that ``scipy.stats`` evaluates, bit for bit for
+k >= 0, mu >= 0 and 0 < q < 1, without the import time of ``scipy.stats``.
+``vectorized`` is the package's one scalar/array rule. ``quad_adaptive`` runs
+QUADPACK with [a, inf) mapped through t -> a + t/(1-t); it stays only for the
+benchmark tracer, which rebinds it by name. ``solve_monotone`` bisects a given
+bracket; ``solve_above_floor`` finds that bracket at the root's own scale for
+``s_star``, ``threshold_for_load`` and ``CqiLaw.quantile``.
 """
 from __future__ import annotations
 

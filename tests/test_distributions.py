@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -290,21 +292,89 @@ def test_received_snr_pdf_requires_smooth_gain():
 def test_isotropic_reduces_to_homogeneous():
     gs = np.linspace(1.0, 4.0, 50)
     iso = dist.isotropic_best_cqi_cdf(gs, lambda r: math.pi * r * r, 1.0)
-    assert np.abs(iso - dist.best_cqi_cdf(gs, 1.0, 1.0)).max() < 1e-8
+    assert np.abs(iso - dist.best_cqi_cdf(gs, 1.0, 1.0)).max() < 1e-14
+
+
+def test_isotropic_cdf_matches_the_disc_window():
+    # the homogeneous disc (lambda = 1, tau = 3) as a mean measure with a rim at tau
+    tau = 3.0
+
+    def iso(g):
+        return dist.isotropic_best_cqi_cdf(g, lambda r: math.pi * np.minimum(r * r, tau * tau),
+                                           1.0, kinks=(tau,))
+
+    gs = np.concatenate([1.0 + np.logspace(-3, 0, 60), np.linspace(2.0, tau + 3.0, 200),
+                         tau + 1.0 + np.array([-1e-9, 0.0, 1e-9])])
+    ref = dist.best_cqi_cdf_finite(gs, 1.0, 1.0, tau)
+    assert np.all(np.abs(iso(gs) - ref) <= 1e-12 * ref)
+    near = dist.best_cqi_cdf_finite(1.0 + 1e-6, 1.0, 1.0, tau)
+    assert abs(iso(1.0 + 1e-6) - near) <= 1e-9 * near
+
+
+def test_isotropic_pdf_matches_the_homogeneous_density():
+    gs = np.linspace(1.001, 5.0, 200)
+    ref = dist.best_cqi_pdf(gs, 1.0, 1.0)
+    for mm in (lambda r: math.pi * r * r, None):  # closed-form or recovered measure
+        pdf = dist.isotropic_best_cqi_pdf(gs, np.ones_like, 1.0, mean_measure=mm)
+        assert np.all(np.abs(pdf - ref) <= 1e-12 * ref)
+
+
+ISOTROPIC_FIELDS = {  # (radial intensity, mean measure, kinks, metric values)
+    "gaussian": (lambda r: 50.0 / (2 * math.pi) * np.exp(-r * r / 2.0),  # 50 points, spread 1
+                 lambda r: -50.0 * np.expm1(-r * r / 2.0), (), (1.2, 1.6, 2.2)),
+    "exclusion": (lambda r: np.where(r > 2.0, 1.0, 0.0),  # unit intensity outside radius 2
+                  lambda r: math.pi * np.maximum(r * r - 4.0, 0.0), (2.0,),
+                  (2.3, 2.6, 2.9, 3.2, 4.0)),
+}
 
 
 def test_isotropic_pdf_consistent_with_cdf():
-    lam_fn = lambda r: 50.0 / (2 * math.pi) * math.exp(-r * r / 2.0)  # noqa: E731
-    mm = lambda r: 50.0 * (1 - math.exp(-r * r / 2.0))  # noqa: E731
     h = 1e-5
-    for g in (1.2, 1.6, 2.2):
-        num = (dist.isotropic_best_cqi_cdf(g + h, mm, 1.0)
-               - dist.isotropic_best_cqi_cdf(g - h, mm, 1.0)) / (2 * h)
-        pdf = dist.isotropic_best_cqi_pdf(g, lam_fn, 1.0, mean_measure=mm)
-        assert num == pytest.approx(pdf, rel=1e-4)
-        # the mean measure can also be rebuilt by quadrature
-        pdf2 = dist.isotropic_best_cqi_pdf(g, lam_fn, 1.0)
-        assert pdf2 == pytest.approx(pdf, rel=1e-6)
+    for lam_fn, mm, kinks, gs in ISOTROPIC_FIELDS.values():
+        for g in gs:
+            num = (dist.isotropic_best_cqi_cdf(g + h, mm, 1.0, kinks)
+                   - dist.isotropic_best_cqi_cdf(g - h, mm, 1.0, kinks)) / (2 * h)
+            pdf = dist.isotropic_best_cqi_pdf(g, lam_fn, 1.0, mean_measure=mm, kinks=kinks)
+            assert num == pytest.approx(pdf, rel=1e-4)
+            # the mean measure can also be rebuilt on the fixed rule
+            pdf2 = dist.isotropic_best_cqi_pdf(g, lam_fn, 1.0, kinks=kinks)
+            assert pdf2 == pytest.approx(pdf, rel=1e-6)
+
+
+@pytest.mark.parametrize("radius", [0.0, math.inf])  # NaN and negative: test_guards
+def test_isotropic_laws_reject_a_kink_that_is_not_a_positive_radius(radius):
+    for call in (dist.isotropic_best_cqi_cdf, dist.isotropic_best_cqi_pdf):
+        with pytest.raises(ParameterError, match="kinks"):
+            call(1.5, lambda r: math.pi * r * r, 1.0, kinks=(1.0, radius))
+
+
+LAW_PROBE = """
+import math, sys
+import numpy as np
+from relaysim import distributions as dist
+for name, cases in eval(sys.argv[1]).items():
+    for params in cases:
+        law = dist.LAWS[name](*params)
+        gs = law.support_min * np.linspace(1.0, 6.0, 50)
+        law.cdf(gs)
+        if law.pdf is not None:
+            law.pdf(gs)
+gs = np.linspace(1.0, 5.0, 50)
+dist.isotropic_best_cqi_cdf(gs, lambda r: math.pi * np.minimum(r * r, 9.0), 1.0, kinks=(3.0,))
+dist.isotropic_best_cqi_pdf(gs, np.ones_like, 1.0)
+dist.gaussian_cqi_cdf(gs, 30.0, 1.5, 1.0)
+dist.prob_midpoint_optimal(1.0, 1.0)
+print(sorted(m for m in sys.modules if m.startswith("scipy.integrate")))
+"""
+
+
+def test_no_law_loads_scipy_integrate():
+    """A fresh interpreter evaluates every law of LAW_CASES, both isotropic laws, the
+    Gaussian cluster and mid-point optimality on the fixed rule alone."""
+    cases = {name: params for name, (_, params) in LAW_CASES.items()}
+    proc = subprocess.run([sys.executable, "-c", LAW_PROBE, repr(cases)],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines() == ["[]"]
 
 
 def test_exclusion_example():
@@ -313,13 +383,13 @@ def test_exclusion_example():
                           dist.best_cqi_cdf(gs, 1.0, 1.0))
     r = 2.0
     assert dist.exclusion_cqi_cdf(math.hypot(r, 1.0), 1.0, r, 1.0) == 0.0
-    # against the rotation-invariant master formula
+    # against the rotation-invariant master formula, with the hole's rim as its kink
     def mm(rad):
-        return math.pi * max(rad * rad - r * r, 0.0)
+        return math.pi * np.maximum(rad * rad - r * r, 0.0)
     probe = np.linspace(math.hypot(r, 1.0) + 1e-6, r + 3.0, 40)
     ours = dist.exclusion_cqi_cdf(probe, 1.0, r, 1.0)
-    master = dist.isotropic_best_cqi_cdf(probe, mm, 1.0)
-    assert np.abs(ours - master).max() < 1e-9
+    master = dist.isotropic_best_cqi_cdf(probe, mm, 1.0, kinks=(r,))
+    assert np.abs(ours - master).max() < 1e-13
     vals = dist.exclusion_cqi_cdf(np.linspace(2.0, 8.0, 300), 1.0, r, 1.0)
     assert np.all(np.diff(vals) >= -1e-12)
 
@@ -334,13 +404,12 @@ def test_ring_example():
     vals = dist.ring_cqi_cdf(gs, lam, r, d)
     assert np.all(np.diff(vals) >= -1e-12)
     assert np.all(vals <= cap + 1e-15)
-    # the master-formula quadrature cannot resolve the step of the mean
-    # measure right at the support edge, so compare a little inside
+    # against the master formula, whose mean measure steps at the ring
     def mm(rad):
-        return 2 * math.pi * lam * r if rad >= r else 0.0
-    probe = np.linspace(math.hypot(r, d) + 0.05, r + d - 1e-3, 20)
-    master = dist.isotropic_best_cqi_cdf(probe, mm, d)
-    assert np.abs(dist.ring_cqi_cdf(probe, lam, r, d) - master).max() < 1e-4
+        return np.where(rad >= r, 2 * math.pi * lam * r, 0.0)
+    probe = np.linspace(math.hypot(r, d) + 1e-6, r + d - 1e-9, 20)
+    master = dist.isotropic_best_cqi_cdf(probe, mm, d, kinks=(r,))
+    assert np.abs(dist.ring_cqi_cdf(probe, lam, r, d) - master).max() < 1e-13
 
 
 def test_gaussian_example():
@@ -354,10 +423,10 @@ def test_gaussian_example():
     assert dist.gaussian_cqi_cdf(40.0, n, sig, d) <= cap + 1e-15
     # against the master formula with the closed-form mean measure
     def mm(rad):
-        return n * (1 - math.exp(-rad * rad / (2 * sig * sig)))
+        return n * (1 - np.exp(-rad * rad / (2 * sig * sig)))
     probe = np.linspace(1.0, 4.0, 30)
     master = dist.isotropic_best_cqi_cdf(probe, mm, d)
-    assert np.abs(dist.gaussian_cqi_cdf(probe, n, sig, d) - master).max() < 1e-10
+    assert np.abs(dist.gaussian_cqi_cdf(probe, n, sig, d) - master).max() < 1e-13
 
 
 # 30-digit oracle of 1 - exp(-(2 n/pi) integral_0^(pi/2) (1 - exp(-r^2/(2 sigma^2))) dtheta),

@@ -50,6 +50,16 @@ ENTRY_POINTS = {
         [0.9, 4.5, 8.1], [0.2, 0.4, 0.6], [0, 3], 1.0, threshold=v),
     "disc_feedback_counts.threshold": lambda v: disc_feedback_counts(
         [0.9, 4.5, 8.1], [0.2, 0.4, 0.6], [0, 3], 1.0, v),
+    "field_stats.half_distance": lambda v: field_stats(
+        [0.1, 0.5, 2.0], [0.0, 0.0, 0.0], [0, 3], v),
+    "disc_batch_stats.half_distance": lambda v: disc_batch_stats(
+        [0.9, 4.5, 8.1], [0.2, 0.4, 0.6], [0, 3], v),
+    "disc_feedback_counts.half_distance": lambda v: disc_feedback_counts(
+        [0.9, 4.5, 8.1], [0.2, 0.4, 0.6], [0, 3], v, 2.0),
+    "isotropic_best_cqi_cdf.kinks": lambda v: dist.isotropic_best_cqi_cdf(
+        1.5, lambda r: math.pi * r * r, 1.0, kinks=(v,)),
+    "isotropic_best_cqi_pdf.kinks": lambda v: dist.isotropic_best_cqi_pdf(
+        1.5, np.ones_like, 1.0, kinks=(v,)),
     "run_trials.seed": lambda v: run_trials(MonteCarloConfig(1.0, 1.0, window_radius=3.0), 5, v),
     "feedback_counts.seed": lambda v: feedback_counts(
         MonteCarloConfig(1.0, 1.0, window_radius=3.0, threshold=2.0), 5, v),
