@@ -3,7 +3,7 @@
 Library layers: ``model`` (geometry, path loss, fading, link budget),
 ``pointprocess`` (seeded samplers), ``policies`` (per-field selection),
 ``distributions``/``metrics`` (closed-form laws, rates, outage, feedback),
-``montecarlo`` (trial batches and statistical comparisons), ``experiments``
+``montecarlo`` (trial batches and goodness-of-fit statistics), ``experiments``
 (figure datasets) and ``cli``.
 """
 
@@ -37,8 +37,7 @@ from .metrics import (OutageRegime, RateResult, average_rate, average_rate_feedb
                       mean_feedback_load, midpoint_rate_upper_bound,
                       optimality_rate_gap, outage, outage_feedback, outage_for_law,
                       s_star, threshold_for_load)
-from .montecarlo import (ComparisonReport, MonteCarloConfig, TrialBatch,
-                         batch_to_csv, compare_to_analytic, empirical_cdf,
+from .montecarlo import (MonteCarloConfig, TrialBatch, batch_to_csv, empirical_cdf,
                          ks_statistic, run_trials)
 from .kernels import field_stats, kernel_backend
 

@@ -551,6 +551,7 @@ def unequal_snr_support_min(half_distance: float, scale_source: float,
                             scale_destination: float) -> float:
     _check_positive(half_distance=half_distance, scale_source=scale_source,
                     scale_destination=scale_destination)
+    _check_finite(scale_source=scale_source, scale_destination=scale_destination)
     return diff_metric_minimum(NetworkGeometry(half_distance), scale_source, scale_destination)
 
 

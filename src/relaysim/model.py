@@ -146,11 +146,22 @@ class LinkBudget:
             raise ParameterError(f"target_rate must be non-negative, got {self.target_rate}")
 
     def effective_scales(self, path_loss_exponent: float) -> tuple[float, float]:
-        """Per-hop distance weights snr_i**(-1/alpha) used by the weighted metric."""
+        """Per-hop distance weights snr_i**(-1/alpha) used by the weighted metric.
+
+        A weight past the float range (a tiny SNR at a small alpha) is a
+        ParameterError naming the hop's SNR and alpha.
+        """
         if not path_loss_exponent > 0:
             raise ParameterError("path_loss_exponent must be positive")
         a = -1.0 / path_loss_exponent
-        return self.snr_relay ** a, self.snr_destination ** a
+        try:
+            return math.pow(self.snr_relay, a), math.pow(self.snr_destination, a)
+        except OverflowError:
+            # the smaller SNR has the larger weight
+            name = "snr_relay" if self.snr_relay <= self.snr_destination else "snr_destination"
+            raise ParameterError(
+                f"{name} = {getattr(self, name):g} at path_loss_exponent = "
+                f"{path_loss_exponent:g} gives a per-hop weight past the float range") from None
 
 
 @dataclass(frozen=True)

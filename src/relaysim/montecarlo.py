@@ -1,4 +1,6 @@
-"""Monte Carlo harness: batched trials, empirical laws, analytic comparisons.
+"""Monte Carlo harness: batched trials, their CSV, and the goodness-of-fit
+statistics that check them against the analytic laws (``ks_statistic`` for a
+cdf, ``_poisson_chi2`` for a Poisson count).
 
 Stream layout (fixed, so a split execution can reproduce the serial
 stream): all randomness comes from Philox keyed by the master seed, with the
@@ -43,12 +45,11 @@ import numpy as np
 
 from .errors import ParameterError
 from .kernels import disc_batch_stats, disc_feedback_counts
-from .numerics import chi2_sf, poisson_cdf, poisson_pmf, poisson_sf
+from .numerics import chi2_sf, poisson_pmf, poisson_sf
 from .pointprocess import DiscHomogeneous, default_window_radius
 
-__all__ = ["MonteCarloConfig", "TrialBatch", "ComparisonReport",
-           "run_trials", "feedback_counts", "compare_to_analytic", "batch_to_csv",
-           "empirical_cdf", "ks_statistic"]
+__all__ = ["MonteCarloConfig", "TrialBatch", "run_trials", "feedback_counts",
+           "batch_to_csv", "empirical_cdf", "ks_statistic"]
 
 
 @dataclass(frozen=True)
@@ -78,8 +79,8 @@ class MonteCarloConfig:
         DiscHomogeneous(self.intensity, self.window_radius)  # rejects what numpy cannot draw
         if self.threshold is not None and not self.threshold >= 0:
             raise ParameterError("threshold must be non-negative")
-        if not (self.scale_source > 0 and self.scale_destination > 0):
-            raise ParameterError("SNR scales must be positive")
+        if not (0 < self.scale_source < math.inf and 0 < self.scale_destination < math.inf):
+            raise ParameterError("SNR scales must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -240,33 +241,18 @@ def ks_statistic(samples: np.ndarray, cdf) -> float:
     return float(max(np.max(np.abs(emp - f)), d_tail))
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
-    """Empirical-vs-analytic summary for one recorded quantity.
-
-    ``ks_threshold`` is the acceptance band the comparison was run with
-    (band / sqrt(n); the default band 1.63 is the 99% two-sided level).
-    """
-
-    quantity: str
-    n_samples: int
-    ks_statistic: float
-    chi2_pvalue: float
-    mean_abs_error: float
-    grid: list
-    ks_threshold: float = math.nan
-
-    @property
-    def ks_pass(self) -> bool:
-        return bool(self.ks_statistic < self.ks_threshold)
-
-
-_QUANTITIES = ("gamma_opt", "gamma_mid", "gamma_c2d", "gamma_csrc",
-               "gamma_diff", "n_feedback")
-
-
 def _poisson_chi2(samples: np.ndarray, mean: float, min_expected: float = 5.0):
-    """Chi-square goodness of fit against Poisson(mean) with pooled tail bins."""
+    """Chi-square goodness of fit against Poisson(mean) with pooled tail bins.
+
+    The samples must be non-negative integer counts, at least one, and the
+    mean finite and >= 0: a NaN or negative mean would read a NaN p-value.
+    """
+    s = np.asarray(samples)
+    if not (s.size and np.isfinite(s).all() and (s >= 0).all() and (s == np.floor(s)).all()):
+        raise ParameterError("samples must be non-empty non-negative integer counts")
+    if not 0 <= mean < math.inf:
+        raise ParameterError(f"the Poisson mean must be finite and >= 0, got {mean}")
+    samples = s.astype(np.int64, copy=False)
     n = samples.size
     kmax = int(samples.max())
     observed = np.bincount(samples, minlength=kmax + 1).astype(float)
@@ -292,55 +278,6 @@ def _poisson_chi2(samples: np.ndarray, mean: float, min_expected: float = 5.0):
     chi2 = float(np.sum((np.array(obs_bins) - np.array(exp_bins)) ** 2 / np.array(exp_bins)))
     dof = max(len(obs_bins) - 1, 1)
     return float(chi2_sf(chi2, dof))
-
-
-def compare_to_analytic(batch: TrialBatch, evaluator, quantity: str = "gamma_opt",
-                        grid_size: int = 33, ks_band: float = 1.63) -> ComparisonReport:
-    """Compare one recorded quantity with its analytic law.
-
-    ``evaluator`` is a ``CqiLaw`` (or bare cdf callable) for metric
-    quantities, or the Poisson mean (float) for ``n_feedback``. ``ks_band``
-    scales the acceptance threshold ks_band / sqrt(n).
-    """
-    if quantity not in _QUANTITIES:
-        raise ParameterError(f"unknown quantity {quantity!r}; one of {_QUANTITIES}")
-    threshold = ks_band / math.sqrt(batch.n_trials)
-    if quantity == "n_feedback":
-        mean = float(evaluator)
-        samples = batch.n_feedback
-        pvalue = _poisson_chi2(samples, mean)
-        ks = ks_statistic(samples.astype(float), lambda x: poisson_cdf(x, mean))
-        kgrid = np.arange(0, max(int(samples.max()) + 1, 2))
-        emp = empirical_cdf(samples.astype(float), kgrid)
-        ana = poisson_cdf(kgrid, mean)
-        grid = [(float(k), float(a), float(e)) for k, a, e in zip(kgrid, ana, emp)]
-        mae = float(np.mean(np.abs(ana - emp)))
-        return ComparisonReport("n_feedback", samples.size, ks, pvalue, mae, grid,
-                                threshold)
-
-    cdf = evaluator.cdf if hasattr(evaluator, "cdf") else evaluator
-    samples = getattr(batch, quantity)
-    ks = ks_statistic(samples, cdf)
-    finite = np.sort(samples[np.isfinite(samples)])
-    if finite.size == 0:
-        return ComparisonReport(quantity, samples.size, ks, 1.0, 0.0, [], threshold)
-    qs = np.quantile(finite, np.linspace(0.01, 0.99, grid_size))
-    ana = np.asarray(cdf(qs), dtype=float)
-    # infinite samples (defective laws) sit beyond every grid point
-    emp = empirical_cdf(samples, qs)
-    grid = [(float(x), float(a), float(e)) for x, a, e in zip(qs, ana, emp)]
-    mae = float(np.mean(np.abs(ana - emp)))
-    # chi-square over equal-occupancy bins, mass at infinity folded into the tail
-    n_bins = min(20, max(finite.size // 25, 2))
-    edges = np.quantile(finite, np.linspace(0.0, 1.0, n_bins + 1))[1:-1]
-    observed = np.diff(np.concatenate(
-        ([0], np.searchsorted(finite, edges, side="right"), [samples.size]))).astype(float)
-    cum = np.concatenate(([0.0], np.asarray(cdf(edges), dtype=float), [1.0]))
-    expected = samples.size * np.diff(cum)
-    keep = expected > 0
-    chi2 = float(np.sum((observed[keep] - expected[keep]) ** 2 / expected[keep]))
-    pvalue = float(chi2_sf(chi2, max(int(keep.sum()) - 1, 1)))
-    return ComparisonReport(quantity, samples.size, ks, pvalue, mae, grid, threshold)
 
 
 # Rows per formatted block of the trial CSV: the writer holds one block of

@@ -3,12 +3,12 @@ monotone root searches.
 
 The module imports only numpy when it loads. ``scipy.special`` is imported by
 the first call of a helper that reads it (``exp_integral_e1``, ``f_exp_e1``,
-``erfc_scaled``, the Poisson pmf, cdf, sf and ppf and ``chi2_sf``), and
+``erfc_scaled``, the Poisson pmf, sf and ppf and ``chi2_sf``), and
 ``scipy.integrate`` by the first adaptive quadrature, which no law makes; a
 Monte Carlo batch, field sampling and relay selection load neither. The
 exponential integral E1 is ``exp1``. Its overflow-safe product e^x E1(x) takes
 scalars or arrays: the direct product up to x = 600, the asymptotic series
-above. The Poisson pmf, cdf, sf and ppf and the chi-square sf are the
+above. The Poisson pmf, sf and ppf and the chi-square sf are the
 ``scipy.special`` expressions that ``scipy.stats`` evaluates, bit for bit for
 k >= 0, mu >= 0 and 0 < q < 1, without the import time of ``scipy.stats``.
 ``vectorized`` is the package's one scalar/array rule. ``quad_adaptive`` runs
@@ -32,7 +32,6 @@ __all__ = [
     "f_exp_e1",
     "erfc_scaled",
     "poisson_pmf",
-    "poisson_cdf",
     "poisson_sf",
     "poisson_ppf",
     "chi2_sf",
@@ -108,11 +107,6 @@ def erfc_scaled(x):
 def poisson_pmf(k, mu):
     """P(N = k) for N ~ Poisson(mu), integer k >= 0."""
     return np.exp(_sp.xlogy(k, mu) - _sp.gammaln(k + 1) - mu)
-
-
-def poisson_cdf(k, mu):
-    """P(N <= k) for N ~ Poisson(mu), k >= 0 (floored)."""
-    return _sp.pdtr(np.floor(k), mu)
 
 
 def poisson_sf(k, mu):

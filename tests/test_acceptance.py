@@ -19,7 +19,7 @@ from scipy.special import exp1
 from relaysim import distributions as dist
 from relaysim import metrics
 from relaysim.model import Fading, NetworkGeometry, PathLoss, snr_from_db
-from relaysim.montecarlo import (MonteCarloConfig, compare_to_analytic,
+from relaysim.montecarlo import (MonteCarloConfig, _poisson_chi2, feedback_counts,
                                  ks_statistic, run_trials)
 from relaysim.pointprocess import AnnulusUniform, sample
 from relaysim.policies import PolicyKind, select
@@ -83,11 +83,11 @@ def test_criterion_03_feedback_load():
     pvals = []
     for k, lam in enumerate((0.5, 1.0)):
         mu = metrics.mean_feedback_load(3.0, lam, 1.0)
-        batch = run_trials(MonteCarloConfig(lam, 1.0, threshold=3.0), 100_000, 52_000 + k)
-        rep = compare_to_analytic(batch, mu, "n_feedback")
-        pvals.append(rep.chi2_pvalue)
-        if rep.chi2_pvalue <= 0.01:
-            failures.append(f"chi2 p={rep.chi2_pvalue:.4f} <= 0.01 at lam={lam}")
+        n_fb = feedback_counts(MonteCarloConfig(lam, 1.0, threshold=3.0), 100_000, 52_000 + k)
+        p = _poisson_chi2(n_fb, mu)
+        pvals.append(p)
+        if p <= 0.01:
+            failures.append(f"chi2 p={p:.4f} <= 0.01 at lam={lam}")
     _check("3", not failures,
            f"mu(1.5) anchors within 0.05; Poisson chi2 p-values {pvals} > 0.01"
            + ("" if not failures else f"; {failures}"))

@@ -457,6 +457,15 @@ def test_readme_eval_examples_print_what_they_state(capsys):
         assert capsys.readouterr().out == stated + "\n", argv
 
 
+def test_readme_library_example_runs(capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library quick start", 1)[1].split("```python", 1)[1]
+    exec(block.split("```", 1)[0], {})
+    best_gamma, rate, mean_rate, ks = map(float, capsys.readouterr().out.split())
+    assert best_gamma >= 1.0 and rate > 0.0 and mean_rate > 0.0
+    assert ks < 1.63 / math.sqrt(100_000)
+
+
 # numeric eval flag -> a quantity that reads it
 _NUMERIC_EVAL_FLAGS = {
     "--gamma": "cdf-gamma-opt", "--t": "ccdf-annulus", "--s": "pdf-s-opt",
@@ -534,6 +543,21 @@ def test_an_snr_past_the_float_range_is_infinite(tmp_path, capsys):
     assert main(["simulate", "--trials", "5", "--tau", "3", "--snr1-db", "1e5",
                  "--snr2-db", "1", "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--snr1-db", "-400", "--snr2-db", "0", "--alpha", "0.1", "--trials", "3"],
+    ["eval", "cdf-gamma-opt-diff", "--snr1-db", "-400", "--alpha", "0.1"]],
+    ids=["simulate", "eval"])
+def test_a_per_hop_weight_past_the_float_range_is_usage_error(tmp_path, capsys, argv):
+    # 1e-40 ** (-1/0.1) = 1e400 overflows
+    out = tmp_path / "t.csv"
+    assert main([*argv, *(["--out", str(out)] if argv[0] == "simulate" else [])]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: snr_relay = 1e-40 at path_loss_exponent = 0.1 gives "
+                            "a per-hop weight past the float range\n")
     assert not out.exists()
 
 

@@ -778,7 +778,11 @@ def test_infinite_window_and_exclusion_radii_are_rejected():
     calls = {"window_radius": (lambda: dist.best_cqi_cdf_finite(2.0, 1.0, 1.0, math.inf),
                                lambda: dist.disc_point_metric_cdf(2.0, math.inf, 1.0)),
              "outer_radius": (lambda: dist.annulus_metric_ccdf(2.0, 0.5, math.inf, 1.0),),
-             "exclusion_radius": (lambda: dist.exclusion_cqi_cdf(math.inf, 1.0, math.inf, 1.0),)}
+             "exclusion_radius": (lambda: dist.exclusion_cqi_cdf(math.inf, 1.0, math.inf, 1.0),),
+             # an infinite per-hop scale would leave the law a NaN floor and kink
+             "scale_source": (lambda: dist.unequal_snr_support_min(1.0, math.inf, 1.0),
+                              lambda: dist.unequal_snr_cqi_law(1.0, 1.0, math.inf, 1.0)),
+             "scale_destination": (lambda: dist.unequal_snr_cqi_law(1.0, 1.0, 1.0, math.inf),)}
     for param, rejected in calls.items():
         for call in rejected:
             with pytest.raises(ParameterError, match=f"{param} must be finite"):

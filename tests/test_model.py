@@ -115,6 +115,10 @@ def test_link_budget_defaults_and_validation():
         LinkBudget(snr=-1.0)
     with pytest.raises(ParameterError):
         LinkBudget(snr=1.0, target_rate=-0.1)
+    # 1e-40 ** (-1/0.1) = 1e400: the hop weight is past the float range
+    for hop in ("snr_relay", "snr_destination"):
+        with pytest.raises(ParameterError, match=f"{hop} = 1e-40 at path_loss_exponent = 0.1"):
+            LinkBudget(1.0, **{hop: 1e-40}).effective_scales(0.1)
     assert Fading("rayleigh") is Fading.RAYLEIGH
 
 

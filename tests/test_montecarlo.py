@@ -10,9 +10,8 @@ from scipy import stats
 from relaysim import distributions as dist
 from relaysim import metrics, montecarlo
 from relaysim.errors import ParameterError
-from relaysim.montecarlo import (ComparisonReport, MonteCarloConfig, TrialBatch,
-                                 batch_to_csv, compare_to_analytic, empirical_cdf,
-                                 feedback_counts, ks_statistic, run_trials)
+from relaysim.montecarlo import (MonteCarloConfig, TrialBatch, _poisson_chi2, batch_to_csv,
+                                 empirical_cdf, feedback_counts, ks_statistic, run_trials)
 
 
 def test_reproducibility_bytes(tmp_path):
@@ -44,6 +43,9 @@ def test_config_validation():
         MonteCarloConfig(0.0, 1.0)
     with pytest.raises(ParameterError):
         MonteCarloConfig(1.0, 1.0, threshold=-1.0)
+    for scales in ((math.inf, 1.0), (1.0, math.inf)):  # gamma_diff would be inf in every trial
+        with pytest.raises(ParameterError):
+            MonteCarloConfig(1.0, 1.0, scale_source=scales[0], scale_destination=scales[1])
     with pytest.raises(ParameterError):
         run_trials(MonteCarloConfig(1.0, 1.0), 0, 1)
     cfg = MonteCarloConfig(1.0, 1.0)
@@ -93,50 +95,46 @@ def test_empirical_laws_reject_empty_and_nan_samples(samples):
         empirical_cdf(np.array(samples), [0.5])
     with pytest.raises(ParameterError):
         ks_statistic(np.array(samples), lambda x: np.clip(x, 0.0, 1.0))
+    with pytest.raises(ParameterError):
+        _poisson_chi2(np.array(samples), 1.0)
+
+
+@pytest.mark.parametrize("samples, mean", [([1, 2], math.nan), ([1, 2], -1.0),
+                                           ([1, 2], math.inf), ([1, -1], 1.0),
+                                           ([1.0, 2.5], 1.0)],
+                         ids=["nan-mean", "negative-mean", "infinite-mean",
+                              "negative-count", "fractional-count"])
+def test_poisson_chi2_rejects_what_has_no_poisson_fit(samples, mean):
+    """A NaN or negative mean would read a NaN p-value, which no bound rejects."""
+    with pytest.raises(ParameterError):
+        _poisson_chi2(np.array(samples), mean)
 
 
 def test_compare_gamma_quantities():
     batch = run_trials(MonteCarloConfig(1.0, 1.0), 30_000, 100)
-    rep = compare_to_analytic(batch, dist.best_cqi_law(1.0, 1.0), "gamma_opt")
-    assert isinstance(rep, ComparisonReport)
-    # acceptance band defaults to the 99% level 1.63/sqrt(n)
-    assert rep.ks_threshold == pytest.approx(1.63 / math.sqrt(30_000))
-    assert rep.ks_pass
-    assert 0.0 <= rep.ks_statistic < 0.02
-    assert 0.0 <= rep.chi2_pvalue <= 1.0
-    assert rep.chi2_pvalue > 0.001
-    assert rep.mean_abs_error < 0.01
-    assert len(rep.grid) == 33
-    xs = [g[0] for g in rep.grid]
-    assert xs == sorted(xs)
-    with pytest.raises(ParameterError):
-        compare_to_analytic(batch, dist.best_cqi_law(1.0, 1.0), "nonsense")
+    ks = ks_statistic(batch.gamma_opt, dist.best_cqi_law(1.0, 1.0).cdf)
+    # the 99% two-sided band 1.63/sqrt(n)
+    assert 0.0 <= ks < 1.63 / math.sqrt(batch.n_trials)
+    assert ks < 0.02
 
 
 def test_compare_feedback_counts_poisson():
     lam, t = 0.5, 3.0
-    batch = run_trials(MonteCarloConfig(lam, 1.0, threshold=t), 100_000, 2024)
+    n_fb = feedback_counts(MonteCarloConfig(lam, 1.0, threshold=t), 100_000, 2024)
     mu = metrics.mean_feedback_load(t, lam, 1.0)
-    rep = compare_to_analytic(batch, mu, "n_feedback")
-    assert rep.chi2_pvalue > 0.01
-    assert rep.ks_statistic < 0.01
+    assert _poisson_chi2(n_fb, mu) > 0.01
+    assert ks_statistic(n_fb, lambda x: stats.poisson.cdf(x, mu)) < 0.01
 
 
 def test_feedback_report_equals_scipy_stats_values():
     mu = 1.7
-    batch = run_trials(MonteCarloConfig(0.5, 1.0, threshold=2.0), 3_000, 11)
-    rep = compare_to_analytic(batch, mu, "n_feedback")
-    s = batch.n_feedback
+    s = feedback_counts(MonteCarloConfig(0.5, 1.0, threshold=2.0), 3_000, 11)
     n = s.size
     k = np.arange(s.max() + 1)
     srt = np.sort(s)
     ks = np.max(np.abs(np.searchsorted(srt, srt, side="right") / n
                        - stats.poisson.cdf(srt, mu)))
-    assert rep.ks_statistic == ks
-    ana = stats.poisson.cdf(k, mu)
-    emp = (s[:, None] <= k).sum(axis=0) / n
-    assert rep.grid == [(float(x), float(a), float(e)) for x, a, e in zip(k, ana, emp)]
-    assert rep.mean_abs_error == float(np.mean(np.abs(ana - emp)))
+    assert ks_statistic(s, lambda x: stats.poisson.cdf(x, mu)) == ks
     # left-to-right pooling of the cells (tail included) until each expects 5 counts
     cells = zip(np.append(np.bincount(s), 0.0),
                 n * np.append(stats.poisson.pmf(k, mu), stats.poisson.sf(k[-1], mu)))
@@ -151,21 +149,7 @@ def test_feedback_report_equals_scipy_stats_values():
     obs, exp = np.array(bins).T
     chi2 = np.sum((obs - exp) ** 2 / exp)
     assert len(bins) > 2
-    assert rep.chi2_pvalue == float(stats.chi2.sf(chi2, len(bins) - 1))
-
-
-def test_metric_report_pvalue_equals_scipy_stats_value():
-    law = dist.best_cqi_law(1.0, 1.0)
-    batch = run_trials(MonteCarloConfig(1.0, 1.0), 3_000, 12)
-    rep = compare_to_analytic(batch, law, "gamma_opt")
-    s = batch.gamma_opt
-    finite = np.sort(s[np.isfinite(s)])
-    edges = np.quantile(finite, np.linspace(0.0, 1.0, 21))[1:-1]
-    observed = np.diff(np.concatenate(
-        ([0], np.searchsorted(finite, edges, side="right"), [s.size])))
-    expected = s.size * np.diff(np.concatenate(([0.0], law.cdf(edges), [1.0])))
-    chi2 = np.sum((observed - expected) ** 2 / expected)
-    assert rep.chi2_pvalue == float(stats.chi2.sf(chi2, 19))
+    assert _poisson_chi2(s, mu) == float(stats.chi2.sf(chi2, len(bins) - 1))
 
 
 def test_threshold_conditional_law_truncates():
@@ -181,6 +165,34 @@ def test_threshold_conditional_law_truncates():
         return np.clip(dist.best_cqi_cdf(x, lam, 1.0) / cap, 0.0, 1.0)
 
     assert ks_statistic(reported, cdf) < 0.01
+
+
+@pytest.mark.parametrize("seed", [5, 6])
+def test_closest_to_source_follows_the_reflected_law(seed):
+    """Reflecting a field through the bisector of source and destination swaps
+    them, so the relay closest to the source follows the closest-to-destination law."""
+    batch = run_trials(MonteCarloConfig(1.0, 1.0), 30_000, seed)
+    law = dist.closest_to_destination_cqi_law(1.0, 1.0)
+    assert ks_statistic(batch.gamma_csrc, law.cdf) < 1.63 / math.sqrt(batch.n_trials)
+
+
+@pytest.mark.parametrize("c", [2.0, 0.5, 1024.0])
+@pytest.mark.parametrize("lam, d, threshold, scales", [
+    (1.0, 1.0, None, (1.0, 1.0)), (0.5, 1.0, 2.5, (1.0, 1.4)), (2.0, 0.7, 1.9, (1.3, 1.0))],
+    ids=["plain", "threshold-unequal-snr", "unequal-snr-threshold"])
+def test_run_trials_scales_exactly_at_powers_of_two(lam, d, threshold, scales, c):
+    """Shrinking every length by a power of two c (intensity times c^2) draws the
+    same counts and shrinks every recorded metric by exactly 1/c."""
+    base = run_trials(MonteCarloConfig(lam, d, threshold=threshold, scale_source=scales[0],
+                                       scale_destination=scales[1]), 2_000, 3)
+    scaled = run_trials(MonteCarloConfig(lam * c * c, d / c,
+                                         threshold=None if threshold is None else threshold / c,
+                                         scale_source=scales[0], scale_destination=scales[1]),
+                        2_000, 3)
+    for name in ("counts", "n_feedback", "sufficient", "mid_is_opt"):
+        assert np.array_equal(getattr(scaled, name), getattr(base, name)), name
+    for name in montecarlo._FLOATS:
+        assert np.array_equal(getattr(scaled, name), getattr(base, name) / c), name
 
 
 def test_rate_estimates_converge_to_average_rate():
