@@ -11,9 +11,11 @@ compute the squared distances of the points it reduces:
     in [0, 1], with dist^2 = r^2 + d^2 +- 2 d r cos(2 pi u). This arithmetic
     fixes the bytes of ``run_trials`` output; xy would round differently.
 
-``disc_feedback_counts(norm_sq, u_angle, offsets, half_distance, threshold)``
-    the feedback count of ``disc_batch_stats`` alone, from the one counter
-    both polar paths share.
+``disc_feedback_counts(radial_words, angle_words, offsets, radius, half_distance, threshold)``
+    the feedback count of ``disc_batch_stats`` alone, for the relays that
+    ``DiscHomogeneous(., radius)`` makes of these 64-bit Philox words: r^2 is
+    ``disc_norm_sq(radius, word_uniforms(w))`` and the angle uniform
+    ``word_uniforms(w)`` (see ``pointprocess``).
 
 The polar front-end reduces only the relays that can attain a minimum. With
 ``base = r^2 + d^2`` and ``c = 2 d r``, IEEE rounding is monotone and
@@ -43,7 +45,15 @@ Two cut points per (d, T^2), found once by bisection over the bit patterns
 of the doubles in [0, inf] and cached, split a field exactly: a relay with
 r^2 <= na has sq <= base + c <= T^2 and always reports; one with r^2 > nb
 has sq >= base > T^2 (or NaN) and never does. Only the band na < r^2 <= nb
-gets a cosine, evaluated as in the full reduction.
+gets a cosine, evaluated as in the full reduction by one helper both counters
+call.
+
+The word counter moves the cuts onto the words. Both k 2^-53 and R^2 u round
+monotonically, so r^2 <= na holds exactly for k = w >> 11 up to the last k in
+[0, 2^53) whose r^2 is at most na (found by bisection, cached), that is for
+the words w <= (k << 11) | 0x7FF; -1 when no k is. nb gives the band's upper
+word the same way. Each relay is classified by one uint64 comparison with
+each cut, and only the band's words become doubles.
 
 Input layout: all fields concatenated into flat 1-D arrays, trial t owning
 the slice ``offsets[t]:offsets[t+1]``. Argmin ties break toward the lowest
@@ -59,6 +69,7 @@ import struct
 import numpy as np
 
 from .errors import ParameterError
+from .pointprocess import disc_norm_sq, word_uniforms
 
 __all__ = ["FieldStats", "field_stats", "disc_batch_stats", "disc_feedback_counts",
            "kernel_backend"]
@@ -85,14 +96,20 @@ def kernel_backend() -> str:
 
 
 def _checked(a, b, offsets, half_distance, threshold, bounds=((-_MAX, _MAX),) * 2):
-    """Validated float64 inputs, each within its (low, high) of ``bounds``
-    (finite by default), int64 offsets, the half distance in [0, inf] and the
-    squared threshold."""
+    """Validated inputs: a and b as float64 arrays, each within its (low, high)
+    of ``bounds`` (finite by default), or with ``bounds=None`` as uint64 words
+    of any value; int64 offsets; the half distance in [0, inf]; and the squared
+    threshold."""
     for name, v in (("half_distance", half_distance), ("threshold", threshold)):
         if not v >= 0:  # the prune's bound assumes d >= 0; d = inf keeps every relay
             raise ParameterError(f"{name} must be non-negative, got {v}")
-    a = np.ascontiguousarray(a, dtype=np.float64)
-    b = np.ascontiguousarray(b, dtype=np.float64)
+    if bounds is None:
+        a, b = np.asarray(a), np.asarray(b)
+        if not a.dtype == b.dtype == np.uint64:
+            raise ParameterError(f"Philox words must be uint64, got {a.dtype} and {b.dtype}")
+    else:
+        a = np.ascontiguousarray(a, dtype=np.float64)
+        b = np.ascontiguousarray(b, dtype=np.float64)
     offsets = np.asarray(offsets, dtype=np.int64)
     if a.ndim != 1 or a.shape != b.shape:
         raise ParameterError(f"coordinates must be 1-D arrays of equal shape, "
@@ -101,7 +118,7 @@ def _checked(a, b, offsets, half_distance, threshold, bounds=((-_MAX, _MAX),) * 
         raise ParameterError(f"offsets must run from 0 to {a.size}")
     if (np.diff(offsets) < 0).any():
         raise ParameterError("offsets must be non-decreasing")
-    for v, (low, high) in zip((a, b), bounds):
+    for v, (low, high) in zip((a, b), bounds or ()):
         # a NaN minimum or maximum fails both comparisons
         if v.size and not (low <= v.min() and v.max() <= high):
             raise ParameterError(f"inputs must lie in [{low:g}, {high:g}], NaN excluded")
@@ -192,19 +209,24 @@ def _distances(c, base, u_angle):
     return base + cross, base - cross
 
 
-def _last(holds):
-    """Largest double x in [0, inf] for which ``holds(x)``, or -1.0 when none
-    does; ``holds`` must be true on a prefix of [0, inf]."""
-    if not holds(0.0):
-        return -1.0
-    lo, hi = 0, _INF_BITS + 1  # holds at lo; hi, the first NaN, is never tried
+def _last(holds, n):
+    """Largest i in [0, n) with ``holds(i)``, or -1 when none; ``holds`` must be
+    true on a prefix of [0, n)."""
+    lo, hi = -1, n
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if holds(_from_bits(mid)):
+        if holds(mid):
             lo = mid
         else:
             hi = mid
-    return _from_bits(lo)
+    return lo
+
+
+def _last_norm(holds):
+    """Largest double x in [0, inf] for which ``holds(x)``, or -1.0 when none
+    does; ``holds`` must be true on a prefix of [0, inf]."""
+    bits = _last(lambda b: holds(_from_bits(b)), _INF_BITS + 1)  # NaN bits are never tried
+    return _from_bits(bits) if bits >= 0 else -1.0
 
 
 def _from_bits(bits):
@@ -222,28 +244,53 @@ def _feedback_cuts(d, thr_sq):
     def maybe(norm_sq):
         return not _legs(norm_sq, d, math.sqrt)[1] > thr_sq
 
-    return _last(always), _last(maybe)
+    return _last_norm(always), _last_norm(maybe)
+
+
+@functools.lru_cache(maxsize=512)
+def _word_cuts(radius, d, thr_sq):
+    """(wa, wb): the last radial word whose relay always reports, and the last
+    whose relay may report, or -1 for none (see the module docstring)."""
+    def cut(norm_sq):
+        k = _last(lambda k: disc_norm_sq(radius, word_uniforms(k << 11)) <= norm_sq, 1 << 53)
+        return k << 11 | 0x7FF if k >= 0 else -1
+
+    return tuple(cut(n) for n in _feedback_cuts(d, thr_sq))
+
+
+def _tally(report, band, norm_sq, u_angle, offsets, d, thr_sq):
+    """Reporting relays per trial: those in ``report`` and the ``band`` relays,
+    at squared norms ``norm_sq`` and angle uniforms ``u_angle``, with sq <= thr_sq."""
+    if band.size:
+        ds_sq, dd_sq = _distances(*_legs(norm_sq, d), u_angle)
+        report[band] = np.maximum(ds_sq, dd_sq) <= thr_sq
+    elif report.all():
+        return np.diff(offsets)
+    return _per_trial(report, offsets)
 
 
 def _feedback(norm_sq, u_angle, offsets, d, thr_sq):
     """Relays with sq <= thr_sq in each trial; the cosine only on the band."""
     na, nb = _feedback_cuts(d, thr_sq)
     report = norm_sq <= na
-    if report.all():
-        return np.diff(offsets)
-    band = np.flatnonzero((norm_sq <= nb) & ~report)
-    if band.size:
-        ds_sq, dd_sq = _distances(*_legs(norm_sq[band], d), u_angle[band])
-        report[band] = np.maximum(ds_sq, dd_sq) <= thr_sq
-    return _per_trial(report, offsets)
+    band = np.flatnonzero((norm_sq <= nb) ^ report)  # na <= nb: report implies r^2 <= nb
+    return _tally(report, band, norm_sq[band], u_angle[band], offsets, d, thr_sq)
 
 
-def disc_feedback_counts(norm_sq, u_angle, offsets, half_distance, threshold) -> np.ndarray:
-    """``disc_batch_stats(...).n_feedback`` of the same inputs, bit for bit,
-    without the other statistics."""
-    norm_sq, u_angle, offsets, d, thr_sq = _checked(norm_sq, u_angle, offsets, half_distance,
-                                                    threshold, _POLAR)
-    return _feedback(norm_sq, u_angle, offsets, d, thr_sq)
+def disc_feedback_counts(radial_words, angle_words, offsets, radius, half_distance,
+                         threshold) -> np.ndarray:
+    """``disc_batch_stats(disc_norm_sq(radius, word_uniforms(radial_words)),
+    word_uniforms(angle_words), ...).n_feedback`` bit for bit, without the other
+    statistics, converting only the band relays' words."""
+    radial, angle, offsets, d, thr_sq = _checked(radial_words, angle_words, offsets,
+                                                 half_distance, threshold, None)
+    if not (radius > 0 and _TINY <= radius * radius < math.inf):
+        raise ParameterError(f"radius must be positive with a normal finite square, got {radius}")
+    wa, wb = _word_cuts(float(radius), d, thr_sq)
+    report = radial <= wa
+    band = np.flatnonzero((radial <= wb) ^ report)  # wa <= wb
+    return _tally(report, band, disc_norm_sq(radius, word_uniforms(radial[band])),
+                  word_uniforms(angle[band]), offsets, d, thr_sq)
 
 
 def _norm_reach(bound, d):

@@ -142,7 +142,9 @@ def outage(target_rate: float, intensity: float, half_distance: float,
 # ---------------------------------------------------------------------------
 # selective threshold feedback
 
-def _check_half_distance(d):
+def _check_field(intensity, d):
+    if not 0 < intensity < math.inf:
+        raise ParameterError(f"intensity must be positive and finite, got {intensity}")
     if not d > 0:  # the threshold search steps by d
         raise ParameterError(f"half_distance must be positive, got {d}")
 
@@ -155,7 +157,7 @@ def mean_feedback_load(threshold: float, intensity: float, half_distance: float)
     """
     if not threshold >= 0:
         raise ParameterError(f"threshold must be non-negative, got {threshold}")
-    _check_half_distance(half_distance)
+    _check_field(intensity, half_distance)
     d, t = half_distance, threshold
     if t <= d:
         return 0.0
@@ -168,7 +170,7 @@ def threshold_for_load(load: float, intensity: float, half_distance: float) -> f
     """Threshold whose mean feedback load equals ``load`` (monotone inverse)."""
     if not load >= 0:
         raise ParameterError(f"load must be non-negative, got {load}")
-    _check_half_distance(half_distance)
+    _check_field(intensity, half_distance)
     if load == math.inf:  # the load is finite at every finite threshold
         return math.inf
     return solve_above_floor(lambda t: mean_feedback_load(t, intensity, half_distance),

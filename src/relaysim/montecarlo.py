@@ -13,20 +13,23 @@ norms are drawn as ``DiscHomogeneous(intensity, window_radius)`` draws them.
 draws every count from block 0 first, then takes the trials in chunks of at
 most ``_CHUNK_TRIALS`` whole trials holding at most ``_CHUNK_POINTS`` points
 (a trial larger than that is a chunk of its own). Each chunk takes its next
-squared norms and angle uniforms from two generators kept open on blocks 1
-and 2 and goes to one kernel call: ``disc_batch_stats`` for every statistic, or
-``disc_feedback_counts`` for the feedback count alone, which takes a cosine
-only for the relays near the threshold (see ``kernels``). Both give the bits
-of evaluating every relay, so ``feedback_counts`` returns
-``run_trials(...).n_feedback`` exactly. Successive draws from one Philox
-generator give exactly the values of one large draw, so the output does not
-depend on the chunk size. Each chunk's results are written into their slice
-of the ``n_trials``-long outputs, allocated once, so memory beyond the
-per-trial results is bounded by the chunk budget (or by the largest trial)
-for any ``n_trials``. A chunk's draws are made only after the previous
-chunk's are freed: holding them one chunk longer left 12 MB more resident
-memory after a 100k-trial batch (lambda = 1, tau = 10), from heap
-fragmentation.
+draws from two generators kept open on blocks 1 and 2 and goes to one kernel
+call. ``run_trials`` draws squared norms and angle uniforms for
+``disc_batch_stats``, which computes every statistic. ``feedback_counts``
+reads blocks 1 and 2 as the raw 64-bit words of ``random_raw``, of which
+``Generator.random`` makes its uniforms as (w >> 11) 2^-53, and
+``disc_feedback_counts`` compares each radial word with two integer cuts and
+converts and takes a cosine only for the relays near the threshold (see
+``kernels``). Both give the bits of evaluating every relay, so
+``feedback_counts`` returns ``run_trials(...).n_feedback`` exactly.
+Successive draws from one Philox generator give exactly the values of one
+large draw, so the output does not depend on the chunk size. Each chunk's
+results are written into their slice of the ``n_trials``-long outputs,
+allocated once, so memory beyond the per-trial results is bounded by the
+chunk budget (or by the largest trial) for any ``n_trials``. A chunk's
+draws are made only after the previous chunk's are freed: holding them one
+chunk longer left 12 MB more resident memory after a 100k-trial batch
+(lambda = 1, tau = 10), from heap fragmentation.
 
 Block 0 cannot be advanced to a trial: Poisson draws consume a variable
 number of words (1000 draws at mean 314 use 585 counter values), so the
@@ -146,10 +149,16 @@ def _counts(config: MonteCarloConfig, n_trials: int, seed: int):
     return disc, counts.astype(np.int64, copy=False)
 
 
-def _map_chunks(disc: DiscHomogeneous, counts: np.ndarray, seed: int, kernel, *args):
-    """Yield each chunk's trial slice and ``kernel(norm_sq, u_angle, local
-    offsets, *args)``, in order. The draws are bound to no name, so they are
-    freed when the kernel returns, before the next chunk draws."""
+def _words(radius_rng: np.random.Generator, angle_rng: np.random.Generator, m: int):
+    """A chunk's next ``m`` radial and ``m`` angle words, as Philox makes them."""
+    return radius_rng.bit_generator.random_raw(m), angle_rng.bit_generator.random_raw(m)
+
+
+def _map_chunks(counts: np.ndarray, seed: int, draw, kernel, *args):
+    """Yield each chunk's trial slice and ``kernel(*draw(radius_rng, angle_rng,
+    m), local offsets, *args)``, in order, with ``m`` the chunk's points. The
+    draws are bound to no name, so they are freed when the kernel returns,
+    before the next chunk draws."""
     offsets = np.zeros(counts.size + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
     radius_rng, angle_rng = _block_rng(seed, 1), _block_rng(seed, 2)
@@ -164,8 +173,7 @@ def _map_chunks(disc: DiscHomogeneous, counts: np.ndarray, seed: int, kernel, *a
     for lo, hi in _chunks(offsets):
         local = offsets[lo:hi + 1] - offsets[lo]
         m = int(local[-1])
-        yield slice(lo, hi), kernel(disc.draw_norm_sq(radius_rng, m), angle_rng.random(m),
-                                    local, *args)
+        yield slice(lo, hi), kernel(*draw(radius_rng, angle_rng, m), local, *args)
 
 
 # the float statistics of disc_batch_stats a TrialBatch records
@@ -176,13 +184,17 @@ _FLOATS = ("gamma_opt", "gamma_mid", "gamma_c2d", "gamma_csrc", "gamma_diff",
 def run_trials(config: MonteCarloConfig, n_trials: int, seed: int) -> TrialBatch:
     """Sample ``n_trials`` homogeneous fields and reduce each one."""
     disc, counts = _counts(config, n_trials, seed)
+
+    def doubles(radius_rng, angle_rng, m):
+        return disc.draw_norm_sq(radius_rng, m), angle_rng.random(m)
+
     d = config.half_distance
     threshold = math.inf if config.threshold is None else config.threshold
     out = {name: np.empty(n_trials) for name in _FLOATS}
     n_fb = np.empty(n_trials, dtype=np.int64)  # every relay reports at an infinite threshold
     sufficient = np.empty(n_trials, dtype=bool)
     mid_is_opt = np.empty(n_trials, dtype=bool)
-    for part, st in _map_chunks(disc, counts, seed, disc_batch_stats, d, threshold,
+    for part, st in _map_chunks(counts, seed, doubles, disc_batch_stats, d, threshold,
                                 config.scale_source, config.scale_destination):
         for name in _FLOATS:
             out[name][part] = st[name]
@@ -202,7 +214,7 @@ def feedback_counts(config: MonteCarloConfig, n_trials: int, seed: int) -> np.nd
     if config.threshold is None:
         return counts
     out = np.empty(n_trials, dtype=np.int64)
-    for part, n_fb in _map_chunks(disc, counts, seed, disc_feedback_counts,
+    for part, n_fb in _map_chunks(counts, seed, _words, disc_feedback_counts, disc.radius,
                                   config.half_distance, config.threshold):
         out[part] = n_fb
     return out

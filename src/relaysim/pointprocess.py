@@ -10,6 +10,11 @@ inverse cdf - no rejection; the ring, all at one radius, draws none), and
 ``sample`` draws the count, then r^2, then one uniform per point for the
 angle. Identical ``(spec, seed)`` therefore yields an identical
 ``RelayField`` everywhere; ``run_trials`` draws through ``DiscHomogeneous``.
+
+``Generator.random`` makes each double of one 64-bit Philox word, the word
+``bit_generator.random_raw`` returns, as ``word_uniforms`` does: the top 53
+bits times 2^-53. A disc's squared norms are ``disc_norm_sq`` of those
+uniforms, whether they come from ``random`` or from the words.
 """
 from __future__ import annotations
 
@@ -34,6 +39,8 @@ __all__ = [
     "sample",
     "sample_half_disc",
     "default_window_radius",
+    "disc_norm_sq",
+    "word_uniforms",
 ]
 
 # numpy's Poisson sampler raises "lam value too large" above this mean
@@ -51,6 +58,17 @@ def _check_sampleable(mean_count, scale_sq, largest_uniform_map=1.0):
         raise ParameterError("the squared norm of a relay overflows")
     if not scale_sq >= sys.float_info.min:
         raise ParameterError("the squared norm of a relay underflows")
+
+
+def word_uniforms(words):
+    """The uniforms in [0, 1) that ``Generator.random`` makes of 64-bit Philox
+    ``words`` (a uint64 array, or a Python int): (w >> 11) 2^-53."""
+    return (words >> 11) * 2.0 ** -53
+
+
+def disc_norm_sq(radius, u):
+    """r^2 of points uniform on the disc of ``radius`` at radial uniforms u in [0, 1)."""
+    return (radius * radius) * u
 
 
 def _area_uniform_norm_sq(inner, outer, u):
@@ -85,7 +103,7 @@ class DiscHomogeneous(_PoissonCount):
 
     def draw_norm_sq(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Squared norms of ``n`` points, one radial uniform each from ``rng``."""
-        return (self.radius * self.radius) * rng.random(n)
+        return disc_norm_sq(self.radius, rng.random(n))
 
 
 @dataclass(frozen=True)

@@ -195,6 +195,16 @@ def test_eval_zero_half_distance_is_usage_error(capsys):
     assert "half_distance must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("quantity", [["mu", "--T", "2"], ["threshold-for-load", "--mu0", "5"]],
+                         ids=["mu", "threshold-for-load"])
+@pytest.mark.parametrize("lam", ["-1", "0"])
+def test_eval_feedback_load_at_a_non_positive_intensity_is_usage_error(capsys, quantity, lam):
+    assert main(["eval", *quantity, "--lambda", lam, "--d", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "intensity must be positive and finite" in captured.err
+
+
 def test_numeric_failure_exit_code(monkeypatch, capsys):
     from relaysim import cli
     from relaysim.errors import NumericError

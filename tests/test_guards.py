@@ -19,6 +19,9 @@ from relaysim.policies import PolicyKind, select
 PL = PathLoss.power_law(4.0)
 SNR = snr_from_db(5.0)
 FIELD = np.array([[0.1, 0.2], [1.5, -0.4], [-2.0, 1.0]])
+# radial and angle Philox words of three relays
+WORDS = (np.array([1 << 61, 1 << 62, 7 << 60], dtype=np.uint64),
+         np.array([1 << 60, 1 << 62, 5 << 60], dtype=np.uint64))
 
 ENTRY_POINTS = {
     "MonteCarloConfig.threshold": lambda v: MonteCarloConfig(1.0, 1.0, window_radius=3.0,
@@ -27,6 +30,8 @@ ENTRY_POINTS = {
     "threshold_for_load": lambda v: metrics.threshold_for_load(v, 1.0, 1.0),
     "mean_feedback_load.half_distance": lambda v: metrics.mean_feedback_load(2.0, 1.0, v),
     "threshold_for_load.half_distance": lambda v: metrics.threshold_for_load(1.0, 1.0, v),
+    "mean_feedback_load.intensity": lambda v: metrics.mean_feedback_load(2.0, v, 1.0),
+    "threshold_for_load.intensity": lambda v: metrics.threshold_for_load(1.0, v, 1.0),
     "s_star": lambda v: metrics.s_star(v),
     "outage": lambda v: metrics.outage(v, 1.0, 1.0, SNR, PL, Fading.NONE),
     "outage/rayleigh": lambda v: metrics.outage(v, 1.0, 1.0, SNR, PL, Fading.RAYLEIGH),
@@ -49,13 +54,14 @@ ENTRY_POINTS = {
     "disc_batch_stats.threshold": lambda v: disc_batch_stats(
         [0.9, 4.5, 8.1], [0.2, 0.4, 0.6], [0, 3], 1.0, threshold=v),
     "disc_feedback_counts.threshold": lambda v: disc_feedback_counts(
-        [0.9, 4.5, 8.1], [0.2, 0.4, 0.6], [0, 3], 1.0, v),
+        *WORDS, [0, 3], 3.0, 1.0, v),
     "field_stats.half_distance": lambda v: field_stats(
         [0.1, 0.5, 2.0], [0.0, 0.0, 0.0], [0, 3], v),
     "disc_batch_stats.half_distance": lambda v: disc_batch_stats(
         [0.9, 4.5, 8.1], [0.2, 0.4, 0.6], [0, 3], v),
     "disc_feedback_counts.half_distance": lambda v: disc_feedback_counts(
-        [0.9, 4.5, 8.1], [0.2, 0.4, 0.6], [0, 3], v, 2.0),
+        *WORDS, [0, 3], 3.0, v, 2.0),
+    "disc_feedback_counts.radius": lambda v: disc_feedback_counts(*WORDS, [0, 3], v, 1.0, 2.0),
     "isotropic_best_cqi_cdf.kinks": lambda v: dist.isotropic_best_cqi_cdf(
         1.5, lambda r: math.pi * r * r, 1.0, kinks=(v,)),
     "isotropic_best_cqi_pdf.kinks": lambda v: dist.isotropic_best_cqi_pdf(

@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -8,6 +9,15 @@ from hypothesis import strategies as st
 
 from relaysim import kernels
 from relaysim.errors import ParameterError
+from relaysim.pointprocess import DiscHomogeneous, disc_norm_sq, word_uniforms
+
+
+def _words(u, seed=0):
+    """Philox words whose uniforms are the doubles u in [0, 1] (1 becoming the
+    largest uniform), with random low bits."""
+    k = np.minimum(np.asarray(u) * 2.0**53, 2.0**53 - 1).astype(np.uint64)
+    low = np.random.default_rng(seed).integers(0, 1 << 11, k.size, dtype=np.uint64)
+    return k << np.uint64(11) | low
 
 
 def _random_batch(seed, n_trials=300, mean_pts=40):
@@ -98,6 +108,9 @@ def test_malformed_input_raises_parameter_error(xs, ys, offsets):
         kernels.field_stats(xs, ys, offsets, 1.0)
     with pytest.raises(ParameterError):
         kernels.disc_batch_stats(xs, ys, offsets, 1.0)
+    with pytest.raises(ParameterError):
+        kernels.disc_feedback_counts(np.asarray(xs, dtype=np.uint64),
+                                     np.asarray(ys, dtype=np.uint64), offsets, 4.0, 1.0, 2.0)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -119,23 +132,49 @@ def test_polar_inputs_outside_their_range_raise(which, bad):
     with np.errstate(invalid="ignore"):  # inf - inf at the infinite norm
         kernels.disc_batch_stats(*polar, [0, 3], 1.0)  # both ends of each range are valid
     polar[which][1] = bad
-    for kernel in (kernels.disc_batch_stats, kernels.disc_feedback_counts):
-        with pytest.raises(ParameterError):
-            kernel(*polar, [0, 3], 1.0, 2.0)
+    with pytest.raises(ParameterError):
+        kernels.disc_batch_stats(*polar, [0, 3], 1.0, 2.0)
+    with pytest.raises(ParameterError):  # doubles are no Philox words
+        kernels.disc_feedback_counts(*polar, [0, 3], 4.0, 1.0, 2.0)
+
+
+_TOP_WORD = 2**64 - 1
+
+
+@pytest.mark.parametrize("words", [
+    np.array([0.0, 0.5, 0.25]), np.array([0, 1, 2], dtype=np.int64),
+    np.array([0, 1, 2], dtype=np.uint32), [0, 1, 2], np.zeros((3, 1), dtype=np.uint64),
+    np.zeros((1, 3), dtype=np.uint64), np.zeros(2, dtype=np.uint64)],
+    ids=["float64", "int64", "uint32", "list", "column", "row", "short"])
+@pytest.mark.parametrize("which", [0, 1], ids=["radial", "angle"])
+def test_feedback_words_of_another_dtype_or_shape_raise(words, which):
+    polar = [np.array([0, 1 << 63, _TOP_WORD], dtype=np.uint64)] * 2
+    kernels.disc_feedback_counts(*polar, [0, 3], 4.0, 1.0, 2.0)  # both ends of the word range
+    polar[which] = words
+    with pytest.raises(ParameterError):
+        kernels.disc_feedback_counts(*polar, [0, 3], 4.0, 1.0, 2.0)
+
+
+@pytest.mark.parametrize("radius", [math.nan, 0.0, -1.0, math.inf, 1.4e154, 1e-160])
+def test_feedback_radius_without_a_normal_finite_square_raises(radius):
+    words = np.array([0, 1 << 63, _TOP_WORD], dtype=np.uint64)
+    with pytest.raises(ParameterError):
+        kernels.disc_feedback_counts(words, words, [0, 3], radius, 1.0, 2.0)
 
 
 def test_kernels_leave_their_inputs_unchanged():
     xs, ys, u1, u2, offsets = _random_batch(6, n_trials=50)
     norm_sq = 16.0 * u1
     norm_sq[::7] = math.inf
-    inputs = (xs, ys, norm_sq, u2, offsets)
+    radial, angle = _words(u1), _words(u2)
+    inputs = (xs, ys, norm_sq, u2, radial, angle, offsets)
     before = [a.copy() for a in inputs]
     for a in inputs:
         a.flags.writeable = False  # a write raises
     with np.errstate(invalid="ignore"):  # inf - inf at the infinite norms
         kernels.field_stats(xs, ys, offsets, 1.0, 2.5)
         kernels.disc_batch_stats(norm_sq, u2, offsets, 1.0, 2.5)
-        kernels.disc_feedback_counts(norm_sq, u2, offsets, 1.0, 2.5)
+        kernels.disc_feedback_counts(radial, angle, offsets, 4.0, 1.0, 2.5)
     for a, b in zip(inputs, before):
         assert np.array_equal(a, b)
 
@@ -214,20 +253,27 @@ def test_disc_pruning_is_bit_identical_to_evaluating_every_point(infinite, thres
         if infinite:  # the first three trials wholly, half of the others' relays
             norm_sq[(u1 > 0.5) | (np.arange(u1.size) < offsets[3])] = np.inf
         args = (norm_sq, u2, offsets, d, threshold * d, *scales)
+        # the word counter's relays: those of a disc of radius 4, at the same uniforms
+        radial, angle = _words(u1, seed), _words(u2, seed + 1)
+        word_norm_sq = disc_norm_sq(4.0, word_uniforms(radial))
         with np.errstate(invalid="ignore"):  # an infinite norm gives inf - inf
             ref = _unpruned_disc(*args)
+            word_ref = _unpruned_disc(word_norm_sq, word_uniforms(angle),
+                                      *args[2:])["n_feedback"]
             monkeypatch.setattr(np, "cos", counted_cos)
             st = kernels.disc_batch_stats(*args)
             n_stats_cos = len(cos_points)
-            n_feedback = kernels.disc_feedback_counts(*args[:5])
+            n_feedback = kernels.disc_feedback_counts(radial, angle, offsets, 4.0, d,
+                                                      threshold * d)
             monkeypatch.setattr(np, "cos", cos)
         assert set(st) == set(ref)
         for name in ref:
             assert np.array_equal(st[name], ref[name], equal_nan=True), (seed, name)
-        assert np.array_equal(n_feedback, ref["n_feedback"]), seed
+        assert np.array_equal(n_feedback, word_ref), seed
         # the counter takes a cosine for the band points alone
         na, nb = kernels._feedback_cuts(d, (threshold * d) ** 2)
-        assert sum(cos_points[n_stats_cos:]) == np.count_nonzero((norm_sq > na) & (norm_sq <= nb))
+        assert sum(cos_points[n_stats_cos:]) == np.count_nonzero(
+            (word_norm_sq > na) & (word_norm_sq <= nb))
         del cos_points[n_stats_cos:]
     if not infinite and threshold in (0.0, math.inf):  # the cosine of most points is skipped
         assert sum(cos_points) < 0.5 * 3 * 60 * 30
@@ -335,4 +381,104 @@ def test_feedback_cuts_are_the_last_norms_that_satisfy_their_predicate(d, thresh
                                            np.nextafter(at_cuts[0], math.inf), at_cuts[1],
                                            np.nextafter(at_cuts[1], math.inf))
     ref = _unpruned_disc(norm_sq, u2, offsets, d, threshold, 1.0, 1.0)["n_feedback"]
-    assert np.array_equal(kernels.disc_feedback_counts(norm_sq, u2, offsets, d, threshold), ref)
+    assert np.array_equal(kernels.disc_batch_stats(norm_sq, u2, offsets, d, threshold).n_feedback,
+                          ref)
+    # the word counter, with the words on and next to its own cuts
+    radial, angle = _words(norm_sq / 16.0, 5), _words(u2, 6)
+    word_cuts = [max(cut, 0) for cut in kernels._word_cuts(4.0, d, thr_sq)]
+    radial[[0, 50, 100, 101, 150, 151]] = (0, _TOP_WORD, word_cuts[0],
+                                           min(word_cuts[0] + 1, _TOP_WORD), word_cuts[1],
+                                           min(word_cuts[1] + 1, _TOP_WORD))
+    word_ref = _unpruned_disc(disc_norm_sq(4.0, word_uniforms(radial)),
+                              word_uniforms(angle), offsets, d, threshold, 1.0,
+                              1.0)["n_feedback"]
+    assert np.array_equal(kernels.disc_feedback_counts(radial, angle, offsets, 4.0, d, threshold),
+                          word_ref)
+
+
+def _last_radius(x, ok):
+    """The last radius r for which ``ok(r)`` holds, from x within a few ulps of it."""
+    while not ok(x):
+        x = float(np.nextafter(x, 0.0))
+    while ok(float(np.nextafter(x, math.inf))):
+        x = float(np.nextafter(x, math.inf))
+    return x
+
+
+# the smallest and the largest disc radius whose squared norms pointprocess draws
+_R_MAX = _last_radius(math.sqrt(kernels._MAX), lambda r: r * r < math.inf)
+_R_MIN = float(np.nextafter(_last_radius(math.sqrt(sys.float_info.min),
+                                         lambda r: r * r < sys.float_info.min), math.inf))
+
+
+def test_the_radius_range_is_the_one_pointprocess_draws():
+    for radius in (_R_MIN, _R_MAX):
+        DiscHomogeneous(1e-300, radius)
+        kernels.disc_feedback_counts(np.zeros(1, np.uint64), np.zeros(1, np.uint64), [0, 1],
+                                     radius, 1.0, 2.0)
+    for radius in (float(np.nextafter(_R_MIN, 0.0)), float(np.nextafter(_R_MAX, math.inf))):
+        with pytest.raises(ParameterError):
+            DiscHomogeneous(1e-300, radius)
+        with pytest.raises(ParameterError):
+            kernels.disc_feedback_counts(np.zeros(1, np.uint64), np.zeros(1, np.uint64),
+                                         [0, 1], radius, 1.0, 2.0)
+
+
+# angle words at u = 0 (cos = 1: the relay's sq is base + c), 1/4, 1/2 and 3/4
+_ANGLES = (0, 1 << 62, 1 << 63, 3 << 62)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflowing legs and squares
+@settings(max_examples=150, deadline=None)
+@given(log_d=st.floats(-150.0, 150.0), t_over_d=st.sampled_from([0.0, 1.0, 2.5, math.inf]),
+       log_ratio=st.floats(-3.0, 3.0), edge=st.sampled_from([None, _R_MIN, _R_MAX]),
+       seed=st.integers(0, 2**32 - 1))
+@example(log_d=0.0, t_over_d=2.5, log_ratio=math.log10(6.0), edge=None, seed=0)
+@example(log_d=-150.0, t_over_d=1.0, log_ratio=0.0, edge=_R_MIN, seed=1)
+@example(log_d=150.0, t_over_d=2.5, log_ratio=0.0, edge=_R_MAX, seed=2)
+def test_word_counter_is_exact_at_its_cuts(log_d, t_over_d, log_ratio, edge, seed):
+    """Each word cut is the last word whose r^2 is at most its r^2 cut, and the
+    word counter matches ``disc_batch_stats`` on the same words mapped to doubles,
+    taking a cosine for the words between the cuts alone."""
+    d = 10.0 ** log_d
+    radius = edge or min(max(d * 10.0 ** log_ratio, _R_MIN), _R_MAX)
+    threshold = t_over_d * d
+    thr_sq = threshold * threshold
+
+    def norm_sq(word):
+        return disc_norm_sq(radius, word_uniforms(word))
+
+    cuts = kernels._word_cuts(radius, d, thr_sq)
+    for cut, norm_cut in zip(cuts, kernels._feedback_cuts(d, thr_sq)):
+        if cut < 0:  # no word reaches the r^2 cut
+            assert cut == -1 and not norm_sq(0) <= norm_cut
+            continue
+        assert cut & 0x7FF == 0x7FF and norm_sq(cut) <= norm_cut
+        assert cut == _TOP_WORD or not norm_sq(cut + 1) <= norm_cut
+    # each cut word, one word either side, and either side of the 0x7FF boundaries next to it
+    near = {min(max(cut + step, 0), _TOP_WORD) for cut in cuts if cut >= 0
+            for step in (-0x800, -0x7FF, -1, 0, 1, 0x7FF, 0x800)}
+    rng = np.random.default_rng(seed)
+    words = np.array(sorted(near | {0, _TOP_WORD}), dtype=np.uint64)
+    words = np.concatenate([words, rng.integers(0, _TOP_WORD, 32, dtype=np.uint64,
+                                                endpoint=True)])
+    radial = np.repeat(words, len(_ANGLES) + 1)
+    angle = np.tile(np.array([*_ANGLES, 0], dtype=np.uint64), words.size)
+    angle[len(_ANGLES)::len(_ANGLES) + 1] = rng.integers(0, _TOP_WORD, words.size,
+                                                        dtype=np.uint64, endpoint=True)
+    offsets = np.arange(radial.size + 1)  # one relay a trial: every miscount shows
+    ref = kernels.disc_batch_stats(norm_sq(radial), word_uniforms(angle), offsets, d,
+                                   threshold).n_feedback
+    cos, cos_points = np.cos, []
+
+    def counted_cos(x):
+        cos_points.append(x.size)
+        return cos(x)
+
+    np.cos = counted_cos
+    try:
+        got = kernels.disc_feedback_counts(radial, angle, offsets, radius, d, threshold)
+    finally:
+        np.cos = cos
+    assert np.array_equal(got, ref), radial[got != ref]
+    assert sum(cos_points) == np.count_nonzero((radial > cuts[0]) & (radial <= cuts[1]))

@@ -349,6 +349,22 @@ def test_mean_feedback_load_to_a_few_ulps_of_mpmath(lam, d):
     assert max(ulps) <= 6.0
 
 
+@pytest.mark.parametrize("c", [2.0, 3.0, 0.5, 1024.0])
+@pytest.mark.parametrize("lam, d", [(0.5, 0.75), (1.0, 3.0), (4.0, 1.5)])
+def test_mean_feedback_load_is_invariant_under_scaling(lam, d, c):
+    """Shrinking every length by c and raising the intensity by c^2 keeps the load.
+    Every t / c, d / c and lam c^2 here is exact, so what moves is the rounding
+    inside the formula: none for a power of two, and for c = 3 at most the 6 ulps
+    each value holds to mpmath (5 read at t = 2d)."""
+    for t in d * (1.0 + np.arange(1.0, 100.0) / 16.0):
+        load = metrics.mean_feedback_load(t, lam, d)
+        scaled = metrics.mean_feedback_load(t / c, lam * c * c, d / c)
+        if c == 3.0:
+            assert abs(scaled - load) <= 6 * np.spacing(load), t
+        else:
+            assert scaled == load, t
+
+
 @pytest.mark.parametrize("lam, d", [(0.1, 0.5), (1.0, 1.0), (4.0, 3.0)])
 def test_threshold_for_load_round_trip_at_near_floor_loads(lam, d):
     for t in d * (1.0 + 10.0 ** -np.arange(1.0, 16.0)):

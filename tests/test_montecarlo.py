@@ -182,17 +182,20 @@ def test_closest_to_source_follows_the_reflected_law(seed):
     ids=["plain", "threshold-unequal-snr", "unequal-snr-threshold"])
 def test_run_trials_scales_exactly_at_powers_of_two(lam, d, threshold, scales, c):
     """Shrinking every length by a power of two c (intensity times c^2) draws the
-    same counts and shrinks every recorded metric by exactly 1/c."""
-    base = run_trials(MonteCarloConfig(lam, d, threshold=threshold, scale_source=scales[0],
-                                       scale_destination=scales[1]), 2_000, 3)
-    scaled = run_trials(MonteCarloConfig(lam * c * c, d / c,
-                                         threshold=None if threshold is None else threshold / c,
-                                         scale_source=scales[0], scale_destination=scales[1]),
-                        2_000, 3)
+    same counts and shrinks every recorded metric by exactly 1/c; the feedback
+    counter's word cuts move with the window radius and count the same relays."""
+    base_config = MonteCarloConfig(lam, d, threshold=threshold, scale_source=scales[0],
+                                   scale_destination=scales[1])
+    scaled_config = MonteCarloConfig(lam * c * c, d / c,
+                                     threshold=None if threshold is None else threshold / c,
+                                     scale_source=scales[0], scale_destination=scales[1])
+    base, scaled = run_trials(base_config, 2_000, 3), run_trials(scaled_config, 2_000, 3)
     for name in ("counts", "n_feedback", "sufficient", "mid_is_opt"):
         assert np.array_equal(getattr(scaled, name), getattr(base, name)), name
     for name in montecarlo._FLOATS:
         assert np.array_equal(getattr(scaled, name), getattr(base, name) / c), name
+    assert np.array_equal(feedback_counts(scaled_config, 2_000, 3), base.n_feedback)
+    assert np.array_equal(feedback_counts(base_config, 2_000, 3), base.n_feedback)
 
 
 def test_rate_estimates_converge_to_average_rate():

@@ -13,7 +13,7 @@ from relaysim.kernels import field_stats
 from relaysim.pointprocess import (AnnulusUniform, CircleHomogeneous,
                                    DiscHomogeneous, DiscWithExclusion,
                                    GaussianCluster, _generator, default_window_radius,
-                                   sample, sample_half_disc)
+                                   disc_norm_sq, sample, sample_half_disc, word_uniforms)
 
 
 def test_determinism():
@@ -174,6 +174,19 @@ def test_an_empty_exclusion_zone_maps_uniforms_as_the_disc_does():
     disc = DiscHomogeneous(2.0, 6.0).draw_norm_sq(_generator(3), 1000)
     for spec in (DiscWithExclusion(2.0, 0.0, 6.0), AnnulusUniform(0.0, 6.0, 1000)):
         assert np.array_equal(spec.draw_norm_sq(_generator(3), 1000), disc)
+
+
+@pytest.mark.parametrize("radius", [6.0, 1.4916681462400413e-154, 1.3407807929942596e154])
+def test_the_words_map_to_the_uniforms_and_norms_random_draws(radius):
+    """Generator.random's doubles are word_uniforms of the raw Philox words, in
+    chunks of any size, and the disc's squared norms disc_norm_sq of them."""
+    spec = DiscHomogeneous(1e-300, radius)
+    norm_sq = spec.draw_norm_sq(_generator(7), 100_003)
+    bits = _generator(7).bit_generator
+    words = np.concatenate([bits.random_raw(m) for m in (1, 6, 99_996)])
+    assert np.array_equal(disc_norm_sq(radius, word_uniforms(words)), norm_sq)
+    assert np.array_equal(word_uniforms(words), _generator(7).random(100_003))
+    assert word_uniforms(2**64 - 1) == 1.0 - 2.0**-53 and word_uniforms(0x7FF) == 0.0
 
 
 def test_csv_dump(tmp_path):
