@@ -14,22 +14,22 @@ draws every count from block 0 first, then takes the trials in chunks of at
 most ``_CHUNK_TRIALS`` whole trials holding at most ``_CHUNK_POINTS`` points
 (a trial larger than that is a chunk of its own). Each chunk takes its next
 draws from two generators kept open on blocks 1 and 2 and goes to one kernel
-call. ``run_trials`` draws squared norms and angle uniforms for
-``disc_batch_stats``, which computes every statistic. ``feedback_counts``
-reads blocks 1 and 2 as the raw 64-bit words of ``random_raw``, of which
-``Generator.random`` makes its uniforms as (w >> 11) 2^-53, and
-``disc_feedback_counts`` compares each radial word with two integer cuts and
-converts and takes a cosine only for the relays near the threshold (see
-``kernels``). Both give the bits of evaluating every relay, so
-``feedback_counts`` returns ``run_trials(...).n_feedback`` exactly.
-Successive draws from one Philox generator give exactly the values of one
-large draw, so the output does not depend on the chunk size. Each chunk's
-results are written into their slice of the ``n_trials``-long outputs,
-allocated once, so memory beyond the per-trial results is bounded by the
-chunk budget (or by the largest trial) for any ``n_trials``. A chunk's
-draws are made only after the previous chunk's are freed: holding them one
-chunk longer left 12 MB more resident memory after a 100k-trial batch
-(lambda = 1, tau = 10), from heap fragmentation.
+call. Both read blocks 1 and 2 as the raw 64-bit words of ``random_raw``, of
+which ``Generator.random`` makes its uniforms as (w >> 11) 2^-53, and their
+kernels turn only the words that matter into doubles (see ``kernels``):
+``disc_batch_stats``, which computes every statistic for ``run_trials``,
+compares each radial word with its field's reach, and
+``disc_feedback_counts`` with two threshold cuts. Both give the bits of
+evaluating every relay, so ``feedback_counts`` returns
+``run_trials(...).n_feedback`` exactly. Successive draws from one Philox
+generator give exactly the values of one large draw, so the output does not
+depend on the chunk size. Each chunk's results are written into their slice
+of the ``n_trials``-long outputs, allocated once, so memory beyond the
+per-trial results is bounded by the chunk budget (or by the largest trial)
+for any ``n_trials``. A chunk's draws are made only after the previous
+chunk's are freed: holding them one chunk longer left 12 MB more resident
+memory after a 100k-trial batch (lambda = 1, tau = 10), from heap
+fragmentation.
 
 Block 0 cannot be advanced to a trial: Poisson draws consume a variable
 number of words (1000 draws at mean 314 use 585 counter values), so the
@@ -106,14 +106,14 @@ class TrialBatch:
     mid_is_opt: np.ndarray = field(repr=False)
 
 
-# Points per kernel call: bounds the memory of a batch of any size. The disc
-# kernel's r^2 prune makes its full-size temporaries small (a peak of 17 B a
-# point at 2^16), so a larger chunk mostly saves the fixed cost of each call. A
-# 100k-trial mc-batch pass (lambda = 1, tau = 10, 2 vCPUs, medians of five
-# in-process runs) took 0.87 s at 2^14, 0.79 s at 2^15, 0.75 s at 2^16 and
-# 1.10 s at 2^17, where a chunk's draws and temporaries no longer stay in the
-# heap between chunks (see _map_chunks): 1.26M minor page faults, against
-# 10k at 2^14-2^16.
+# Points per kernel call: bounds the memory of a batch of any size. A chunk
+# takes 16 B a point of words, and the disc kernel's r^2 prune keeps its
+# full-size temporaries to about 12 B a point more, so a larger chunk mostly
+# saves the fixed cost of each call. A 100k-trial mc-batch pass (lambda = 1,
+# tau = 10, 2 vCPUs, medians of four warm in-process runs) took 0.83 s at 2^14,
+# 0.69 s at 2^15, 0.61 s at 2^16 and 0.83 s at 2^17, where a chunk's draws and
+# temporaries no longer stay in the heap between chunks (see _map_chunks):
+# 216k minor page faults a pass, against 2.0k-2.2k at 2^14-2^16.
 _CHUNK_POINTS = 1 << 16
 # Trials per kernel call, whatever their points: bounds the kernel's per-trial
 # temporaries (about 300 B a trial) when most fields are empty.
@@ -154,26 +154,26 @@ def _words(radius_rng: np.random.Generator, angle_rng: np.random.Generator, m: i
     return radius_rng.bit_generator.random_raw(m), angle_rng.bit_generator.random_raw(m)
 
 
-def _map_chunks(counts: np.ndarray, seed: int, draw, kernel, *args):
-    """Yield each chunk's trial slice and ``kernel(*draw(radius_rng, angle_rng,
-    m), local offsets, *args)``, in order, with ``m`` the chunk's points. The
-    draws are bound to no name, so they are freed when the kernel returns,
-    before the next chunk draws."""
+def _map_chunks(counts: np.ndarray, seed: int, kernel, *args):
+    """Yield each chunk's trial slice and ``kernel(radial_words, angle_words,
+    local offsets, *args)``, in order, with the chunk's next words of blocks 1
+    and 2. The words are bound to no name, so they are freed when the kernel
+    returns, before the next chunk draws."""
     offsets = np.zeros(counts.size + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
     radius_rng, angle_rng = _block_rng(seed, 1), _block_rng(seed, 2)
     # Freeing one untouched 2 MB block raises glibc's dynamic mmap threshold to
     # 2 MB and its trim threshold to 4 MB, so its heap keeps a chunk's freed
-    # draws and temporaries (about 33 B a point and 300 B a trial) for the next
+    # words and temporaries (about 28 B a point and 300 B a trial) for the next
     # chunk instead of returning them to the system after each one. Without it
-    # a fresh 100k-trial simulate (lambda = 1, tau = 10) took 213k minor page
-    # faults instead of 8k; an 8 MB block added 2 MB to a figures pass's peak
-    # RSS. Other allocators ignore it.
+    # a fresh 100k-trial simulate (lambda = 1, tau = 10) took 74k-182k minor
+    # page faults instead of 8.4k; an 8 MB block saved none of them and added
+    # 0.1-1.1 MB to a figures pass's peak RSS. Other allocators ignore it.
     np.empty(2 << 20, dtype=np.uint8)
     for lo, hi in _chunks(offsets):
         local = offsets[lo:hi + 1] - offsets[lo]
-        m = int(local[-1])
-        yield slice(lo, hi), kernel(*draw(radius_rng, angle_rng, m), local, *args)
+        yield slice(lo, hi), kernel(*_words(radius_rng, angle_rng, int(local[-1])), local,
+                                    *args)
 
 
 # the float statistics of disc_batch_stats a TrialBatch records
@@ -184,17 +184,13 @@ _FLOATS = ("gamma_opt", "gamma_mid", "gamma_c2d", "gamma_csrc", "gamma_diff",
 def run_trials(config: MonteCarloConfig, n_trials: int, seed: int) -> TrialBatch:
     """Sample ``n_trials`` homogeneous fields and reduce each one."""
     disc, counts = _counts(config, n_trials, seed)
-
-    def doubles(radius_rng, angle_rng, m):
-        return disc.draw_norm_sq(radius_rng, m), angle_rng.random(m)
-
     d = config.half_distance
     threshold = math.inf if config.threshold is None else config.threshold
     out = {name: np.empty(n_trials) for name in _FLOATS}
     n_fb = np.empty(n_trials, dtype=np.int64)  # every relay reports at an infinite threshold
     sufficient = np.empty(n_trials, dtype=bool)
     mid_is_opt = np.empty(n_trials, dtype=bool)
-    for part, st in _map_chunks(counts, seed, doubles, disc_batch_stats, d, threshold,
+    for part, st in _map_chunks(counts, seed, disc_batch_stats, disc.radius, d, threshold,
                                 config.scale_source, config.scale_destination):
         for name in _FLOATS:
             out[name][part] = st[name]
@@ -214,7 +210,7 @@ def feedback_counts(config: MonteCarloConfig, n_trials: int, seed: int) -> np.nd
     if config.threshold is None:
         return counts
     out = np.empty(n_trials, dtype=np.int64)
-    for part, n_fb in _map_chunks(counts, seed, _words, disc_feedback_counts, disc.radius,
+    for part, n_fb in _map_chunks(counts, seed, disc_feedback_counts, disc.radius,
                                   config.half_distance, config.threshold):
         out[part] = n_fb
     return out

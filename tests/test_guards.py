@@ -52,13 +52,13 @@ ENTRY_POINTS = {
     "field_stats.threshold": lambda v: field_stats(
         [0.1, 0.5, 2.0], [0.0, 0.0, 0.0], [0, 3], 1.0, threshold=v),
     "disc_batch_stats.threshold": lambda v: disc_batch_stats(
-        [0.9, 4.5, 8.1], [0.2, 0.4, 0.6], [0, 3], 1.0, threshold=v),
+        *WORDS, [0, 3], 3.0, 1.0, threshold=v),
     "disc_feedback_counts.threshold": lambda v: disc_feedback_counts(
         *WORDS, [0, 3], 3.0, 1.0, v),
     "field_stats.half_distance": lambda v: field_stats(
         [0.1, 0.5, 2.0], [0.0, 0.0, 0.0], [0, 3], v),
-    "disc_batch_stats.half_distance": lambda v: disc_batch_stats(
-        [0.9, 4.5, 8.1], [0.2, 0.4, 0.6], [0, 3], v),
+    "disc_batch_stats.half_distance": lambda v: disc_batch_stats(*WORDS, [0, 3], 3.0, v),
+    "disc_batch_stats.radius": lambda v: disc_batch_stats(*WORDS, [0, 3], v, 1.0),
     "disc_feedback_counts.half_distance": lambda v: disc_feedback_counts(
         *WORDS, [0, 3], 3.0, v, 2.0),
     "disc_feedback_counts.radius": lambda v: disc_feedback_counts(*WORDS, [0, 3], v, 1.0, 2.0),

@@ -325,3 +325,15 @@ def test_batch_csv_bytes_are_pinned(config, digest, tmp_path, monkeypatch):
         monkeypatch.setattr(montecarlo, "_CSV_ROWS", rows)
         batch_to_csv(batch, path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, rows
+
+
+def test_one_relay_fields_are_certified_sufficient():
+    """A one-relay field has no second relay (psi_second = inf), so its mid-point
+    relay is certified optimal, although the top Philox word is a relay at a
+    finite r^2."""
+    batch = run_trials(MonteCarloConfig(0.1, 1.0, window_radius=1.5), 4000, 3)
+    one = batch.counts == 1
+    assert one.sum() > 1000
+    assert np.all(batch.psi_second[one] == math.inf)
+    assert batch.sufficient[one].all() and batch.mid_is_opt[one].all()
+    assert np.all(batch.psi_second[batch.counts > 1] < math.inf)
