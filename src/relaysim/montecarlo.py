@@ -12,7 +12,8 @@ norms are drawn as ``DiscHomogeneous(intensity, window_radius)`` draws them.
 ``run_trials`` and ``feedback_counts`` share one walk of this stream. It
 draws every count from block 0 first, then takes the trials in chunks of at
 most ``_CHUNK_TRIALS`` whole trials holding at most ``_CHUNK_POINTS`` points
-(a trial larger than that is a chunk of its own). Each chunk takes its next
+(a trial larger than that is a chunk of its own), along ``kernels._chunks``,
+the walk ``field_stats`` takes its blocks by. Each chunk takes its next
 draws from two generators kept open on blocks 1 and 2 and goes to one kernel
 call. Both read blocks 1 and 2 as the raw 64-bit words of ``random_raw``, of
 which ``Generator.random`` makes its uniforms as (w >> 11) 2^-53, and their
@@ -47,7 +48,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError
-from .kernels import disc_batch_stats, disc_feedback_counts
+from .kernels import _chunks, disc_batch_stats, disc_feedback_counts
 from .numerics import chi2_sf, poisson_pmf, poisson_sf
 from .pointprocess import DiscHomogeneous, default_window_radius
 
@@ -125,18 +126,6 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
                                                 counter=block << 64))
 
 
-def _chunks(offsets: np.ndarray):
-    """Yield (lo, hi): runs of at most _CHUNK_TRIALS whole trials with at most
-    _CHUNK_POINTS points, or a single trial when it alone holds more."""
-    n_trials = offsets.size - 1
-    lo = 0
-    while lo < n_trials:
-        hi = int(np.searchsorted(offsets, offsets[lo] + _CHUNK_POINTS, side="right")) - 1
-        hi = min(max(hi, lo + 1), lo + _CHUNK_TRIALS)
-        yield lo, hi
-        lo = hi
-
-
 def _counts(config: MonteCarloConfig, n_trials: int, seed: int):
     """The field every trial samples, and the point count of each trial from block 0."""
     if not n_trials >= 1:
@@ -170,7 +159,7 @@ def _map_chunks(counts: np.ndarray, seed: int, kernel, *args):
     # page faults instead of 8.4k; an 8 MB block saved none of them and added
     # 0.1-1.1 MB to a figures pass's peak RSS. Other allocators ignore it.
     np.empty(2 << 20, dtype=np.uint8)
-    for lo, hi in _chunks(offsets):
+    for lo, hi in _chunks(offsets, _CHUNK_POINTS, _CHUNK_TRIALS):
         local = offsets[lo:hi + 1] - offsets[lo]
         yield slice(lo, hi), kernel(*_words(radius_rng, angle_rng, int(local[-1])), local,
                                     *args)

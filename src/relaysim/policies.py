@@ -6,6 +6,7 @@ like mid-point selection, where it feeds the benchmark rate/outage curves.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -56,15 +57,21 @@ class _Geometry(NamedTuple):
 
 
 def _geometry(field, d: float) -> _Geometry:
-    """The geometry of a RelayField or an (n, 2) array at half-distance ``d``; a
-    RelayField (read-only points) keeps it in ``derived``, so it is computed once."""
+    """The geometry of a RelayField or an (n, 2) array of finite positions at
+    half-distance ``d``; a RelayField (read-only points) keeps it in ``derived``,
+    so it is computed, and its positions checked, once."""
     derived = field.derived if isinstance(field, RelayField) else {}
     if d not in derived:
         points = np.asarray(field.points if hasattr(field, "points") else field, dtype=float)
-        if points.ndim != 2 or (points.size and points.shape[1] != 2):
+        if points.ndim != 2 or points.shape[1] != 2:
             raise ParameterError("field must be an (n, 2) array of positions")
         ds, dd = leg_distances(points[:, 0], points[:, 1], d)
         norm = np.hypot(points[:, 0], points[:, 1])
+        # a NaN relay would win every argmin. A non-finite position makes the
+        # sum of squared norms non-finite; so may an overflow, which the
+        # elementwise test then clears.
+        if not math.isfinite(norm @ norm) and not np.isfinite(points).all():
+            raise ParameterError("relay positions must be finite")
         second = float(np.partition(norm, 1)[1]) if points.shape[0] >= 2 else None
         derived[d] = _Geometry(points, ds, dd, np.maximum(ds, dd), norm, second)
     return derived[d]

@@ -118,8 +118,15 @@ def test_empty_batch():
     (np.zeros(5), np.zeros(5), [0, 3, 2, 5]),
     (np.zeros(5), np.zeros(5), [0, 2, 4]),
     (np.zeros(5), np.zeros(5), [0, 2, 6]),
+    (np.zeros(5), np.zeros(5), [0, 2.5, 5]),
+    (np.zeros(5), np.zeros(5), [0, math.nan, 5]),
+    (np.zeros(5), np.zeros(5), [0, math.inf, 5]),
+    (np.zeros(5), np.zeros(5), [0.0, True, 5]),
+    (np.zeros(1), np.zeros(1), np.array([False, True])),
+    (np.zeros(5), np.zeros(5), ["0", "2", "5"]),
 ], ids=["unequal-shapes", "not-1d", "no-offsets", "nonzero-first-offset",
-        "decreasing-offsets", "short-last-offset", "long-last-offset"])
+        "decreasing-offsets", "short-last-offset", "long-last-offset", "fractional-offset",
+        "nan-offset", "infinite-offset", "bool-in-a-list", "bool-array", "text-offsets"])
 def test_malformed_input_raises_parameter_error(xs, ys, offsets):
     with pytest.raises(ParameterError):
         kernels.field_stats(xs, ys, offsets, 1.0)
@@ -204,16 +211,64 @@ def test_kernels_leave_their_inputs_unchanged():
         assert np.array_equal(a, b)
 
 
-def test_field_stats_peak_memory_per_point():
-    xs, ys, _, _, offsets = _random_batch(5, n_trials=2000, mean_pts=40)  # about 80k points
-    tracemalloc.start()
-    try:
-        kernels.field_stats(xs, ys, offsets, 1.0, 2.5)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert xs.size > 75_000
-    assert peak <= 140 * xs.size
+def _block_batch():
+    """A batch of x/y fields for the block walk: runs of empty fields, one field
+    more than a third of the batch and an all-empty tail, as strided columns."""
+    rng = np.random.default_rng(8)
+    counts = rng.poisson(6, 200)
+    counts[[0, 1, 30, 31, 32, 33, 90]] = 0  # runs of empty fields
+    counts[60] = 700
+    counts[-25:] = 0
+    offsets = np.concatenate([[0], np.cumsum(counts)])
+    pts = rng.uniform(-5.0, 5.0, (offsets[-1], 2))
+    pts[::9] = np.round(pts[::9])  # ties between fields' points
+    return pts[:, 0], pts[:, 1], offsets
+
+
+def test_field_stats_identical_for_every_block_budget(monkeypatch):
+    """Every statistic, and both batch-level indices, match those of one block;
+    each budget makes more than one ``_reduce`` call."""
+    xs, ys, offsets = _block_batch()
+    reduce, calls = kernels._reduce, []
+
+    def counted(ds_sq, *args):
+        calls.append(ds_sq.size)
+        return reduce(ds_sq, *args)
+
+    monkeypatch.setattr(kernels, "_reduce", counted)
+    monkeypatch.setattr(kernels, "_BLOCK", 1 << 40)
+    args = (xs, ys, offsets, 1.0, 2.5, 1.0, 1.4)
+    whole = kernels.field_stats(*args)
+    assert calls == [xs.size]
+    assert 3 * np.diff(offsets).max() > xs.size
+    for budget in (1, 7, xs.size // 3):
+        monkeypatch.setattr(kernels, "_BLOCK", budget)
+        calls.clear()
+        st = kernels.field_stats(*args)
+        assert len(calls) > 1 and sum(calls) == xs.size, budget
+        assert set(st) == set(whole)
+        for name in whole:
+            assert st[name].dtype == whole[name].dtype, (budget, name)
+            assert np.array_equal(st[name], whole[name]), (budget, name)
+    assert np.all(whole.idx_opt[-25:] == -1) and np.all(whole.idx_mid[-25:] == -1)
+
+
+def test_field_stats_memory_is_bounded_by_the_block():
+    """Beyond its n_trials-long outputs, field_stats holds one block's
+    temporaries, whatever the number of points (0.5M and 2M here)."""
+    peaks = []
+    for n_trials in (12_500, 50_000):
+        xs, ys, _, _, offsets = _random_batch(5, n_trials=n_trials, mean_pts=40)
+        tracemalloc.start()
+        try:
+            st = kernels.field_stats(xs, ys, offsets, 1.0, 2.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert xs.size > 0.95 * 40 * n_trials
+        peaks.append(peak - sum(v.nbytes for v in st.values()))
+    # a block holds at most 2^13 points, of about 150 B of temporaries each
+    assert max(peaks) < 2 * 2**20, peaks
 
 
 def _unpruned_disc(norm_sq, u2, offsets, d, threshold, scale_source, scale_destination):

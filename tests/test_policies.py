@@ -199,3 +199,28 @@ def test_select_keeps_one_geometry_per_half_distance():
         assert sufficient_condition_holds(f, NetworkGeometry(d)) == (
             sufficient_condition_holds(np.array(f.points), NetworkGeometry(d)))
     assert sorted(f.derived) == [0.5, 1.0]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_positions_raise(bad):
+    """A NaN relay would otherwise win every argmin, with gamma NaN, and be
+    reported by threshold feedback; field_stats rejects the same input."""
+    field = np.array([[0.1, 0.2], [bad, 0.0], [2.0, 1.0]])
+    for kind in PolicyKind:
+        with pytest.raises(ParameterError):
+            select(field, kind, GEOM, **ARGS)
+    with pytest.raises(ParameterError):
+        sufficient_condition_holds(field, GEOM)
+    with pytest.raises(ParameterError):
+        field_stats(field[:, 0], field[:, 1], [0, 3], 1.0)
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (0, 1), (0, 0), (3,), (2, 3)],
+                         ids=lambda shape: "x".join(map(str, shape)))
+def test_positions_of_another_shape_raise(shape):
+    """Only an (n, 2) array is a field, an empty one included."""
+    for kind in PolicyKind:
+        with pytest.raises(ParameterError):
+            select(np.zeros(shape), kind, GEOM, **ARGS)
+    with pytest.raises(ParameterError):
+        sufficient_condition_holds(np.zeros(shape), GEOM)
